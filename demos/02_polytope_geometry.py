@@ -2,7 +2,8 @@
 
 Vertices are the 0/1 basis vectors.  Two vertices span an edge exactly
 when they differ by one swap.  Facets are certified, not assumed: an
-inequality counts only if its tight vertices have affine rank dim - 1.
+inequality counts only if the face it cuts, again a path region, has
+dimension dim - 1.
 """
 
 from lpmpoly import (

@@ -39,7 +39,6 @@ from .polytope import (
     Facet,
     HRepresentation,
     LinearConstraint,
-    RunLengthForm,
     catalan_edge_formula,
     catalan_facet_count,
     dimension,

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
-region or unsupported region for the verb, 4 size cap exceeded.  Output is
-deterministic byte-for-byte for identical inputs.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also an
+absent or unreadable region file), 3 invalid region, malformed region file
+or unsupported region for the verb, 4 size cap exceeded.  Errors print one
+``error:`` line on stderr.  Output is deterministic byte-for-byte for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from fractions import Fraction
 from . import ehrhart as eh
 from . import verify as ver
 from .decompose import border_strips, decomposition_tree, region_to_strip
-from .errors import DisconnectedRegion, DominanceViolation, EmptyWord, EndpointMismatch, InvalidCharacter
+from .errors import (
+    BadK,
+    DisconnectedRegion,
+    DominanceViolation,
+    EmptyWord,
+    EndpointMismatch,
+    InvalidCharacter,
+)
 from .matroid import bases
 from .paths import Region, parse_path
 from .polytope import (
@@ -34,17 +43,38 @@ from .volume import catalan_area, catalan_number, volume
 USAGE_ERROR, INVALID_REGION, SIZE_CAP = 2, 3, 4
 
 
+def _error(code: int, message: str) -> SystemExit:
+    print(f"error: {message}", file=sys.stderr)
+    return SystemExit(code)
+
+
 def _region_from_args(args) -> Region:
     if args.file and (args.lower or args.upper):
-        raise SystemExit(USAGE_ERROR)
+        raise _error(USAGE_ERROR, "give the region by --file or by --lower/--upper, not both")
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return Region.from_json_dict(data)
+        return _region_from_file(args.file)
     if not (args.lower and args.upper):
-        print("error: provide --lower and --upper, or --file", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise _error(USAGE_ERROR, "provide --lower and --upper, or --file")
     return Region(parse_path(args.lower), parse_path(args.upper))
+
+
+def _region_from_file(path: str) -> Region:
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise _error(USAGE_ERROR, f"cannot read {path}: {exc.strerror}")
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:
+        raise _error(INVALID_REGION, f"{path} is not JSON: {exc}")
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("lower"), str)
+        and isinstance(data.get("upper"), str)
+    ):
+        raise _error(INVALID_REGION, f'{path} needs string fields "lower" and "upper"')
+    return Region.from_json_dict(data)
 
 
 def _emit(payload, fmt: str, text_lines) -> None:
@@ -78,9 +108,9 @@ def cmd_edges(args) -> int:
     region = _region_from_args(args)
     _check_cap(region, args)
     verts = ["".join(map(str, v)) for v in vertices(region)]
-    pairs = [list(e) for e in edges(region)]
-    payload = {"vertices": verts, "edges": pairs, "count": len(pairs)}
-    _emit(payload, args.format, [f"{verts[i]} -- {verts[j]}" for i, j in edges(region)])
+    found = edges(region)
+    payload = {"vertices": verts, "edges": [list(e) for e in found], "count": len(found)}
+    _emit(payload, args.format, [f"{verts[i]} -- {verts[j]}" for i, j in found])
     return 0
 
 
@@ -158,7 +188,10 @@ def cmd_triangulate(args) -> int:
     if args.lower or args.upper or args.file:
         print("error: triangulate takes --k and --n, not a region", file=sys.stderr)
         return USAGE_ERROR
-    cells = hypersimplex_triangulation(args.k, args.n)
+    try:
+        cells = hypersimplex_triangulation(args.k, args.n)
+    except BadK as exc:
+        raise _error(USAGE_ERROR, str(exc))
     records = [c.to_json_dict() for c in cells]
     _emit(records, args.format, [json.dumps(r) for r in records])
     return 0
@@ -169,6 +202,10 @@ def cmd_catalan(args) -> int:
         print("error: catalan takes --n (and optionally --r), not a region", file=sys.stderr)
         return USAGE_ERROR
     n = args.n
+    if n < 1:
+        raise _error(USAGE_ERROR, "--n must be at least 1")
+    if args.r is not None and (args.r < 1 or n < 2):
+        raise _error(USAGE_ERROR, "--r needs --r >= 1 and --n >= 2")
     payload = {
         "n": n,
         "catalan_number": str(catalan_number(n)),
@@ -177,7 +214,7 @@ def cmd_catalan(args) -> int:
     }
     if n >= 2:
         payload["facet_count_claim"] = catalan_facet_count(n)
-    if args.r:
+    if args.r is not None:
         payload["kcatalan_facet_count_claim"] = kcatalan_facet_count(args.r, n)
     _emit(payload, args.format, [json.dumps(payload)])
     return 0
@@ -215,7 +252,7 @@ def cmd_verify(args) -> int:
 
 
 def _check_cap(region: Region, args) -> None:
-    cap = getattr(args, "max_size", 10) or 10
+    cap = args.max_size
     if region.size > cap:
         print(
             f"error: region has {region.size} elements, over the cap {cap} "
@@ -272,7 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> None:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.max_size < 1:
+        parser.error(f"--max-size must be at least 1, got {args.max_size}")
+    if getattr(args, "t_max", 0) < 0:
+        parser.error(f"--t-max must be at least 0, got {args.t_max}")
     try:
         code = args.func(args)
     except (InvalidCharacter, EmptyWord, EndpointMismatch, DominanceViolation) as exc:

@@ -14,9 +14,17 @@ from typing import Iterator
 
 from .decompose import BorderStrip
 from .errors import TooLarge
-from .paths import PathWord, Region
-from .polytope import Facet, certify_facet_candidates, h_representation
-from .ratlinalg import in_convex_hull
+from .paths import PathWord, Region, enumerate_paths
+from .polytope import (
+    Candidate,
+    Facet,
+    canonical_facets,
+    dimension,
+    h_representation,
+    vertices,
+)
+from .ratlinalg import affine_rank, in_convex_hull
+from .volume import catalan_number
 
 
 def brute_bases(region: Region) -> set[frozenset[int]]:
@@ -51,6 +59,30 @@ def brute_adjacent(verts: list[tuple[int, ...]], i: int, j: int) -> bool:
     return not in_convex_hull(others, mid)
 
 
+def certify_facet_candidates(region: Region, candidates: list[Candidate]) -> list[Facet]:
+    """Keep candidates whose tight vertex sets have affine rank dim - 1.
+
+    Candidates cutting the same facet (identical tight sets) collapse to the
+    canonical representative, as in :func:`lpmpoly.polytope.facets`.
+    """
+    verts = vertices(region)
+    dim = dimension(region)
+    if dim <= 0:
+        return []
+    groups: dict[tuple[int, ...], list[Candidate]] = {}
+    for kind, position, cons in candidates:
+        tight = tuple(k for k, v in enumerate(verts) if cons.tight(v))
+        if tight and len(tight) < len(verts):
+            groups.setdefault(tight, []).append((kind, position, cons))
+    certified = [
+        (kind, position, cons, tight)
+        for tight, members in groups.items()
+        if affine_rank([verts[k] for k in tight], cap=dim - 1) == dim - 1
+        for kind, position, cons in members
+    ]
+    return canonical_facets(region, certified)
+
+
 def brute_facets(region: Region) -> list[Facet]:
     """Rank-certify every inequality of the full prefix/box description."""
     if region.size > 9:
@@ -67,6 +99,34 @@ def brute_facets(region: Region) -> list[Facet]:
             position = len(support)
         candidates.append((kind, position, cons))
     return certify_facet_candidates(region, candidates)
+
+
+def swap_edges(region: Region) -> list[tuple[int, int]]:
+    """Vertex-index pairs one swap apart: try every 1/0 exchange, look the result up."""
+    verts = vertices(region)
+    index = {v: k for k, v in enumerate(verts)}
+    out = []
+    for k, v in enumerate(verts):
+        ones = [i for i, x in enumerate(v) if x]
+        zeros = [i for i, x in enumerate(v) if not x]
+        for a in ones:
+            for b in zeros:
+                w = list(v)
+                w[a], w[b] = 0, 1
+                other = index.get(tuple(w))
+                if other is not None and other > k:
+                    out.append((k, other))
+    return sorted(out)
+
+
+def projected_face(region: Region, i: int, value: int) -> set[str]:
+    """Words of the paths whose i-th letter encodes ``value``, with that letter cut out."""
+    letter = "N" if value else "E"
+    return {
+        path.word[: i - 1] + path.word[i:]
+        for path in enumerate_paths(region)
+        if path.word[i - 1] == letter
+    }
 
 
 def brute_syt(strip: BorderStrip) -> int:
@@ -183,3 +243,19 @@ def gap_area_series(order: int) -> list[Fraction]:
     for k in range(order + 1):
         out.append(sum(quarter[i] * 4 ** (k - i) for i in range(k + 1)))
     return out
+
+
+def catalan_area_recurrence(n_max: int) -> list[Fraction]:
+    """Diagonal-gap totals for n = 0..n_max by the first-return recurrence.
+
+    gap(n+1) = 2 sum_k gap(k) C(n-k) + sum_k (k + 1/2) C(k) C(n-k), from
+    cutting each path at its first return to the diagonal.
+    """
+    gaps = [Fraction(0)]
+    for m in range(n_max):
+        total = Fraction(0)
+        for k in range(m + 1):
+            ck, cmk = catalan_number(k), catalan_number(m - k)
+            total += 2 * gaps[k] * cmk + Fraction(2 * k + 1, 2) * ck * cmk
+        gaps.append(total)
+    return gaps

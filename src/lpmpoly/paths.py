@@ -39,6 +39,13 @@ class PathWord:
         self.m = len(word) - h
         self.profile = tuple(heights)
 
+    @classmethod
+    def _from_profile(cls, word: str, profile: tuple[int, ...], m: int, r: int) -> "PathWord":
+        """Wrap a word whose profile and endpoint the caller already holds."""
+        path = cls.__new__(cls)
+        path.word, path.profile, path.m, path.r = word, profile, m, r
+        return path
+
     def __len__(self) -> int:
         return self.m + self.r
 
@@ -58,16 +65,6 @@ class PathWord:
     def east_step_heights(self) -> tuple[int, ...]:
         """Height at which each E step is taken, left to right."""
         return tuple(self.profile[i - 1] for i, s in enumerate(self.word, start=1) if s == "E")
-
-    def run_lengths(self) -> tuple[tuple[str, int], ...]:
-        """Maximal runs as (letter, length) pairs."""
-        runs = []
-        for step in self.word:
-            if runs and runs[-1][0] == step:
-                runs[-1][1] += 1
-            else:
-                runs.append([step, 1])
-        return tuple((s, c) for s, c in runs)
 
 
 def parse_path(word: str) -> PathWord:
@@ -158,29 +155,78 @@ def region_from_words(lower: str, upper: str) -> Region:
 def enumerate_paths(region: Region) -> list[PathWord]:
     """All paths between the bounding pair, in lexicographic word order (E < N).
 
-    The count equals the number of bases of the associated matroid.
+    The count equals the number of bases of the associated matroid.  Every
+    prefix inside the region extends to a path, so the walk below never
+    backtracks out of a dead end: each path costs O(n) and the call keeps
+    no recursion, whatever the length.
     """
     p = region.lower.profile
     q = region.upper.profile
     n = region.size
+    m, r = region.m, region.r
+    letters = [""] * n
+    heights = [0] * (n + 1)
     out: list[PathWord] = []
-    letters: list[str] = []
+    i = 0
+    while True:
+        while i < n:  # lowest completion: E wherever the lower path allows it
+            h = heights[i]
+            if h >= p[i + 1]:
+                letters[i] = "E"
+            else:
+                letters[i] = "N"
+                h += 1
+            i += 1
+            heights[i] = h
+        out.append(PathWord._from_profile("".join(letters), tuple(heights), m, r))
+        # the next path raises the last E whose N would stay under the upper path
+        i = n - 1
+        while i >= 0 and (letters[i] == "N" or heights[i] >= q[i + 1]):
+            i -= 1
+        if i < 0:
+            return out
+        letters[i] = "N"
+        heights[i + 1] = heights[i] + 1
+        i += 1
 
-    def extend(i: int, h: int) -> None:
-        if i == n:
-            out.append(PathWord("".join(letters)))
-            return
-        if h >= p[i + 1]:  # E keeps the height; upper bound holds automatically
-            letters.append("E")
-            extend(i + 1, h)
-            letters.pop()
-        if h + 1 <= q[i + 1]:  # N raises it; lower bound holds automatically
-            letters.append("N")
-            extend(i + 1, h + 1)
-            letters.pop()
 
-    extend(0, 0)
-    return out
+def tighten_bounds(
+    low: tuple[int, ...],
+    high: tuple[int, ...],
+    i: int,
+    *,
+    step: str | None = None,
+    height: int | None = None,
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Min and max height profiles of the paths between ``low`` and ``high``
+    whose i-th letter is ``step``, or which stand at ``height`` after i steps.
+
+    Each step rises by 0 or 1, or by exactly the fixed letter's rise at step
+    i; one forward and one backward pass close the bounds under those rises.
+    Returns None when no path qualifies.  O(n).
+    """
+    n = len(low) - 1
+    if not 1 <= i <= n or (step is None) == (height is None):
+        raise ValueError("fix either the letter or the height at a step in 1..n")
+    lo = list(low)
+    hi = list(high)
+    if height is not None:
+        lo[i] = max(lo[i], height)
+        hi[i] = min(hi[i], height)
+        fixed_min, fixed_max = 0, 1
+    else:
+        fixed_min = fixed_max = 1 if step == "N" else 0
+    for j in range(1, n + 1):
+        rise_min, rise_max = (fixed_min, fixed_max) if j == i else (0, 1)
+        lo[j] = max(lo[j], lo[j - 1] + rise_min)
+        hi[j] = min(hi[j], hi[j - 1] + rise_max)
+    for j in range(n - 1, -1, -1):
+        rise_min, rise_max = (fixed_min, fixed_max) if j + 1 == i else (0, 1)
+        lo[j] = max(lo[j], lo[j + 1] - rise_max)
+        hi[j] = min(hi[j], hi[j + 1] - rise_min)
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    return tuple(lo), tuple(hi)
 
 
 def intersection_vertices(region: Region) -> list[tuple[int, int]]:

@@ -1,10 +1,14 @@
 """The polytope of a region: convex hull of the 0/1 basis vectors.
 
-Facets are never trusted from a closed-form case analysis alone: candidate
-inequalities (corner prefix bounds plus all box bounds) are certified by
-checking that their tight vertex sets have affine rank dim - 1, and
-duplicate inequalities cutting the same facet are collapsed to a canonical
-representative.
+Facets are certified without an affine rank.  A candidate inequality (a
+box bound, or a prefix bound at a corner of a bounding path) is tight on
+the paths of a region again: the deletion region for a box bound, the
+region pinched through one lattice point for a prefix bound, both read off
+bounds tightened in O(n) by ``tighten_bounds``.  The candidate is a facet
+exactly when that region's dimension (size minus touch points plus one) is
+dim - 1, and candidates cutting the same facet collapse to a canonical
+representative.  Edges come from an output-sensitive walk over the paths.
+The affine-rank certification is the oracle route in :mod:`lpmpoly.oracle`.
 """
 
 from __future__ import annotations
@@ -12,13 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
+from .errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGeneralizedCatalan
 from .matroid import bases, components, delete, is_connected
-from .paths import Region, area_below, enumerate_paths, path_from_profile
-from .ratlinalg import affine_rank
+from .paths import Region, area_below, enumerate_paths, path_from_profile, tighten_bounds
 from .volume import catalan_area, catalan_number
 
 PREFER_BOX_LOWER, PREFER_BOX_UPPER, PREFER_PREFIX_UPPER, PREFER_PREFIX_LOWER = range(4)
+
+_BOX_KINDS = ("x_lower", "x_upper")
+_BITS = str.maketrans("EN", "01")
 
 
 @dataclass(frozen=True)
@@ -67,40 +73,6 @@ class Facet:
     position: int
 
 
-@dataclass(frozen=True)
-class RunLengthForm:
-    """Alternating-run encoding of a path word.
-
-    Prefix facets sit at run boundaries: the ends of the upper path's E
-    runs and of the lower path's N runs.
-    """
-
-    runs: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def of(cls, path) -> "RunLengthForm":
-        return cls(path.run_lengths())
-
-    @property
-    def boundaries(self) -> tuple[int, ...]:
-        """Ground positions at the end of each run."""
-        out = []
-        total = 0
-        for _, length in self.runs:
-            total += length
-            out.append(total)
-        return tuple(out)
-
-    def run_ends(self, letter: str, interior_only: bool = True) -> list[int]:
-        """Boundary positions of the runs of ``letter``."""
-        total = sum(length for _, length in self.runs)
-        return [
-            b
-            for (step, _), b in zip(self.runs, self.boundaries)
-            if step == letter and not (interior_only and b == total)
-        ]
-
-
 def vertices(region: Region) -> list[tuple[int, ...]]:
     """The basis vectors; every one is a vertex of the 0/1 polytope."""
     return [bv.coords for bv in bases(region)]
@@ -111,21 +83,35 @@ def dimension(region: Region) -> int:
 
 
 def edges(region: Region) -> list[tuple[int, int]]:
-    """Vertex-index pairs whose incidence vectors differ by a single swap."""
-    verts = vertices(region)
-    index = {v: k for k, v in enumerate(verts)}
+    """Vertex-index pairs whose incidence vectors differ by a single swap, sorted.
+
+    Paths come in lexicographic order, so moving an N step from position a
+    to an E position b < a gives a later vertex.  The move raises the path
+    by one on [b, a), so for each N step the walk runs b leftwards while
+    the raised path stays under the upper path: every swap it tries is an
+    edge, found by bitmask lookup.
+    """
+    paths = enumerate_paths(region)
+    n = region.size
+    q = region.upper.profile
+    masks = [int(path.word.translate(_BITS), 2) for path in paths]
+    index = {mask: k for k, mask in enumerate(masks)}
     out = []
-    for k, v in enumerate(verts):
-        ones = [i for i, x in enumerate(v) if x]
-        zeros = [i for i, x in enumerate(v) if not x]
-        for a in ones:
-            for b in zeros:
-                w = list(v)
-                w[a], w[b] = 0, 1
-                other = index.get(tuple(w))
-                if other is not None and other > k:
-                    out.append((k, other))
-    return sorted(out)
+    for k, path in enumerate(paths):
+        word, h, mask = path.word, path.profile, masks[k]
+        later = []
+        for a in range(2, n + 1):
+            if word[a - 1] != "N":
+                continue
+            moved = mask ^ (1 << (n - a))
+            b = a - 1
+            while b >= 1 and h[b] < q[b]:
+                if word[b - 1] == "E":
+                    later.append(index[moved | (1 << (n - b))])
+                b -= 1
+        later.sort()
+        out.extend((k, other) for other in later)
+    return out
 
 
 def edge_count_by_area(region: Region) -> int:
@@ -176,83 +162,109 @@ def _box_constraint(n: int, j: int, rel: str) -> LinearConstraint:
     return LinearConstraint(unit, rel, 1 if rel == "<=" else 0)
 
 
-def upper_corner_positions(region: Region) -> list[int]:
-    """Interior positions where the upper path finishes an E run."""
-    return RunLengthForm.of(region.upper).run_ends("E")
+def _upper_corner(q: tuple[int, ...], i: int) -> bool:
+    """The upper path finishes an E run at interior position i."""
+    return 0 < i < len(q) - 1 and q[i] == q[i - 1] and q[i + 1] > q[i]
 
 
-def lower_corner_positions(region: Region) -> list[int]:
-    """Interior positions where the lower path finishes an N run."""
-    return RunLengthForm.of(region.lower).run_ends("N")
+def _lower_corner(p: tuple[int, ...], i: int) -> bool:
+    """The lower path finishes an N run at interior position i."""
+    return 0 < i < len(p) - 1 and p[i] > p[i - 1] and p[i + 1] == p[i]
 
 
-def _candidate_key(region: Region, kind: str, position: int) -> tuple:
-    if kind == "x_lower":
-        return (PREFER_BOX_LOWER, 0, position)
-    if kind == "x_upper":
-        return (PREFER_BOX_UPPER, 0, position)
-    if kind == "prefix_upper":
-        corner = position in upper_corner_positions(region)
-        return (PREFER_PREFIX_UPPER, 0 if corner else 1, position)
-    corner = position in lower_corner_positions(region)
-    return (PREFER_PREFIX_LOWER, 0 if corner else 1, position)
+Candidate = tuple[str, int, LinearConstraint]
 
 
-def certify_facet_candidates(
-    region: Region,
-    candidates: list[tuple[str, int, LinearConstraint]],
-    verts: list[tuple[int, ...]] | None = None,
+def facet_candidates(region: Region) -> list[Candidate]:
+    """Box bounds on every coordinate, then prefix bounds at the paths' corners."""
+    n = region.size
+    q = region.upper.profile
+    p = region.lower.profile
+    candidates: list[Candidate] = []
+    for j in range(1, n + 1):
+        candidates.append(("x_lower", j, _box_constraint(n, j, ">=")))
+        candidates.append(("x_upper", j, _box_constraint(n, j, "<=")))
+    for i in range(1, n):
+        if _upper_corner(q, i):
+            candidates.append(("prefix_upper", i, _prefix_constraint(n, i, "<=", q[i])))
+    for i in range(1, n):
+        if _lower_corner(p, i):
+            candidates.append(("prefix_lower", i, _prefix_constraint(n, i, ">=", p[i])))
+    return candidates
+
+
+def canonical_facets(
+    region: Region, certified: list[tuple[str, int, LinearConstraint, tuple[int, ...]]]
 ) -> list[Facet]:
-    """Keep candidates whose tight vertex sets have affine rank dim - 1.
+    """One facet per tight vertex set, from (kind, position, constraint, tight) records.
 
-    Candidates cutting the same facet (identical tight sets) collapse to the
-    canonical representative: box bounds first, then corner prefix bounds.
+    Candidates cutting the same facet collapse to the canonical
+    representative: box bounds first, then corner prefix bounds; the facets
+    come out in that order too.
     """
-    if verts is None:
-        verts = vertices(region)
-    dim = dimension(region)
-    if dim <= 0:
-        return []
-    nverts = len(verts)
-    groups: dict[tuple[int, ...], list[tuple[str, int, LinearConstraint]]] = {}
-    for kind, position, cons in candidates:
-        tight = tuple(k for k, v in enumerate(verts) if cons.tight(v))
-        if not tight or len(tight) == nverts:
-            continue
-        groups.setdefault(tight, []).append((kind, position, cons))
-    out = []
-    for tight, members in groups.items():
-        pts = [verts[k] for k in tight]
-        if affine_rank(pts, cap=dim - 1) != dim - 1:
-            continue
-        kind, position, cons = min(
-            members, key=lambda m: _candidate_key(region, m[0], m[1])
-        )
-        out.append(Facet(cons, tight, kind, position))
-    out.sort(key=lambda f: _candidate_key(region, f.kind, f.position))
+    p = region.lower.profile
+    q = region.upper.profile
+
+    def key(kind: str, position: int) -> tuple:
+        if kind == "x_lower":
+            return (PREFER_BOX_LOWER, 0, position)
+        if kind == "x_upper":
+            return (PREFER_BOX_UPPER, 0, position)
+        if kind == "prefix_upper":
+            return (PREFER_PREFIX_UPPER, 0 if _upper_corner(q, position) else 1, position)
+        return (PREFER_PREFIX_LOWER, 0 if _lower_corner(p, position) else 1, position)
+
+    best: dict[tuple[int, ...], tuple[str, int, LinearConstraint]] = {}
+    for kind, position, cons, tight in certified:
+        kept = best.get(tight)
+        if kept is None or key(kind, position) < key(kept[0], kept[1]):
+            best[tight] = (kind, position, cons)
+    out = [Facet(cons, tight, kind, position) for tight, (kind, position, cons) in best.items()]
+    out.sort(key=lambda f: key(f.kind, f.position))
     return out
+
+
+def _face(region: Region, kind: str, position: int, rhs: int) -> Region:
+    """The paths tight on a candidate, as a region: the deletion for a box
+    bound, the region pinched through the lattice point (position, rhs) for
+    a prefix bound.  Raises EmptyFace when no path is tight."""
+    if kind in _BOX_KINDS:
+        return delete(region, position, rhs)
+    bounds = tighten_bounds(region.lower.profile, region.upper.profile, position, height=rhs)
+    if bounds is None:
+        raise EmptyFace(f"no basis has prefix sum {rhs} at {position}")
+    return Region(*(path_from_profile(b) for b in bounds))
 
 
 def facets(region: Region) -> list[Facet]:
     """Minimal facet list of a connected region.
 
-    Candidates are the box bounds plus the prefix bounds at the corner
-    positions of the two bounding paths; certification prunes the rest.
+    A candidate is a facet exactly when its face, a region again, has
+    dimension dim - 1: size minus touch points plus one, O(n) per
+    candidate.  Tight vertex sets are listed for the facets only.
     """
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
-    n = region.size
-    q = region.upper.profile
-    p = region.lower.profile
-    candidates: list[tuple[str, int, LinearConstraint]] = []
-    for j in range(1, n + 1):
-        candidates.append(("x_lower", j, _box_constraint(n, j, ">=")))
-        candidates.append(("x_upper", j, _box_constraint(n, j, "<=")))
-    for i in upper_corner_positions(region):
-        candidates.append(("prefix_upper", i, _prefix_constraint(n, i, "<=", q[i])))
-    for i in lower_corner_positions(region):
-        candidates.append(("prefix_lower", i, _prefix_constraint(n, i, ">=", p[i])))
-    return certify_facet_candidates(region, candidates)
+    dim = dimension(region)
+    if dim <= 0:
+        return []
+    paths = enumerate_paths(region)
+    certified = []
+    for kind, position, cons in facet_candidates(region):
+        try:
+            face = _face(region, kind, position, cons.rhs)
+        except EmptyFace:
+            continue
+        if dimension(face) != dim - 1:
+            continue
+        # the constraint's left side is the path's rise over its support
+        start = position - 1 if kind in _BOX_KINDS else 0
+        tight = tuple(
+            k for k, path in enumerate(paths)
+            if path.profile[position] - path.profile[start] == cons.rhs
+        )
+        certified.append((kind, position, cons, tight))
+    return canonical_facets(region, certified)
 
 
 def catalan_facet_count(n: int) -> int:
@@ -269,20 +281,6 @@ def kcatalan_facet_count(width: int, n: int) -> int:
     return (width + 1) * (2 * n - 3) + n - 2
 
 
-def _pinch_regions(region: Region, i: int, v: int) -> tuple[Region, Region]:
-    """Split the region through the lattice point reached after i steps at height v."""
-    p = region.lower.profile
-    q = region.upper.profile
-    n = region.size
-    left_low = tuple(max(p[j], v - (i - j)) for j in range(i + 1))
-    left_high = tuple(min(q[j], v) for j in range(i + 1))
-    right_low = tuple(max(p[i + j] - v, 0) for j in range(n - i + 1))
-    right_high = tuple(min(q[i + j] - v, j) for j in range(n - i + 1))
-    left = Region(path_from_profile(left_low), path_from_profile(left_high))
-    right = Region(path_from_profile(right_low), path_from_profile(right_high))
-    return left, right
-
-
 def face_region(region: Region, facet: Facet):
     """Recover the face cut by a facet as one region or a pinched pair.
 
@@ -291,10 +289,14 @@ def face_region(region: Region, facet: Facet):
     """
     if facet not in facets(region):
         raise NotAFacet(f"{facet.kind} at {facet.position} is not a facet here")
-    if facet.kind == "x_upper":
-        return delete(region, facet.position, 1)
-    if facet.kind == "x_lower":
-        return delete(region, facet.position, 0)
     i = facet.position
-    v = facet.constraint.rhs
-    return _pinch_regions(region, i, v)
+    face = _face(region, facet.kind, i, facet.constraint.rhs)
+    if facet.kind in _BOX_KINDS:
+        return face
+    low, high = face.lower.profile, face.upper.profile
+    left = Region(path_from_profile(low[: i + 1]), path_from_profile(high[: i + 1]))
+    right = Region(
+        path_from_profile(tuple(h - high[i] for h in low[i:])),
+        path_from_profile(tuple(h - high[i] for h in high[i:])),
+    )
+    return left, right

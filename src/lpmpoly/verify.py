@@ -24,7 +24,8 @@ from .decompose import (
     region_to_strip,
     verify_good_partition,
 )
-from .matroid import bases
+from .errors import EmptyFace
+from .matroid import bases, delete
 from .paths import (
     Box,
     Region,
@@ -57,6 +58,7 @@ from .triangulate import (
     triangulation_volume_check,
 )
 from .volume import (
+    catalan_area,
     catalan_number,
     descent_set,
     eulerian,
@@ -101,6 +103,30 @@ def check_bases(max_size: int = 7) -> CheckResult:
             count = len(enumerate_paths(rectangle_region(m, r)))
             if count != comb(m + r, r):
                 res.fail(f"rectangle ({m},{r}) has {count} paths")
+    return res
+
+
+def check_deletion(max_size: int = 6) -> CheckResult:
+    """The O(n) deletion against filter-and-project, for every coordinate and value."""
+    res = CheckResult("deletion-vs-projection")
+    for region in oracle.all_regions(max_size):
+        for i in range(1, region.size + 1):
+            for value in (0, 1):
+                res.checked += 1
+                if region.size == 1:  # no ground set would remain
+                    try:
+                        delete(region, i, value)
+                    except ValueError:
+                        continue
+                    res.fail(f"deleted the only element of {region}")
+                    continue
+                want = oracle.projected_face(region, i, value)
+                try:
+                    got = {p.word for p in enumerate_paths(delete(region, i, value))}
+                except EmptyFace:
+                    got = set()
+                if got != want:
+                    res.fail(f"deletion of {i}={value} mismatch on {region}")
     return res
 
 
@@ -308,6 +334,16 @@ def check_volume(
         res.fail("square volume is not 4")
     if volume(region_from_words("EENN", "NENE")) != 2:
         res.fail("L volume is not 2")
+    return res
+
+
+def check_catalan_area(n_max: int = 12) -> CheckResult:
+    """Closed-form gap areas against the first-return recurrence, n = 0..n_max."""
+    res = CheckResult("catalan-area-two-routes")
+    for n, recurred in enumerate(oracle.catalan_area_recurrence(n_max)):
+        res.checked += 1
+        if catalan_area(n) != recurred:
+            res.fail(f"area recurrence and closed form disagree at n={n}")
     return res
 
 
@@ -591,6 +627,7 @@ def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50):
     """All checks at the given sweep cap; returns (ok, result list, errata rows)."""
     results = [
         check_bases(min(max_size, 7)),
+        check_deletion(min(max_size, 6)),
         check_dimension(min(max_size, 7)),
         check_edges(
             oracle_max=min(max_size, 6),
@@ -601,6 +638,7 @@ def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50):
         check_faces(min(max_size, 6)),
         check_decomposition(min(max_size, 7)),
         check_volume(max_size=min(max_size, 7), rectangle_max=7, strip_max=7),
+        check_catalan_area(12),
         check_triangulation(n_max=7, strip_max=7, roundtrip_n=5, samples=samples),
         check_ehrhart(min(max_size, 6)),
     ]

@@ -107,6 +107,42 @@ def test_exit_codes():
     assert disconnected.returncode == 3
 
 
+REGION_FILES = {
+    "bad.json": '{"lower": "EENN"',
+    "list.json": '["EENN", "NNEE"]',
+    "missing.json": '{"lower": "EENN"}',
+    "number.json": '{"lower": 5, "upper": "NNEE"}',
+    "good.json": '{"lower": "EENN", "upper": "NNEE"}',
+}
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["triangulate", "--k", "5", "--n", "3"], 2),
+        (["catalan", "--n", "0"], 2),
+        (["catalan", "--n", "1", "--r", "2"], 2),
+        (["volume", "--file", "{dir}/absent.json"], 2),
+        (["volume", "--file", "{dir}"], 2),
+        (["volume", "--file", "{dir}/bad.json"], 3),
+        (["volume", "--file", "{dir}/list.json"], 3),
+        (["volume", "--file", "{dir}/missing.json"], 3),
+        (["volume", "--file", "{dir}/number.json"], 3),
+        (["volume", "--file", "{dir}/good.json", "--lower", "EENN"], 2),
+        (["bases", "--lower", "EN", "--upper", "NE", "--max-size", "0"], 2),
+        (["verify", "all", "--max-size", "0"], 2),
+        (["verify", "ehrhart-formula", "--t-max", "-1"], 2),
+    ],
+)
+def test_bad_input_exit_codes(tmp_path, argv, code):
+    for name, text in REGION_FILES.items():
+        (tmp_path / name).write_text(text)
+    out = run_cli(*(arg.format(dir=tmp_path) for arg in argv))
+    assert out.returncode == code, out.stderr
+    assert "error:" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_kn_verbs_reject_region_flags():
     out = run_cli("triangulate", "--k", "2", "--n", "4", "--lower", "EENN")
     assert out.returncode == 2

@@ -63,6 +63,14 @@ def test_enumerate_words_and_order():
     assert words == sorted(words)
 
 
+def test_enumerate_order_sweep_and_long_path():
+    for region in all_regions(6):
+        words = [p.word for p in enumerate_paths(region)]
+        assert words == sorted(set(words))
+    word = "EN" * 600  # deeper than the default recursion limit
+    assert [p.word for p in enumerate_paths(region_from_words(word, word))] == [word]
+
+
 def test_intersection_vertices():
     assert intersection_vertices(region_from_words("EENN", "NNEE")) == [(0, 0), (2, 2)]
     assert intersection_vertices(region_from_words("EENN", "NENE")) == [(0, 0), (2, 2)]

@@ -126,7 +126,7 @@ def test_facet_tight_sets_have_corank_one():
 
 def test_catalan_facet_counts():
     assert catalan_facet_count(2) == 5
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 8):
         assert len(facets(reduced_catalan_region(n))) == catalan_facet_count(n)
 
 

@@ -19,6 +19,7 @@ from lpmpoly import (
 )
 from lpmpoly.errors import DisconnectedRegion
 from lpmpoly.oracle import all_regions, gap_area_series
+from lpmpoly.verify import check_catalan_area
 from lpmpoly.volume import descent_set
 
 
@@ -102,8 +103,7 @@ def test_catalan_area_values():
     assert catalan_area(1) == Fraction(1, 2)
     assert catalan_area(2) == 3
     assert catalan_area(3) == Fraction(29, 2)
-    for n in range(13):
-        catalan_area(n)  # recurrence and closed form agree internally
+    assert check_catalan_area(12).ok  # closed form against the first-return recurrence
 
 
 def test_catalan_area_series():
