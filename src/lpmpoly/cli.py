@@ -25,8 +25,8 @@ from .errors import (
     EndpointMismatch,
     InvalidCharacter,
 )
-from .matroid import bases
-from .paths import Region, parse_path
+from .matroid import bases, is_connected
+from .paths import PathWord, Region
 from .polytope import (
     catalan_edge_formula,
     catalan_facet_count,
@@ -55,7 +55,7 @@ def _region_from_args(args) -> Region:
         return _region_from_file(args.file)
     if not (args.lower and args.upper):
         raise _error(USAGE_ERROR, "provide --lower and --upper, or --file")
-    return Region(parse_path(args.lower), parse_path(args.upper))
+    return Region(PathWord(args.lower), PathWord(args.upper))
 
 
 def _region_from_file(path: str) -> Region:
@@ -148,14 +148,13 @@ def _tree_json(node) -> dict:
 def cmd_decompose(args) -> int:
     region = _region_from_args(args)
     _check_cap(region, args)
-    from .matroid import is_connected
-
     if not is_connected(region):
-        print("error: region is disconnected; decompose each block", file=sys.stderr)
-        return INVALID_REGION
-    payload = _tree_json(decomposition_tree(region))
-    strips = [s.direction_word for s in border_strips(region)]
-    _emit(payload, args.format, strips)
+        raise _error(INVALID_REGION, "region is disconnected; decompose each block")
+    if args.format == "json":
+        print(json.dumps(_tree_json(decomposition_tree(region))))
+    else:
+        for strip in border_strips(region):
+            print(strip.direction_word)
     return 0
 
 
@@ -171,10 +170,7 @@ def cmd_ehrhart(args) -> int:
     region = _region_from_args(args)
     _check_cap(region, args)
     poly = eh.ehrhart_polynomial(region)
-    values = {
-        str(t): str(eh.count_lattice_points(region, t))
-        for t in range(poly.degree + 3)
-    }
+    values = {str(t): str(poly(t)) for t in range(poly.degree + 3)}
     payload = {
         "coeffs": [_frac(c) for c in poly.coeffs],
         "volume_normalized": str(poly.normalized_volume),
@@ -186,8 +182,7 @@ def cmd_ehrhart(args) -> int:
 
 def cmd_triangulate(args) -> int:
     if args.lower or args.upper or args.file:
-        print("error: triangulate takes --k and --n, not a region", file=sys.stderr)
-        return USAGE_ERROR
+        raise _error(USAGE_ERROR, "triangulate takes --k and --n, not a region")
     try:
         cells = hypersimplex_triangulation(args.k, args.n)
     except BadK as exc:
@@ -199,8 +194,7 @@ def cmd_triangulate(args) -> int:
 
 def cmd_catalan(args) -> int:
     if args.lower or args.upper or args.file:
-        print("error: catalan takes --n (and optionally --r), not a region", file=sys.stderr)
-        return USAGE_ERROR
+        raise _error(USAGE_ERROR, "catalan takes --n (and optionally --r), not a region")
     n = args.n
     if n < 1:
         raise _error(USAGE_ERROR, "--n must be at least 1")
@@ -243,8 +237,7 @@ def cmd_verify(args) -> int:
             print(line)
         return 0
     else:
-        print(f"error: unknown verify target {target!r}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _error(USAGE_ERROR, f"unknown verify target {target!r}")
     print(res.line())
     for failure in res.failures:
         print(f"    {failure}")
@@ -252,14 +245,12 @@ def cmd_verify(args) -> int:
 
 
 def _check_cap(region: Region, args) -> None:
-    cap = args.max_size
-    if region.size > cap:
-        print(
-            f"error: region has {region.size} elements, over the cap {cap} "
+    if region.size > args.max_size:
+        raise _error(
+            SIZE_CAP,
+            f"region has {region.size} elements, over the cap {args.max_size} "
             "(raise with --max-size)",
-            file=sys.stderr,
         )
-        raise SystemExit(SIZE_CAP)
 
 
 def _add_region_flags(sub) -> None:
@@ -318,11 +309,9 @@ def main(argv=None) -> None:
     try:
         code = args.func(args)
     except (InvalidCharacter, EmptyWord, EndpointMismatch, DominanceViolation) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(INVALID_REGION)
+        raise _error(INVALID_REGION, f"{type(exc).__name__}: {exc}")
     except DisconnectedRegion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(INVALID_REGION)
+        raise _error(INVALID_REGION, str(exc))
     sys.exit(code)
 
 

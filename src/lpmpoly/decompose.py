@@ -216,14 +216,20 @@ def _restriction_rank(region: Region, ground: tuple[int, ...]) -> int:
     return best
 
 
+def partition_arithmetic_ok(region: Region, gp: GoodPartition) -> bool:
+    """The always-true half of goodness: partition, thresholds, ranks."""
+    return (
+        set(gp.e1) | set(gp.e2) == set(range(1, region.size + 1))
+        and not set(gp.e1) & set(gp.e2)
+        and gp.r1 + gp.r2 == region.r + gp.a1 + gp.a2
+        and 0 < gp.a1 < gp.r1
+        and 0 < gp.a2 < gp.r2
+    )
+
+
 def verify_good_partition(region: Region, gp: GoodPartition) -> bool:
     """Exhaustively check the partition arithmetic and the pairing property."""
-    ground = set(range(1, region.size + 1))
-    if set(gp.e1) | set(gp.e2) != ground or set(gp.e1) & set(gp.e2):
-        return False
-    if gp.r1 + gp.r2 != region.r + gp.a1 + gp.a2:
-        return False
-    if not (0 < gp.a1 < gp.r1 and 0 < gp.a2 < gp.r2):
+    if not partition_arithmetic_ok(region, gp):
         return False
     if gp.r1 != _restriction_rank(region, gp.e1):
         return False

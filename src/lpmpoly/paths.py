@@ -6,7 +6,7 @@ words: ``profile[i]`` is the number of N steps among the first ``i``
 letters.  A region is a pair of paths with common endpoints, the lower one
 never climbing above the upper one.
 
->>> p = parse_path("EENN")
+>>> p = PathWord("EENN")
 >>> (p.m, p.r, p.profile[1:])
 (2, 2, (0, 0, 1, 2))
 """
@@ -19,7 +19,13 @@ from .errors import DominanceViolation, EmptyWord, EndpointMismatch, InvalidChar
 
 
 class PathWord:
-    """An E/N word with its height profile precomputed."""
+    """An E/N word with its height profile precomputed.
+
+    Parsing rejects empty input and foreign letters.
+
+    >>> PathWord("N").r
+    1
+    """
 
     __slots__ = ("word", "m", "r", "profile")
 
@@ -65,15 +71,6 @@ class PathWord:
     def east_step_heights(self) -> tuple[int, ...]:
         """Height at which each E step is taken, left to right."""
         return tuple(self.profile[i - 1] for i, s in enumerate(self.word, start=1) if s == "E")
-
-
-def parse_path(word: str) -> PathWord:
-    """Parse an E/N word, rejecting empty input and foreign letters.
-
-    >>> parse_path("N").r
-    1
-    """
-    return PathWord(word)
 
 
 def path_from_profile(profile: tuple[int, ...]) -> PathWord:
@@ -140,16 +137,11 @@ class Region:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Region":
-        return cls(parse_path(data["lower"]), parse_path(data["upper"]))
-
-
-def make_region(lower: PathWord, upper: PathWord) -> Region:
-    """Validate dominance pointwise on profiles and wrap the pair."""
-    return Region(lower, upper)
+        return cls(PathWord(data["lower"]), PathWord(data["upper"]))
 
 
 def region_from_words(lower: str, upper: str) -> Region:
-    return Region(parse_path(lower), parse_path(upper))
+    return Region(PathWord(lower), PathWord(upper))
 
 
 def enumerate_paths(region: Region) -> list[PathWord]:
@@ -241,7 +233,7 @@ def area_below(path: PathWord) -> int:
 
     Equals the sum, over E steps, of the height at which the step is taken.
 
-    >>> area_below(parse_path("NENE"))
+    >>> area_below(PathWord("NENE"))
     3
     """
     return sum(path.east_step_heights())

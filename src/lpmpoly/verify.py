@@ -21,6 +21,7 @@ from .decompose import (
     decomposition_tree,
     good_partition_of_split,
     hyperplane_split,
+    partition_arithmetic_ok,
     region_to_strip,
     verify_good_partition,
 )
@@ -28,12 +29,12 @@ from .errors import EmptyFace
 from .matroid import bases, delete
 from .paths import (
     Box,
+    PathWord,
     Region,
     catalan_region,
     enumerate_paths,
     intersection_vertices,
     kcatalan_region,
-    parse_path,
     rectangle_region,
     reduced_catalan_region,
     region_from_words,
@@ -160,7 +161,7 @@ def check_edges(
                 res.fail(f"adjacency mismatch on {region} pair ({i},{j})")
     for n in range(1, area_max + 1):
         for r in range(0, n + 1):
-            lower = parse_path("E" * (n - r) + "N" * r)
+            lower = PathWord("E" * (n - r) + "N" * r)
             for upper in oracle.all_paths(n - r, r):
                 region = Region(lower, upper)
                 res.checked += 1
@@ -227,18 +228,6 @@ def check_faces(max_size: int = 6) -> CheckResult:
     return res
 
 
-def _good_partition_arithmetic_ok(region: Region, gp) -> bool:
-    """The always-true half of goodness: partition, thresholds, ranks."""
-    ground = set(range(1, region.size + 1))
-    return (
-        set(gp.e1) | set(gp.e2) == ground
-        and not set(gp.e1) & set(gp.e2)
-        and gp.r1 + gp.r2 == region.r + gp.a1 + gp.a2
-        and 0 < gp.a1 < gp.r1
-        and 0 < gp.a2 < gp.r2
-    )
-
-
 def check_decomposition(max_size: int = 7) -> CheckResult:
     """Split validity, termination, leaf/strip agreement, and volume additivity.
 
@@ -278,7 +267,7 @@ def check_decomposition(max_size: int = 7) -> CheckResult:
                 result.right
             ) != dimension(parent):
                 res.fail(f"split changes dimension on {parent}")
-            if not _good_partition_arithmetic_ok(
+            if not partition_arithmetic_ok(
                 parent, good_partition_of_split(parent, split.x, split.j)
             ):
                 res.fail(f"good-partition arithmetic fails on {parent} at {split}")
@@ -373,6 +362,10 @@ def _roundtrip_samples(w: tuple[int, ...], count: int) -> list[tuple[Fraction, .
     return out
 
 
+def _zero_one(cell) -> bool:
+    return all(c in (0, 1) for v in cell.vertices for c in v)
+
+
 def check_triangulation(
     n_max: int = 8, strip_max: int = 8, roundtrip_n: int = 6, samples: int = 1000
 ) -> CheckResult:
@@ -386,6 +379,8 @@ def check_triangulation(
                 res.fail(f"cell count is not Eulerian at (k,n)=({k},{n})")
             total += len(cells)
             for cell in cells:
+                if not _zero_one(cell):
+                    res.fail(f"cell {cell.perm} is not a 0/1 simplex at (k,n)=({k},{n})")
                 sums = {sum(v) for v in cell.vertices}
                 if not sums <= {k - 1, k}:
                     res.fail(f"cell {cell.perm} leaves the slice at (k,n)=({k},{n})")
@@ -417,16 +412,22 @@ def check_triangulation(
         cells = strip_triangulation(strip)
         if triangulation_volume_check(cells) != strip_volume(strip):
             res.fail(f"strip triangulation size mismatch on {strip.direction_word!r}")
+        if not all(map(_zero_one, cells)):
+            res.fail(f"strip cell is not a 0/1 simplex on {strip.direction_word!r}")
     return res
 
 
 def check_ehrhart(max_size: int = 6) -> CheckResult:
+    """Each interpolated polynomial at t = 0, 1 and at the two dilations past its degree."""
     res = CheckResult("ehrhart-interpolation")
     for region in oracle.all_regions(max_size):
         res.checked += 1
-        poly = eh.ehrhart_polynomial(region)  # raises if overdetermination fails
+        poly = eh.ehrhart_polynomial(region)
         if poly(0) != 1 or poly(1) != len(enumerate_paths(region)):
             res.fail(f"values at 0/1 wrong on {region}")
+        for t in (poly.degree + 1, poly.degree + 2):
+            if poly(t) != eh.count_lattice_points(region, t):
+                res.fail(f"overdetermination fails at t={t} on {region}")
         folds = {eh.basis_fold(bv.coords) for bv in bases(region)}
         if not folds <= set(eh.gamma_set(region)):
             res.fail(f"basis fold escapes the composition set on {region}")

@@ -68,15 +68,18 @@ def exact_descent_count(n: int, descents: Iterable[int]) -> int:
 
 @cache
 def eulerian(k: int, n: int) -> int:
-    """Permutations of [n] with exactly k-1 descents."""
+    """Permutations of [n] with exactly k-1 descents.
+
+    Row by row of the triangle A(j, m) = j A(j, m-1) + (m-j+1) A(j-1, m-1),
+    keeping the first k entries; O(nk) and no recursion.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n == 1:
-        return 1
-    j = k - 1
-    up = eulerian(k, n - 1) * (j + 1) if k <= n - 1 else 0
-    down = eulerian(k - 1, n - 1) * (n - j) if k >= 2 else 0
-    return up + down
+    row = [1]  # row[j-1] = A(j, m), from m = 1
+    for m in range(2, n + 1):
+        prev = [0, *row, 0]
+        row = [j * prev[j] + (m - j + 1) * prev[j - 1] for j in range(1, min(m, k) + 1)]
+    return row[k - 1]
 
 
 @cache

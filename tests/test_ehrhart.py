@@ -7,6 +7,7 @@ from lpmpoly import (
     bases,
     basis_fold,
     count_lattice_points,
+    dimension,
     ehrhart_polynomial,
     gamma_bounds,
     gamma_set,
@@ -14,8 +15,10 @@ from lpmpoly import (
     region_from_words,
     s_set,
 )
+from lpmpoly import ehrhart as eh
 from lpmpoly.ehrhart import formula_value, multichoose
 from lpmpoly.oracle import all_regions
+from lpmpoly.verify import check_ehrhart
 
 
 def test_count_lattice_points_examples():
@@ -61,6 +64,35 @@ def test_ehrhart_values_on_sweep():
         poly = ehrhart_polynomial(region)
         assert poly(0) == 1
         assert poly(1) == len(list(bases(region)))
+
+
+def test_ehrhart_polynomial_counts_d_plus_one_dilations(monkeypatch):
+    calls = []
+
+    def counting(region, t):
+        calls.append(t)
+        return count_lattice_points(region, t)
+
+    monkeypatch.setattr(eh, "count_lattice_points", counting)
+    for lower, upper in (("ENEN", "ENEN"), ("EN", "NE"), ("EENN", "NNEE"), ("EEENNN", "NENENE")):
+        region = region_from_words(lower, upper)
+        calls.clear()
+        ehrhart_polynomial(region)
+        assert calls == list(range(dimension(region) + 1))
+
+
+def test_check_ehrhart_flags_a_failed_overdetermination(monkeypatch):
+    clean = check_ehrhart(4)
+    assert clean.ok
+
+    def perturbed(region, t):
+        return count_lattice_points(region, t) + (t >= 3)
+
+    monkeypatch.setattr(eh, "count_lattice_points", perturbed)
+    res = check_ehrhart(4)
+    assert not res.ok
+    assert res.checked == clean.checked
+    assert res.failures and all("overdetermination fails" in f for f in res.failures)
 
 
 def test_gamma_bounds_and_set_examples():

@@ -2,14 +2,13 @@ import pytest
 
 from lpmpoly import (
     Box,
+    PathWord,
     Region,
     area_below,
     catalan_edge_formula,
     catalan_region,
     enumerate_paths,
     intersection_vertices,
-    make_region,
-    parse_path,
     rectangle_region,
     region_boxes,
     region_from_words,
@@ -20,29 +19,29 @@ from math import comb
 
 
 def test_parse_basic():
-    p = parse_path("EENN")
+    p = PathWord("EENN")
     assert (p.m, p.r) == (2, 2)
     assert p.profile == (0, 0, 0, 1, 2)
-    assert parse_path("N").m == 0
-    assert parse_path("N").r == 1
+    assert PathWord("N").m == 0
+    assert PathWord("N").r == 1
 
 
 def test_parse_errors():
     with pytest.raises(InvalidCharacter) as err:
-        parse_path("EXN")
+        PathWord("EXN")
     assert err.value.position == 2
     with pytest.raises(EmptyWord):
-        parse_path("")
+        PathWord("")
 
 
-def test_make_region():
-    make_region(parse_path("EENN"), parse_path("NNEE"))
-    make_region(parse_path("EENN"), parse_path("NENE"))
+def test_region_validation():
+    Region(PathWord("EENN"), PathWord("NNEE"))
+    Region(PathWord("EENN"), PathWord("NENE"))
     with pytest.raises(DominanceViolation) as err:
-        make_region(parse_path("NENE"), parse_path("EENN"))
+        Region(PathWord("NENE"), PathWord("EENN"))
     assert err.value.position == 1
     with pytest.raises(EndpointMismatch):
-        make_region(parse_path("EN"), parse_path("NNE"))
+        Region(PathWord("EN"), PathWord("NNE"))
 
 
 @pytest.mark.parametrize(
@@ -81,14 +80,14 @@ def test_intersection_vertices():
     "word,area", [("EENN", 0), ("ENEN", 1), ("NENE", 3), ("NNEE", 4)]
 )
 def test_area_below(word, area):
-    assert area_below(parse_path(word)) == area
+    assert area_below(PathWord(word)) == area
 
 
 def test_area_below_matches_box_scan():
     # independent oracle: count boxes under the path directly
     for region in all_regions(6):
         for path in enumerate_paths(region):
-            single = Region(parse_path("E" * path.m + "N" * path.r), path)
+            single = Region(PathWord("E" * path.m + "N" * path.r), path)
             assert area_below(path) == len(region_boxes(single))
 
 
@@ -110,8 +109,8 @@ def test_region_boxes():
 def test_sandwich_property():
     for region in all_regions(5):
         for path in enumerate_paths(region):
-            make_region(region.lower, path)
-            make_region(path, region.upper)
+            Region(region.lower, path)
+            Region(path, region.upper)
 
 
 def test_rectangle_counts_binomial():

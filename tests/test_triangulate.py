@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -19,7 +20,9 @@ from lpmpoly import (
 from lpmpoly.errors import BadK, NonUnimodularCell, WrongChamber
 from lpmpoly.polytope import h_representation
 from lpmpoly.ratlinalg import barycentric_coordinates
+from lpmpoly import triangulate
 from lpmpoly.triangulate import SimplexCell
+from lpmpoly.verify import check_triangulation
 from lpmpoly.volume import descent_set, inverse_permutation
 
 F = Fraction
@@ -183,3 +186,21 @@ def test_volume_check_rejects_bad_cells():
     with pytest.raises(NonUnimodularCell):
         triangulation_volume_check([bad])
     assert triangulation_volume_check([]) == 0
+
+
+def test_check_triangulation_flags_a_vertex_off_the_cube(monkeypatch):
+    tiny = dict(n_max=3, strip_max=1, roundtrip_n=2, samples=1)
+    assert check_triangulation(**tiny).ok
+    real = triangulate.cell_for_permutation
+
+    def pushed(w):
+        cell = real(w)
+        if len(w) < 2:
+            return cell
+        (a, b, *rest), *others = cell.vertices  # keep the coordinate sum
+        return replace(cell, vertices=((a + 2, b - 2, *rest), *others))
+
+    monkeypatch.setattr(triangulate, "cell_for_permutation", pushed)
+    res = check_triangulation(**tiny)
+    assert not res.ok
+    assert res.failures and all("0/1 simplex" in f for f in res.failures)

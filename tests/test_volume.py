@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -70,6 +70,14 @@ def test_eulerian_values():
     assert eulerian(2, 3) == 4
     for n in range(1, 9):
         assert sum(eulerian(k, n) for k in range(1, n + 1)) == factorial(n)
+
+
+def test_eulerian_deep_row_matches_alternating_sum():
+    # 1200 rows deep, past the default recursion limit
+    explicit = sum((-1) ** j * comb(1201, j) * (3 - j) ** 1200 for j in range(4))
+    assert eulerian(3, 1200) == explicit
+    with pytest.raises(ValueError):
+        eulerian(4, 3)
 
 
 def test_strip_volume_examples():
