@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidSplit
 from .matroid import is_independent, presentation
@@ -113,26 +113,34 @@ def border_strips(region: Region) -> list[BorderStrip]:
 
     Emitted in lexicographic order of direction words (R < U).  A boxless
     region yields the single empty strip; a border-strip region yields itself.
+    The depth-first walk keeps its own stack, so strip length is unbounded.
     """
     boxes = set(region_boxes(region))
     if not boxes:
         return [BorderStrip(())]
     first = min(boxes, key=lambda b: (b.col, b.row))
     last = max(boxes, key=lambda b: (b.col, b.row))
-    out: list[BorderStrip] = []
-    trail: list[Box] = [first]
+    if first == last:
+        return [BorderStrip((first,))]
 
-    def walk(b: Box) -> None:
-        if b == last:
-            out.append(BorderStrip(tuple(trail)))
-            return
+    def moves(b: Box) -> Iterator[Box]:
         for nxt in (Box(b.col + 1, b.row), Box(b.col, b.row + 1)):
             if nxt in boxes and nxt.col <= last.col and nxt.row <= last.row:
-                trail.append(nxt)
-                walk(nxt)
-                trail.pop()
+                yield nxt
 
-    walk(first)
+    out: list[BorderStrip] = []
+    trail: list[Box] = [first]
+    branches = [moves(first)]  # branches[k]: untried successors of trail[k]
+    while branches:
+        nxt = next(branches[-1], None)
+        if nxt is None:
+            branches.pop()
+            trail.pop()
+        elif nxt == last:
+            out.append(BorderStrip((*trail, nxt)))
+        else:
+            trail.append(nxt)
+            branches.append(moves(nxt))
     return out
 
 
@@ -260,19 +268,38 @@ class DecompositionNode:
     children: tuple["DecompositionNode", ...] = field(default=())
 
     def leaves(self) -> list["DecompositionNode"]:
-        if not self.children:
-            return [self]
-        return [leaf for child in self.children for leaf in child.leaves()]
+        """Leaves from left to right."""
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
+                out.append(node)
+        return out
 
 
 def decomposition_tree(region: Region) -> DecompositionNode:
-    """Recursive hyperplane splitting down to border-strip leaves."""
-    split = find_split(region)
-    if split is None:
-        return DecompositionNode(region, None)
-    result = hyperplane_split(region, split.x, split.j)
-    return DecompositionNode(
-        region,
-        split,
-        (decomposition_tree(result.left), decomposition_tree(result.right)),
-    )
+    """Hyperplane splitting down to border-strip leaves.
+
+    Splits are found in preorder on an explicit stack, then nodes are built
+    in reverse preorder, children before parents, so depth is unbounded.
+    """
+    preorder: list[tuple[Region, Split | None]] = []
+    stack = [region]
+    while stack:
+        node = stack.pop()
+        split = find_split(node)
+        preorder.append((node, split))
+        if split is not None:
+            result = hyperplane_split(node, split.x, split.j)
+            stack += (result.right, result.left)
+    built: list[DecompositionNode] = []
+    for node, split in reversed(preorder):
+        if split is None:
+            built.append(DecompositionNode(node, None))
+        else:
+            left, right = built.pop(), built.pop()
+            built.append(DecompositionNode(node, split, (left, right)))
+    return built[0]

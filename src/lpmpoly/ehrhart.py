@@ -1,16 +1,21 @@
 """Exact lattice-point counts of dilations and the Ehrhart polynomial.
 
-Ground truth is always the dynamic program over prefix sums; polynomial
-coefficients come from interpolation through the d+1 counts at t = 0..d.
-``verify.check_ehrhart`` overdetermines them at two extra dilations.  The
-prefix-block composition sets and the double-sum formula evaluator exist to
-be *compared* against the ground truth, never trusted.
+Ground truth is a dynamic program over prefix sums: the new count at a
+prefix sum c is the window sum of the previous counts over [c - t, c], read
+off one prefix-sum pass per step.  Polynomial coefficients come from the
+Newton form through the d+1 counts at t = 0..d: integer forward
+differences, expanded into monomials over the common denominator d!.
+``verify.check_ehrhart`` compares the counts with the stepwise DP in
+:mod:`lpmpoly.oracle` and overdetermines the polynomial at two extra
+dilations.  The prefix-block composition sets and the double-sum formula
+evaluator exist to be *compared* against the ground truth, never trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 
 from .matroid import components, presentation
@@ -20,28 +25,33 @@ from .paths import Region
 def count_lattice_points(region: Region, t: int) -> int:
     """Points of the t-th dilation, by dynamic programming over prefix sums.
 
-    States are the admissible prefix sums c_i with t*p_i <= c_i <= t*q_i and
-    unit-coordinate steps 0 <= c_i - c_{i-1} <= t; exact big integers.
+    The admissible prefix sums after i steps satisfy t*p_i <= c_i <= t*q_i
+    and 0 <= c_i - c_{i-1} <= t, and form one contiguous range [lo, hi].
+    The count at c is the window sum of the previous counts over [c - t, c],
+    so one prefix-sum pass per step gives every count: O(n * states) exact
+    big-integer additions, whatever t.
+
+    >>> from lpmpoly.paths import region_from_words
+    >>> [count_lattice_points(region_from_words("EENN", "NNEE"), t) for t in range(4)]
+    [1, 6, 19, 44]
     """
     if t < 0:
         raise ValueError("dilation must be nonnegative")
     p = region.lower.profile
     q = region.upper.profile
-    cur = {0: 1}
+    lo = hi = 0
+    counts = [1]  # counts[c - lo] for c in [lo, hi]
     for i in range(1, region.size + 1):
-        lo, hi = t * p[i], t * q[i]
-        nxt: dict[int, int] = {}
-        for c, ways in cur.items():
-            for step in range(0, t + 1):
-                c2 = c + step
-                if c2 > hi:
-                    break
-                if c2 >= lo:
-                    nxt[c2] = nxt.get(c2, 0) + ways
-        cur = nxt
-        if not cur:
+        new_lo, new_hi = max(lo, t * p[i]), min(hi + t, t * q[i])
+        if new_lo > new_hi:
             return 0
-    return cur.get(t * region.r, 0)
+        below = list(accumulate(counts, initial=0))  # below[k]: sum of counts[:k]
+        counts = [
+            below[min(c, hi) - lo + 1] - below[max(c - t, lo) - lo]
+            for c in range(new_lo, new_hi + 1)
+        ]
+        lo, hi = new_lo, new_hi
+    return counts[0]  # p_n = q_n = r pins the last range to the one sum t*r
 
 
 @dataclass(frozen=True)
@@ -69,25 +79,29 @@ class EhrhartPolynomial:
 
 
 def _interpolate(values: list[int]) -> tuple[Fraction, ...]:
-    """Monomial coefficients of the unique polynomial through (i, values[i])."""
+    """Monomial coefficients of the unique polynomial through (i, values[i]).
+
+    Newton form f(t) = sum_k D^k f(0) C(t, k) with integer forward
+    differences D^k f(0).  Scaled by d!, it is sum_k D^k f(0) (d!/k!) (t)_k,
+    expanded by Horner's rule in the falling factorials (t)_k: O(d^2)
+    integer operations, one ``Fraction`` per coefficient at the end.
+    """
     d = len(values) - 1
-    coeffs = [Fraction(0)] * (d + 1)
-    for k, y in enumerate(values):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(d + 1):
-            if j == k:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for deg, c in enumerate(basis):
-                new[deg] -= c * j
-                new[deg + 1] += c
-            basis = new
-            denom *= k - j
-        scale = Fraction(y) / denom
-        for deg, c in enumerate(basis):
-            coeffs[deg] += scale * c
-    return tuple(coeffs)
+    diffs = list(values)
+    for k in range(1, d + 1):
+        for i in range(d, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    scale = 1  # d!/k! for k running down from d
+    numer: list[int] = []
+    for k in range(d, -1, -1):
+        # numer := numer * (t - k) + D^k f(0) * d!/k!
+        numer = [0] + numer
+        for j in range(len(numer) - 1):
+            numer[j] -= k * numer[j + 1]
+        numer[0] += diffs[k] * scale
+        scale *= k
+    denom = factorial(max(d, 0))
+    return tuple(Fraction(c, denom) for c in numer)
 
 
 def ehrhart_polynomial(region: Region) -> EhrhartPolynomial:

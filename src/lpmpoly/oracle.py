@@ -129,6 +129,29 @@ def projected_face(region: Region, i: int, value: int) -> set[str]:
     }
 
 
+def stepwise_lattice_count(region: Region, t: int) -> int:
+    """Points of the t-th dilation, adding each prefix sum into its t+1 successors."""
+    if t < 0:
+        raise ValueError("dilation must be nonnegative")
+    p = region.lower.profile
+    q = region.upper.profile
+    cur = {0: 1}
+    for i in range(1, region.size + 1):
+        lo, hi = t * p[i], t * q[i]
+        nxt: dict[int, int] = {}
+        for c, ways in cur.items():
+            for step in range(0, t + 1):
+                c2 = c + step
+                if c2 > hi:
+                    break
+                if c2 >= lo:
+                    nxt[c2] = nxt.get(c2, 0) + ways
+        cur = nxt
+        if not cur:
+            return 0
+    return cur.get(t * region.r, 0)
+
+
 def brute_syt(strip: BorderStrip) -> int:
     """Count standard fillings directly: increase East, decrease North."""
     size = len(strip)

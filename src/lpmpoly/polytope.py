@@ -193,6 +193,17 @@ def facet_candidates(region: Region) -> list[Candidate]:
     return candidates
 
 
+def _facet_key(p: tuple[int, ...], q: tuple[int, ...], kind: str, position: int) -> tuple:
+    """Canonical order of candidates: box bounds first, then corner prefix bounds."""
+    if kind == "x_lower":
+        return (PREFER_BOX_LOWER, 0, position)
+    if kind == "x_upper":
+        return (PREFER_BOX_UPPER, 0, position)
+    if kind == "prefix_upper":
+        return (PREFER_PREFIX_UPPER, 0 if _upper_corner(q, position) else 1, position)
+    return (PREFER_PREFIX_LOWER, 0 if _lower_corner(p, position) else 1, position)
+
+
 def canonical_facets(
     region: Region, certified: list[tuple[str, int, LinearConstraint, tuple[int, ...]]]
 ) -> list[Facet]:
@@ -204,23 +215,13 @@ def canonical_facets(
     """
     p = region.lower.profile
     q = region.upper.profile
-
-    def key(kind: str, position: int) -> tuple:
-        if kind == "x_lower":
-            return (PREFER_BOX_LOWER, 0, position)
-        if kind == "x_upper":
-            return (PREFER_BOX_UPPER, 0, position)
-        if kind == "prefix_upper":
-            return (PREFER_PREFIX_UPPER, 0 if _upper_corner(q, position) else 1, position)
-        return (PREFER_PREFIX_LOWER, 0 if _lower_corner(p, position) else 1, position)
-
     best: dict[tuple[int, ...], tuple[str, int, LinearConstraint]] = {}
     for kind, position, cons, tight in certified:
         kept = best.get(tight)
-        if kept is None or key(kind, position) < key(kept[0], kept[1]):
+        if kept is None or _facet_key(p, q, kind, position) < _facet_key(p, q, *kept[:2]):
             best[tight] = (kind, position, cons)
     out = [Facet(cons, tight, kind, position) for tight, (kind, position, cons) in best.items()]
-    out.sort(key=lambda f: key(f.kind, f.position))
+    out.sort(key=lambda f: _facet_key(p, q, f.kind, f.position))
     return out
 
 
@@ -281,18 +282,114 @@ def kcatalan_facet_count(width: int, n: int) -> int:
     return (width + 1) * (2 * n - 3) + n - 2
 
 
+def _tight_on_whole_face(
+    low: tuple[int, ...], high: tuple[int, ...], kind: str, position: int, rhs: int
+) -> bool:
+    """Every path of a face is tight on the candidate, read off the face's
+    min and max profiles ``low`` and ``high`` over all n steps.
+
+    Exact for a pinched face, which holds every path between its bounds,
+    and for a deletion face, which holds every path between its bounds
+    taking the fixed letter.  Some path takes E at step i exactly when
+    low[i] <= high[i-1], and some path takes N there when high[i] > low[i-1].
+    """
+    i = position
+    if kind == "x_upper":
+        return low[i] > high[i - 1]
+    if kind == "x_lower":
+        return high[i] <= low[i - 1]
+    return low[i] == high[i] == rhs
+
+
+def _path_indices(
+    region: Region, low: tuple[int, ...], high: tuple[int, ...], rises: list[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """Positions, among the region's paths in lexicographic order, of the
+    paths between ``low`` and ``high`` whose k-th step rises by one of ``rises[k]``.
+
+    A path's position counts, at each of its N steps, the region's paths
+    that agree before that step and take E there.  One forward pass carries
+    the partial counts of all prefixes by height, so the cost is the number
+    of prefixes, not paths times n.
+    """
+    p = region.lower.profile
+    q = region.upper.profile
+    n = region.size
+    # after[k][y]: paths from height y after k steps to the end
+    after: list[dict[int, int]] = [{} for _ in range(n)] + [{q[n]: 1}]
+    for k in range(n - 1, -1, -1):
+        nxt = after[k + 1]
+        after[k] = {y: nxt.get(y, 0) + nxt.get(y + 1, 0) for y in range(p[k], q[k] + 1)}
+    partial: dict[int, list[int]] = {0: [0]}
+    for k in range(1, n + 1):
+        grown: dict[int, list[int]] = {}
+        for y, found in partial.items():
+            for rise in rises[k]:
+                if low[k] <= y + rise <= high[k]:
+                    gain = after[k].get(y, 0) if rise else 0
+                    grown.setdefault(y + rise, []).extend([x + gain for x in found])
+        partial = grown
+    return tuple(sorted(partial.get(q[n], ())))
+
+
+def _certified_face(region: Region, facet: Facet) -> Region:
+    """The face of a facet that :func:`facets` lists; NotAFacet otherwise.
+
+    Replays what ``facets`` does for this one candidate: it is a candidate,
+    its face has dimension dim - 1, no candidate earlier in the canonical
+    order cuts the same face, and ``facet.tight`` lists the face's paths.
+    O(n^2) plus the face's prefixes: no other candidate's tight set is listed.
+    """
+    if not is_connected(region):
+        raise DisconnectedRegion("facets are computed per connected block")
+    kind, i = facet.kind, facet.position
+    not_a_facet = NotAFacet(f"{kind} at {i} is not a facet here")
+    dim = dimension(region)
+    candidates = facet_candidates(region)
+    if dim <= 0 or (kind, i, facet.constraint) not in candidates:
+        raise not_a_facet
+    rhs = facet.constraint.rhs
+    try:
+        face = _face(region, kind, i, rhs)
+    except EmptyFace:
+        raise not_a_facet from None
+    if dimension(face) != dim - 1:
+        raise not_a_facet
+
+    def lift(h: tuple[int, ...]) -> tuple[int, ...]:
+        """A face profile over all n steps: put the deleted letter back."""
+        return h[:i] + tuple(x + rhs for x in h[i - 1 :]) if kind in _BOX_KINDS else h
+
+    low, high = lift(face.lower.profile), lift(face.upper.profile)
+    p, q = region.lower.profile, region.upper.profile
+    key = _facet_key(p, q, kind, i)
+    for other, j, cons in candidates:
+        # a facet inside another candidate's facet is that facet: same tight set
+        if (
+            _facet_key(p, q, other, j) < key
+            and _tight_on_whole_face(low, high, other, j, cons.rhs)
+            and dimension(_face(region, other, j, cons.rhs)) == dim - 1
+        ):
+            raise not_a_facet
+    rises = [(0, 1)] * (region.size + 1)
+    if kind in _BOX_KINDS:
+        rises[i] = (rhs,)
+    if facet.tight != _path_indices(region, low, high, rises):
+        raise not_a_facet
+    return face
+
+
 def face_region(region: Region, facet: Facet):
     """Recover the face cut by a facet as one region or a pinched pair.
 
     Box facets delete the fixed element; prefix facets pinch both paths
-    through the shared lattice point, producing a direct sum.
+    through the shared lattice point, producing a direct sum.  Raises
+    NotAFacet unless :func:`facets` lists ``facet``, without computing it.
     """
-    if facet not in facets(region):
-        raise NotAFacet(f"{facet.kind} at {facet.position} is not a facet here")
-    i = facet.position
-    face = _face(region, facet.kind, i, facet.constraint.rhs)
+    face = _certified_face(region, facet)
     if facet.kind in _BOX_KINDS:
         return face
+    i = facet.position
     low, high = face.lower.profile, face.upper.profile
     left = Region(path_from_profile(low[: i + 1]), path_from_profile(high[: i + 1]))
     right = Region(

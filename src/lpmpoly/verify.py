@@ -418,10 +418,14 @@ def check_triangulation(
 
 
 def check_ehrhart(max_size: int = 6) -> CheckResult:
-    """Each interpolated polynomial at t = 0, 1 and at the two dilations past its degree."""
+    """The window-sum counts against the stepwise DP at t = 0..3, and each
+    interpolated polynomial at t = 0, 1 and at the two dilations past its degree."""
     res = CheckResult("ehrhart-interpolation")
     for region in oracle.all_regions(max_size):
         res.checked += 1
+        for t in range(4):
+            if eh.count_lattice_points(region, t) != oracle.stepwise_lattice_count(region, t):
+                res.fail(f"window sums differ from the stepwise DP at t={t} on {region}")
         poly = eh.ehrhart_polynomial(region)
         if poly(0) != 1 or poly(1) != len(enumerate_paths(region)):
             res.fail(f"values at 0/1 wrong on {region}")

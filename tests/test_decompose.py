@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from lpmpoly import (
@@ -185,3 +188,47 @@ def test_leaf_polytopes_meet_in_common_faces():
                     continue
                 assert _is_face_of(leaves[i], shared), (region, i, j)
                 assert _is_face_of(leaves[j], shared), (region, i, j)
+
+
+def test_decomposition_tree_children_are_the_split_halves():
+    for region in all_regions(6, connected_only=True):
+        stack = [decomposition_tree(region)]
+        while stack:
+            node = stack.pop()
+            assert node.split == find_split(node.region)
+            if node.split is None:
+                assert node.children == ()
+                continue
+            halves = hyperplane_split(node.region, node.split.x, node.split.j)
+            assert [child.region for child in node.children] == [halves.left, halves.right]
+            stack.extend(node.children)
+
+
+def test_border_strips_walk_a_strip_past_the_recursion_limit():
+    long_row = region_from_words("E" * 1100 + "N", "N" + "E" * 1100)
+    (strip,) = border_strips(long_row)
+    assert len(strip) == 1100
+    assert strip.direction_word == "R" * 1099
+
+
+def test_deep_decomposition_keeps_a_flat_stack():
+    # A two-row band splits one strip off per column, so its tree is as deep
+    # as the band is wide (and so is every strip).  Under a limit 100 frames
+    # above the caller, a walk that recursed once per level would fail.
+    width = 300
+    band = region_from_words("E" * width + "NN", "NN" + "E" * width)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        tree = decomposition_tree(band)
+        leaves = tree.leaves()
+        strips = border_strips(band)
+    finally:
+        sys.setrecursionlimit(limit)
+    depth, node = 0, tree
+    while node.children:
+        node = max(node.children, key=lambda child: len(child.children))
+        depth += 1
+    assert depth == width - 1
+    assert len(leaves) == len(strips) == width
+    assert sorted(region_to_strip(leaf.region).boxes for leaf in leaves) == sorted(s.boxes for s in strips)

@@ -11,7 +11,16 @@ import random
 
 import pytest
 
-from lpmpoly import border_strips, delete, edges, enumerate_paths, facets, strip_volume, volume
+from lpmpoly import (
+    border_strips,
+    count_lattice_points,
+    delete,
+    edges,
+    enumerate_paths,
+    facets,
+    strip_volume,
+    volume,
+)
 from lpmpoly import oracle
 from lpmpoly.errors import EmptyFace
 from lpmpoly.paths import PathWord, Region, path_from_profile
@@ -72,3 +81,15 @@ def test_fast_routes_match_oracles(region):
             except EmptyFace:
                 got = set()
             assert got == want, (i, value)
+
+
+@pytest.mark.parametrize("region", REGIONS, ids=repr)
+def test_window_counts_match_stepwise_dp(region):
+    for t in range(7):
+        assert count_lattice_points(region, t) == oracle.stepwise_lattice_count(region, t), t
+
+
+def test_window_counts_match_stepwise_dp_on_sweep():
+    for region in oracle.all_regions(6):
+        for t in range(6):
+            assert count_lattice_points(region, t) == oracle.stepwise_lattice_count(region, t), (region, t)

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from lpmpoly import (
+    EhrhartPolynomial,
     GammaBounds,
     bases,
     basis_fold,
@@ -85,14 +88,37 @@ def test_check_ehrhart_flags_a_failed_overdetermination(monkeypatch):
     clean = check_ehrhart(4)
     assert clean.ok
 
-    def perturbed(region, t):
-        return count_lattice_points(region, t) + (t >= 3)
+    def perturbed(region, t):  # past t = 3, where the stepwise cross-check stops
+        return count_lattice_points(region, t) + (t >= 4)
 
     monkeypatch.setattr(eh, "count_lattice_points", perturbed)
     res = check_ehrhart(4)
     assert not res.ok
     assert res.checked == clean.checked
     assert res.failures and all("overdetermination fails" in f for f in res.failures)
+
+
+def test_check_ehrhart_flags_a_shifted_window(monkeypatch):
+    clean = check_ehrhart(4)
+
+    def shifted(counts, initial):  # one more leading zero: every window slides down by one
+        return accumulate([0, *counts], initial=initial)
+
+    monkeypatch.setattr(eh, "accumulate", shifted)
+    res = check_ehrhart(4)
+    assert not res.ok
+    assert res.checked == clean.checked
+    assert any("window sums differ from the stepwise DP" in f for f in res.failures)
+
+
+def test_interpolation_through_seeded_integer_sequences():
+    rng = random.Random(20121220)
+    for length in range(1, 41):
+        values = [rng.randint(-(10**6), 10**6) for _ in range(length)]
+        coeffs = eh._interpolate(values)
+        assert len(coeffs) == len(values)
+        poly = EhrhartPolynomial(coeffs)
+        assert [poly(i) for i in range(length)] == values
 
 
 def test_gamma_bounds_and_set_examples():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from lpmpoly import (
 )
 from lpmpoly.errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
 from lpmpoly.oracle import all_regions
+from lpmpoly.polytope import Facet, facet_candidates
 from lpmpoly.ratlinalg import affine_rank
 
 
@@ -164,3 +166,33 @@ def test_face_region_rejects_non_facets():
     foreign = next(f for f in others if (f.kind, f.position) == ("x_lower", 3))
     with pytest.raises(NotAFacet):
         face_region(region, foreign)
+
+
+def test_face_region_accepts_exactly_the_listed_facets():
+    # one facet certified alone against membership in the whole facet list:
+    # every candidate with its true tight tuple, and listed facets with
+    # perturbed tight tuples
+    for region in all_regions(7, connected_only=True):
+        listed = facets(region)
+        paths = enumerate_paths(region)
+        for kind, position, cons in facet_candidates(region):
+            start = position - 1 if kind in ("x_lower", "x_upper") else 0
+            tight = tuple(
+                k for k, path in enumerate(paths)
+                if path.profile[position] - path.profile[start] == cons.rhs
+            )
+            copies = [Facet(cons, tight, kind, position)]
+            if copies[0] in listed:
+                copies += [
+                    replace(copies[0], tight=other)
+                    for other in (tight[1:], tight + (len(paths),), tuple(sorted(set(tight) ^ {0})))
+                ]
+            for facet in copies:
+                try:
+                    face_region(region, facet)
+                    accepted = True
+                except NotAFacet:
+                    accepted = False
+                assert accepted == (facet in listed), (region, kind, position, facet.tight)
+    with pytest.raises(DisconnectedRegion):
+        face_region(region_from_words("ENEN", "NEEN"), listed[0])
