@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 
 from . import ehrhart as eh
@@ -135,14 +136,26 @@ def cmd_facets(args) -> int:
     return 0
 
 
-def _tree_json(node) -> dict:
-    if not node.children:
-        strip = region_to_strip(node.region)
-        return {"strip": strip.direction_word, "descents": sorted(strip.descents)}
-    return {
-        "split": {"x": node.split.x, "j": node.split.j},
-        "children": [_tree_json(c) for c in node.children],
-    }
+def _tree_json(root) -> str:
+    """``json.dumps`` text of the nested split/strip record, built on an explicit stack."""
+    out = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif not item.children:
+            strip = region_to_strip(item.region)
+            out.append(json.dumps({"strip": strip.direction_word, "descents": sorted(strip.descents)}))
+        else:
+            split = json.dumps({"x": item.split.x, "j": item.split.j})
+            out.append(f'{{"split": {split}, "children": [')
+            stack.append("]}")
+            for k in range(len(item.children) - 1, -1, -1):
+                stack.append(item.children[k])
+                if k:
+                    stack.append(", ")
+    return "".join(out)
 
 
 def cmd_decompose(args) -> int:
@@ -151,7 +164,7 @@ def cmd_decompose(args) -> int:
     if not is_connected(region):
         raise _error(INVALID_REGION, "region is disconnected; decompose each block")
     if args.format == "json":
-        print(json.dumps(_tree_json(decomposition_tree(region))))
+        print(_tree_json(decomposition_tree(region)))
     else:
         for strip in border_strips(region):
             print(strip.direction_word)
@@ -214,10 +227,28 @@ def cmd_catalan(args) -> int:
     return 0
 
 
+def _verify_stats(timings: dict) -> None:
+    """One JSON line on stderr: each check's elapsed seconds, then the errata report's."""
+    record = {
+        "checks": [
+            {"name": name, "seconds": round(secs, 6)}
+            for name, secs in timings.items()
+            if name != "errata"
+        ]
+    }
+    if "errata" in timings:
+        record["errata_seconds"] = round(timings["errata"], 6)
+    print(json.dumps(record), file=sys.stderr)
+
+
 def cmd_verify(args) -> int:
     target = args.target
+    timings: dict[str, float] = {}
+    start = time.perf_counter()
     if target == "all":
-        ok, results, errata = ver.run_all(max_size=args.max_size, t_max=args.t_max)
+        ok, results, errata = ver.run_all(
+            max_size=args.max_size, t_max=args.t_max, timings=timings
+        )
         for res in results:
             print(res.line())
             for failure in res.failures:
@@ -227,21 +258,25 @@ def cmd_verify(args) -> int:
         print("-------------")
         for row in errata:
             print(row.line())
-        return 0 if ok else 1
-    if target == "facets":
-        res = ver.check_facets(max_size=min(args.max_size, 8))
-    elif target == "volume":
-        res = ver.check_volume(max_size=min(args.max_size, 7))
+        code = 0 if ok else 1
     elif target == "ehrhart-formula":
         for line in ver.reconcile_sweep(max_size=min(args.max_size, 6), t_max=args.t_max):
             print(line)
-        return 0
+        timings[target] = time.perf_counter() - start
+        code = 0
     else:
-        raise _error(USAGE_ERROR, f"unknown verify target {target!r}")
-    print(res.line())
-    for failure in res.failures:
-        print(f"    {failure}")
-    return 0 if res.ok else 1
+        if target == "facets":
+            res = ver.check_facets(max_size=min(args.max_size, 8))
+        else:
+            res = ver.check_volume(max_size=min(args.max_size, 7))
+        timings[res.name] = time.perf_counter() - start
+        print(res.line())
+        for failure in res.failures:
+            print(f"    {failure}")
+        code = 0 if res.ok else 1
+    if args.stats:
+        _verify_stats(timings)
+    return code
 
 
 def _check_cap(region: Region, args) -> None:
@@ -295,6 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver_sub.add_argument("--max-size", type=int, default=6, dest="max_size")
     ver_sub.add_argument("--t-max", type=int, default=3, dest="t_max")
+    ver_sub.add_argument(
+        "--stats",
+        action="store_true",
+        help="write each check's elapsed seconds to stderr as one JSON line",
+    )
     ver_sub.set_defaults(func=cmd_verify)
     return parser
 

@@ -261,11 +261,70 @@ def verify_good_partition(region: Region, gp: GoodPartition) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DecompositionNode:
+    """One node of a decomposition tree.
+
+    Equality, hashing and ``repr`` mean what the generated dataclass methods
+    mean (field by field, children included), but walk the tree on explicit
+    stacks, so they work at any depth.
+    """
+
     region: Region
     split: Split | None
     children: tuple["DecompositionNode", ...] = field(default=())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (
+                b.__class__ is not a.__class__
+                or a.region != b.region
+                or a.split != b.split
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(reversed(a.children), reversed(b.children)))
+        return True
+
+    def __hash__(self) -> int:
+        # Children before parents, each node hashed with its children's hashes.
+        order = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(node.children)
+        hashes: dict[int, int] = {}
+        for node in reversed(order):
+            kids = tuple(hashes[id(child)] for child in node.children)
+            hashes[id(node)] = hash((node.region, node.split, kids))
+        return hashes[id(self)]
+
+    def __repr__(self) -> str:
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(
+                f"{item.__class__.__qualname__}(region={item.region!r}, "
+                f"split={item.split!r}, children=("
+            )
+            kids = item.children
+            stack.append(",))" if len(kids) == 1 else "))")
+            for k in range(len(kids) - 1, -1, -1):
+                stack.append(kids[k])
+                if k:
+                    stack.append(", ")
+        return "".join(out)
 
     def leaves(self) -> list["DecompositionNode"]:
         """Leaves from left to right."""

@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals: ranks, determinants, feasibility.
 
-Everything here works on plain Python ints and fractions.Fraction; no
-floating point enters any computation.  Matrices are lists of row tuples.
+No floating point enters any computation.  Ranks, determinants and the
+convex-hull test run on plain Python ints by fraction-free elimination and
+integer-preserving pivoting; only ``barycentric_coordinates`` returns
+``fractions.Fraction``.  Matrices are lists of row tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -124,12 +127,21 @@ def barycentric_coordinates(
     return lam
 
 
-def _phase_one_feasible(columns: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+def _phase_one_feasible(columns: list[list[int]], rhs: list[int]) -> bool:
     """Exact phase-1 simplex: does ``A lam = rhs`` admit ``lam >= 0``?
 
-    ``columns`` holds the columns of A.  Artificial variables seed the basis;
-    feasible iff their sum can be driven to zero.  Dantzig pricing with a
-    Bland fallback guards against cycling.
+    ``columns`` holds the integer columns of A and ``rhs`` is integer.
+    Artificial variables seed the basis; feasible iff their sum can be
+    driven to zero.  Dantzig pricing with a Bland fallback guards against
+    cycling.
+
+    The tableau stays integer (Edmonds' integer-preserving pivoting, the
+    scheme of Bareiss' determinant): row ``i`` holds the numerators of the
+    rational tableau over one common divisor ``div``, the determinant of the
+    current basis, which stays positive.  A pivot maps every numerator to
+    ``(pv * a - f * b) // div`` and sets ``div = pv``; the division is
+    exact.  Signs and ratios are those of the rational tableau, so each
+    pivot choice is the one exact rational simplex would make.
     """
     nrows = len(rhs)
     ncols = len(columns)
@@ -144,17 +156,14 @@ def _phase_one_feasible(columns: list[list[Fraction]], rhs: list[Fraction]) -> b
         tableau.append(row)
     basis = list(range(ncols, ncols + nrows))  # artificials
     # cost row: minimize sum of artificials => reduced costs of real columns
-    cost = [Fraction(0)] * (ncols + 1)
-    for i in range(nrows):
-        for j in range(ncols):
-            cost[j] -= tableau[i][j]
-        cost[ncols] -= tableau[i][ncols]
+    cost = [-sum(column) for column in zip(*tableau)]
+    div = 1
     iterations = 0
     bland_after = 40 * (nrows + ncols)
     while True:
         entering = None
         if iterations < bland_after:
-            best = Fraction(0)
+            best = 0
             for j in range(ncols):
                 if cost[j] < best:
                     best = cost[j]
@@ -165,29 +174,38 @@ def _phase_one_feasible(columns: list[list[Fraction]], rhs: list[Fraction]) -> b
                     entering = j
                     break
         if entering is None:
-            return -cost[ncols] == 0
+            return cost[ncols] == 0
+        # ratio test b_i / a_i over a_i > 0, compared by cross-multiplication
         leaving = None
-        best_ratio = None
+        best_b = best_a = 0
         for i in range(nrows):
             a = tableau[i][entering]
             if a > 0:
-                ratio = tableau[i][ncols] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leaving]
-                ):
-                    best_ratio = ratio
-                    leaving = i
+                b = tableau[i][ncols]
+                if leaving is None:
+                    leaving, best_b, best_a = i, b, a
+                else:
+                    lhs, rhs_ = b * best_a, best_b * a
+                    if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leaving]):
+                        leaving, best_b, best_a = i, b, a
         if leaving is None:
-            return -cost[ncols] == 0
-        pv = tableau[leaving][entering]
-        tableau[leaving] = [x / pv for x in tableau[leaving]]
+            return cost[ncols] == 0
+        pivot_row = tableau[leaving]
+        pv = pivot_row[entering]
         for i in range(nrows):
-            if i != leaving and tableau[i][entering]:
-                f = tableau[i][entering]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leaving])]
-        if cost[entering]:
-            f = cost[entering]
-            cost = [a - f * b for a, b in zip(cost, tableau[leaving])]
+            if i != leaving:
+                row = tableau[i]
+                f = row[entering]
+                if f:
+                    tableau[i] = [(pv * a - f * b) // div for a, b in zip(row, pivot_row)]
+                elif pv != div:
+                    tableau[i] = [pv * a // div for a in row]
+        f = cost[entering]
+        if f:
+            cost = [(pv * a - f * b) // div for a, b in zip(cost, pivot_row)]
+        elif pv != div:
+            cost = [pv * a // div for a in cost]
+        div = pv
         basis[leaving] = entering
         iterations += 1
 
@@ -195,19 +213,24 @@ def _phase_one_feasible(columns: list[list[Fraction]], rhs: list[Fraction]) -> b
 def in_convex_hull(points: Sequence[Sequence[int]], target: Sequence[Fraction]) -> bool:
     """Exact membership of ``target`` in the convex hull of integer ``points``.
 
-    Fast path: scan for a two-point certificate (target the midpoint-style
-    combination of a pair); otherwise settle it with exact phase-1 simplex.
+    ``target`` holds ints or ``Fraction``s.  Everything runs on integers:
+    with ``L`` the lcm of the target's denominators, ``target`` is in the
+    hull iff ``[p; 1] lam = [L t; L]`` has a solution ``lam >= 0``.
+    Fast path: scan for a two-point certificate, a point ``p`` whose mirror
+    ``2t - p`` is also a point; otherwise settle it with the integer
+    phase-1 simplex.
     """
     if not points:
         return False
-    target = [Fraction(t) for t in target]
+    scale = lcm(*(t.denominator for t in target))
+    scaled = [t.numerator * (scale // t.denominator) for t in target]
     pts = [tuple(p) for p in points]
-    index = set(pts)
-    for p in pts:
-        mirror = tuple(2 * t - Fraction(x) for t, x in zip(target, p))
-        if all(c.denominator == 1 for c in mirror) and tuple(int(c) for c in mirror) in index:
-            return True
-    dim = len(target)
-    columns = [[Fraction(p[i]) for i in range(dim)] + [Fraction(1)] for p in pts]
-    rhs = target + [Fraction(1)]
-    return _phase_one_feasible(columns, rhs)
+    doubled = [2 * t for t in scaled]
+    if all(c % scale == 0 for c in doubled):
+        centre = [c // scale for c in doubled]
+        index = set(pts)
+        for p in pts:
+            if tuple(c - x for c, x in zip(centre, p)) in index:
+                return True
+    columns = [[*p, 1] for p in pts]
+    return _phase_one_feasible(columns, scaled + [scale])

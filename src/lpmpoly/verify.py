@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
+from time import perf_counter
 
 from . import ehrhart as eh
 from . import oracle
@@ -628,25 +629,37 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
     return rows
 
 
-def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50):
-    """All checks at the given sweep cap; returns (ok, result list, errata rows)."""
-    results = [
-        check_bases(min(max_size, 7)),
-        check_deletion(min(max_size, 6)),
-        check_dimension(min(max_size, 7)),
-        check_edges(
-            oracle_max=min(max_size, 6),
-            area_max=max_size,
-            formula_max=6,
+def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50, timings: dict | None = None):
+    """All checks at the given sweep cap; returns (ok, result list, errata rows).
+
+    When ``timings`` is a dict, each check's elapsed seconds go into it under
+    the check's name, and the errata report's under ``"errata"``.
+    """
+    runs = [
+        (check_bases, {"max_size": min(max_size, 7)}),
+        (check_deletion, {"max_size": min(max_size, 6)}),
+        (check_dimension, {"max_size": min(max_size, 7)}),
+        (check_edges, {"oracle_max": min(max_size, 6), "area_max": max_size, "formula_max": 6}),
+        (check_facets, {"max_size": min(max_size, 8)}),
+        (check_faces, {"max_size": min(max_size, 6)}),
+        (check_decomposition, {"max_size": min(max_size, 7)}),
+        (check_volume, {"max_size": min(max_size, 7), "rectangle_max": 7, "strip_max": 7}),
+        (check_catalan_area, {"n_max": 12}),
+        (
+            check_triangulation,
+            {"n_max": 7, "strip_max": 7, "roundtrip_n": 5, "samples": samples},
         ),
-        check_facets(max_size=min(max_size, 8)),
-        check_faces(min(max_size, 6)),
-        check_decomposition(min(max_size, 7)),
-        check_volume(max_size=min(max_size, 7), rectangle_max=7, strip_max=7),
-        check_catalan_area(12),
-        check_triangulation(n_max=7, strip_max=7, roundtrip_n=5, samples=samples),
-        check_ehrhart(min(max_size, 6)),
+        (check_ehrhart, {"max_size": min(max_size, 6)}),
     ]
+    results = []
+    for check, kwargs in runs:
+        start = perf_counter()
+        results.append(check(**kwargs))
+        if timings is not None:
+            timings[results[-1].name] = perf_counter() - start
+    start = perf_counter()
     errata = build_errata_report(max_size=min(max_size, 6), t_max=t_max)
+    if timings is not None:
+        timings["errata"] = perf_counter() - start
     ok = all(r.ok for r in results)
     return ok, results, errata

@@ -4,6 +4,10 @@ import sys
 
 import pytest
 
+from lpmpoly import cli, decomposition_tree
+from lpmpoly.decompose import region_to_strip
+from lpmpoly.oracle import all_regions
+
 CLI = [sys.executable, "-m", "lpmpoly.cli"]
 
 
@@ -62,6 +66,49 @@ def test_decompose_verb():
     assert tree["split"] == {"x": 2, "j": 1}
     assert [c["strip"] for c in tree["children"]] == ["RU", "UR"]
     assert [c["descents"] for c in tree["children"]] == [[2], [1]]
+
+
+def _nested_tree_record(node):
+    if not node.children:
+        strip = region_to_strip(node.region)
+        return {"strip": strip.direction_word, "descents": sorted(strip.descents)}
+    return {
+        "split": {"x": node.split.x, "j": node.split.j},
+        "children": [_nested_tree_record(c) for c in node.children],
+    }
+
+
+def test_decompose_json_text_is_json_dumps_of_the_nested_record():
+    for region in all_regions(7, connected_only=True):
+        tree = decomposition_tree(region)
+        assert cli._tree_json(tree) == json.dumps(_nested_tree_record(tree)), region
+
+
+def test_decompose_json_on_a_band_deeper_than_the_recursion_limit():
+    # The two-row band splits one strip off per column: a tree 1099 levels deep.
+    width = 1100
+    out = run_cli(
+        "decompose",
+        "--format", "json",
+        "--max-size", "2000",
+        "--lower", "E" * width + "NN",
+        "--upper", "NN" + "E" * width,
+    )
+    assert out.returncode == 0, out.stderr[-500:]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10 * width)  # json.loads recurses once per nesting level
+    try:
+        tree = json.loads(out.stdout)
+    finally:
+        sys.setrecursionlimit(limit)
+    leaves, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        if "strip" in node:
+            leaves += 1
+        else:
+            stack.extend(node["children"])
+    assert leaves == width
 
 
 def test_triangulate_verb():
@@ -156,3 +203,32 @@ def test_verify_ehrhart_formula_csv():
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "lower,upper,t,formula_value,true_value,match"
     assert "EN,NE,1,3,2,false" in lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--max-size", "2"],
+        ["verify", "facets", "--max-size", "4"],
+        ["verify", "volume", "--max-size", "3"],
+        ["verify", "ehrhart-formula", "--max-size", "2", "--t-max", "1"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_verify_stats_go_to_stderr_only(argv):
+    plain = run_cli(*argv)
+    timed = run_cli(*argv, "--stats")
+    assert timed.returncode == plain.returncode == 0
+    assert timed.stdout == plain.stdout
+    assert plain.stderr == ""
+    (line,) = timed.stderr.splitlines()
+    stats = json.loads(line)
+    names = [check["name"] for check in stats["checks"]]
+    assert all(check["seconds"] >= 0 for check in stats["checks"])
+    if argv[1] == "all":
+        assert names == [l.split(":")[0] for l in plain.stdout.splitlines() if " checks)" in l]
+        assert stats["errata_seconds"] >= 0
+    elif argv[1] == "ehrhart-formula":
+        assert names == ["ehrhart-formula"]
+    else:
+        assert names == [plain.stdout.split(":")[0]]

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from lpmpoly import (
     BorderStrip,
     Box,
+    DecompositionNode,
     GoodPartition,
     Split,
     bases,
@@ -232,3 +234,72 @@ def test_deep_decomposition_keeps_a_flat_stack():
     assert depth == width - 1
     assert len(leaves) == len(strips) == width
     assert sorted(region_to_strip(leaf.region).boxes for leaf in leaves) == sorted(s.boxes for s in strips)
+
+
+# The methods a plain frozen dataclass generates, as the reference for the
+# hand-written ones: same name, same fields.
+GeneratedNode = dataclasses.make_dataclass(
+    "DecompositionNode",
+    [("region", object), ("split", object), ("children", tuple, dataclasses.field(default=()))],
+    frozen=True,
+)
+
+
+def _rebuilt(tree, cls, swap=None):
+    """The same tree made of new ``cls`` nodes; ``swap`` maps a node's id to a new region."""
+    order, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    built = {}
+    for node in reversed(order):
+        region = (swap or {}).get(id(node), node.region)
+        built[id(node)] = cls(region, node.split, tuple(built[id(c)] for c in node.children))
+    return built[id(tree)]
+
+
+def test_node_dunders_match_the_generated_dataclass_methods():
+    trees = [decomposition_tree(region) for region in all_regions(5)]
+    copies = [_rebuilt(tree, DecompositionNode) for tree in trees]
+    refs = [_rebuilt(tree, GeneratedNode) for tree in trees]
+    assert any(tree.children for tree in trees)
+    for tree, ref in zip(trees, refs):
+        assert repr(tree) == repr(ref)
+        assert tree != ref and tree != tree.region
+    for i, (tree, ref) in enumerate(zip(trees, refs)):
+        for j in range(i % 3, len(trees), 3):
+            same = tree == copies[j]
+            assert same == (ref == refs[j]) == (not tree != copies[j]), (i, j)
+            if same:
+                assert hash(tree) == hash(copies[j])
+
+
+@pytest.fixture(scope="module")
+def deep_band_tree():
+    width = 1100
+    return decomposition_tree(region_from_words("E" * width + "NN", "NN" + "E" * width))
+
+
+def test_node_dunders_on_a_tree_past_the_recursion_limit(deep_band_tree):
+    tree = deep_band_tree
+    deepest, depth = tree, 0
+    while deepest.children:
+        deepest = max(deepest.children, key=lambda child: len(child.children))
+        depth += 1
+    assert depth == 1099
+    copy = _rebuilt(tree, DecompositionNode)
+    altered = _rebuilt(tree, DecompositionNode, swap={id(deepest): tree.region})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        equal, unequal = tree == copy, tree == altered
+        hashes = hash(tree), hash(copy)
+        text = repr(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert equal and not unequal
+    assert hashes[0] == hashes[1]
+    assert text.startswith(f"DecompositionNode(region={tree.region!r}, split=")
+    assert text.count("DecompositionNode(") == 2 * depth + 1
+    assert text.count("children=())") == depth + 1  # the leaves

@@ -8,6 +8,7 @@ strips, so the affine-rank and inclusion-exclusion oracles stay at desk scale.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,6 +20,7 @@ from lpmpoly import (
     enumerate_paths,
     facets,
     strip_volume,
+    vertices,
     volume,
 )
 from lpmpoly import oracle
@@ -93,3 +95,13 @@ def test_window_counts_match_stepwise_dp_on_sweep():
     for region in oracle.all_regions(6):
         for t in range(6):
             assert count_lattice_points(region, t) == oracle.stepwise_lattice_count(region, t), (region, t)
+
+
+def test_midpoint_oracle_matches_swap_edges():
+    small = [region for region in REGIONS if len(vertices(region)) <= 40]
+    assert len(small) >= 5
+    for region in small:
+        verts = vertices(region)
+        swaps = set(oracle.swap_edges(region))
+        for i, j in combinations(range(len(verts)), 2):
+            assert oracle.brute_adjacent(verts, i, j) == ((i, j) in swaps), (region, i, j)

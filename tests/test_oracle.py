@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,3 +96,57 @@ def test_in_convex_hull():
     assert not in_convex_hull(square, (Fraction(3, 2), Fraction(1, 2)))
     assert in_convex_hull([(0, 0)], (Fraction(0), Fraction(0)))
     assert not in_convex_hull([], (Fraction(0),))
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _point_set(rng, kind, dim):
+    if kind == "single":
+        return [tuple(rng.randint(-3, 3) for _ in range(dim))]
+    if kind == "collinear":
+        base = [rng.randint(-2, 2) for _ in range(dim)]
+        step = [rng.randint(-2, 2) for _ in range(dim)]
+        step[rng.randrange(dim)] = rng.choice((-1, 1, 2))
+        ks = rng.sample(range(-3, 4), rng.randint(2, 5))
+        return [tuple(b + k * s for b, s in zip(base, step)) for k in ks]
+    points = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(2, 9))]
+    if kind == "duplicates":
+        points += rng.choices(points, k=rng.randint(1, 4))
+        rng.shuffle(points)
+    return points
+
+
+def test_in_convex_hull_against_certificates():
+    """Seeded point sets; each answer is certified without a second LP.
+
+    An explicit rational convex combination of the points is in the hull.
+    A point past a separating integer functional c (c.t > max c.p) is not:
+    it is the combination moved along c until c.t = max c.p + 1/q.
+    """
+    rng = random.Random(20121220)
+    kinds = ("general", "duplicates", "collinear", "single")
+    denominators = set()
+    for trial in range(800):
+        dim = rng.randint(1, 5)
+        points = _point_set(rng, kinds[trial % 4], dim)
+        weights = [rng.randint(0, 6) for _ in points]
+        weights[rng.randrange(len(points))] += 1
+        total = sum(weights)
+        inside = [
+            Fraction(sum(w * p[d] for w, p in zip(weights, points)), total) for d in range(dim)
+        ]
+        denominators.update(x.denominator for x in inside)
+        assert in_convex_hull(points, inside), (points, inside)
+        assert in_convex_hull(points, rng.choice(points))  # plain int target
+        c = [rng.randint(-3, 3) for _ in range(dim)]
+        c[rng.randrange(dim)] = rng.choice((-2, -1, 1, 3))
+        top = max(_dot(c, p) for p in points)
+        norm = _dot(c, c)
+        step = (top - _dot(c, inside)) / norm + Fraction(1, rng.randint(1, 9) * norm)
+        outside = [x + step * ci for x, ci in zip(inside, c)]
+        assert _dot(c, outside) > top
+        denominators.update(x.denominator for x in outside)
+        assert not in_convex_hull(points, outside), (points, outside, c)
+    assert len(denominators - {1, 2}) > 5
