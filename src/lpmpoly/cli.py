@@ -196,6 +196,10 @@ def cmd_ehrhart(args) -> int:
 def cmd_triangulate(args) -> int:
     if args.lower or args.upper or args.file:
         raise _error(USAGE_ERROR, "triangulate takes --k and --n, not a region")
+    if 1 <= args.k < args.n and args.n > args.max_size:
+        raise _error(
+            SIZE_CAP, f"n={args.n} is over the cap {args.max_size} (raise with --max-size)"
+        )
     try:
         cells = hypersimplex_triangulation(args.k, args.n)
     except BadK as exc:

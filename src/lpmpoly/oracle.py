@@ -9,8 +9,8 @@ at desk scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, permutations
+from typing import Callable, Iterator
 
 from .decompose import BorderStrip
 from .errors import TooLarge
@@ -24,7 +24,7 @@ from .polytope import (
     vertices,
 )
 from .ratlinalg import affine_rank, in_convex_hull
-from .volume import catalan_number
+from .volume import catalan_number, descent_set, inverse_permutation
 
 
 def brute_bases(region: Region) -> set[frozenset[int]]:
@@ -178,6 +178,17 @@ def brute_syt(strip: BorderStrip) -> int:
         return total
 
     return place(0, 0)
+
+
+def scan_inverse_descents(d: int, key: Callable = frozenset) -> dict:
+    """Every permutation w of 1..d, in lexicographic order, bucketed by
+    ``key`` of the descent set of w^-1 (``len`` buckets by descent count)."""
+    if d > 10:
+        raise TooLarge("permutation scan is capped at 10 letters")
+    buckets: dict = {}
+    for w in permutations(range(1, d + 1)):
+        buckets.setdefault(key(descent_set(inverse_permutation(w))), []).append(w)
+    return buckets
 
 
 def brute_components(region: Region) -> list[frozenset[int]]:

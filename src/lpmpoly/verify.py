@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 from time import perf_counter
 
@@ -54,17 +54,15 @@ from .polytope import (
 from .ratlinalg import affine_rank
 from .triangulate import (
     hypersimplex_triangulation,
-    psi,
-    psi_inverse_on,
+    psi_int,
+    psi_inverse_int,
     strip_triangulation,
     triangulation_volume_check,
 )
 from .volume import (
     catalan_area,
     catalan_number,
-    descent_set,
     eulerian,
-    inverse_permutation,
     strip_volume,
     volume,
 )
@@ -350,16 +348,16 @@ def all_strips(max_boxes: int) -> list[BorderStrip]:
     return out
 
 
-def _roundtrip_samples(w: tuple[int, ...], count: int) -> list[tuple[Fraction, ...]]:
-    """Deterministic strictly-increasing rational points inside the order simplex."""
+def _roundtrip_samples(w: tuple[int, ...], count: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Deterministic strictly-increasing rational points inside the order simplex,
+    each as (denominator, numerators)."""
     d = len(w)
     out = []
     for s in range(count):
-        den = 1000 * d + 2000 + s
-        y = [Fraction(0)] * d
+        y = [0] * d
         for i in range(d):
-            y[w[i] - 1] = Fraction(1000 * i + (s % 997) + 1, den)
-        out.append(tuple(y))
+            y[w[i] - 1] = 1000 * i + (s % 997) + 1
+        out.append((1000 * d + 2000 + s, tuple(y)))
     return out
 
 
@@ -370,14 +368,31 @@ def _zero_one(cell) -> bool:
 def check_triangulation(
     n_max: int = 8, strip_max: int = 8, roundtrip_n: int = 6, samples: int = 1000
 ) -> CheckResult:
+    """Hypersimplex slices, the prefix-sum round trip and strip triangulations.
+
+    ``n_max`` bounds n for the slices (k, n): each slice's cells are checked
+    for an Eulerian count, unit determinants, 0/1 vertices in the slice and
+    permutations equal to the full scan's, in order (one scan per n).
+    ``roundtrip_n`` bounds n for the round trip ``psi(psi_inverse_on(w, y)) == y``,
+    run on integer numerators at ``samples`` points of every order simplex
+    of dimension n - 1.
+    ``strip_max`` bounds the boxes of the strips whose descent class, counted
+    by the scan, is compared with ``strip_volume``.  The strips actually
+    triangulated are every strip of at most 6 boxes, whatever ``strip_max``
+    is: their cells are checked for a ``strip_volume`` count, unit
+    determinants, 0/1 vertices and permutations equal to the scan's, in order.
+    """
     res = CheckResult("triangulation")
     for n in range(2, n_max + 1):
         total = 0
+        scan = oracle.scan_inverse_descents(n - 1, key=len)
         for k in range(1, n):
             cells = hypersimplex_triangulation(k, n)
             res.checked += 1
             if triangulation_volume_check(cells) != eulerian(k, n - 1):
                 res.fail(f"cell count is not Eulerian at (k,n)=({k},{n})")
+            if [cell.perm for cell in cells] != scan.get(k - 1, []):
+                res.fail(f"cell permutations differ from the scan at (k,n)=({k},{n})")
             total += len(cells)
             for cell in cells:
                 if not _zero_one(cell):
@@ -390,23 +405,21 @@ def check_triangulation(
         res.checked += 1
         if total != factorial(n - 1):
             res.fail(f"slice cell counts do not fill the cube at n={n}")
-    from itertools import permutations as _perms
-
     for n in range(2, roundtrip_n + 1):
-        for w in _perms(range(1, n)):
+        for w in permutations(range(1, n)):
             res.checked += 1
-            for y in _roundtrip_samples(w, samples):
-                if psi(psi_inverse_on(w, y)) != y:
+            for den, y in _roundtrip_samples(w, samples):
+                if psi_int(psi_inverse_int(w, y, den), den) != y:
                     res.fail(f"round trip fails for w={w}")
                     break
-    for length in range(0, strip_max):
-        buckets: dict[frozenset[int], int] = {}
-        for w in _perms(range(1, length + 2)):
-            d = descent_set(inverse_permutation(w))
-            buckets[d] = buckets.get(d, 0) + 1
-        for strip in (s for s in all_strips(length + 1) if len(s) == length + 1):
+    scans = {
+        length: oracle.scan_inverse_descents(length)
+        for length in range(1, max(strip_max, 6) + 1)
+    }
+    for length in range(1, strip_max + 1):
+        for strip in (s for s in all_strips(length) if len(s) == length):
             res.checked += 1
-            if buckets.get(strip.descents, 0) != strip_volume(strip):
+            if len(scans[length].get(strip.descents, [])) != strip_volume(strip):
                 res.fail(f"strip cell count mismatch on {strip.direction_word!r}")
     for strip in all_strips(6):
         res.checked += 1
@@ -415,6 +428,8 @@ def check_triangulation(
             res.fail(f"strip triangulation size mismatch on {strip.direction_word!r}")
         if not all(map(_zero_one, cells)):
             res.fail(f"strip cell is not a 0/1 simplex on {strip.direction_word!r}")
+        if [cell.perm for cell in cells] != scans[len(strip)].get(strip.descents, []):
+            res.fail(f"strip cell permutations differ from the scan on {strip.direction_word!r}")
     return res
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -154,6 +155,23 @@ def test_exit_codes():
     assert disconnected.returncode == 3
 
 
+# sha256 of the concatenated stdout of `lpm triangulate --k k --n n` for
+# 1 <= k < n <= 8, n ascending then k; recorded from the permutation-scan
+# implementation, so any change to cell order or format fails here.
+TRIANGULATE_SHA256 = "21f9b2d090ff4062091aeccdc3c3bdb6a7fd00b7c6ad5d59116d82f23ef2e0aa"
+
+
+def test_triangulate_output_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for n in range(2, 9):
+        for k in range(1, n):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(["triangulate", "--k", str(k), "--n", str(n)])
+            assert exit_.value.code == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == TRIANGULATE_SHA256
+
+
 REGION_FILES = {
     "bad.json": '{"lower": "EENN"',
     "list.json": '["EENN", "NNEE"]',
@@ -179,6 +197,8 @@ REGION_FILES = {
         (["bases", "--lower", "EN", "--upper", "NE", "--max-size", "0"], 2),
         (["verify", "all", "--max-size", "0"], 2),
         (["verify", "ehrhart-formula", "--t-max", "-1"], 2),
+        (["triangulate", "--k", "1", "--n", "11"], 4),
+        (["triangulate", "--k", "2", "--n", "5", "--max-size", "4"], 4),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, argv, code):

@@ -1,5 +1,7 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
+from heapq import merge
 from itertools import permutations, product
 from math import factorial
 
@@ -18,11 +20,12 @@ from lpmpoly import (
     triangulation_volume_check,
 )
 from lpmpoly.errors import BadK, NonUnimodularCell, WrongChamber
+from lpmpoly.oracle import scan_inverse_descents
 from lpmpoly.polytope import h_representation
 from lpmpoly.ratlinalg import barycentric_coordinates
 from lpmpoly import triangulate
-from lpmpoly.triangulate import SimplexCell
-from lpmpoly.verify import check_triangulation
+from lpmpoly.triangulate import SimplexCell, inverse_descent_class
+from lpmpoly.verify import all_strips, check_triangulation
 from lpmpoly.volume import descent_set, inverse_permutation
 
 F = Fraction
@@ -204,3 +207,64 @@ def test_check_triangulation_flags_a_vertex_off_the_cube(monkeypatch):
     res = check_triangulation(**tiny)
     assert not res.ok
     assert res.failures and all("0/1 simplex" in f for f in res.failures)
+
+
+def _strip(word):
+    boxes = [Box(1, 1)]
+    for step in word:
+        c, r = boxes[-1]
+        boxes.append(Box(c + 1, r) if step == "R" else Box(c, r + 1))
+    return BorderStrip(tuple(boxes))
+
+
+def test_generator_matches_the_scan_in_order():
+    strips = all_strips(8)
+    for d in range(0, 9):
+        scan = scan_inverse_descents(d)
+        for count in range(-1, d + 1):
+            want = list(merge(*(ws for s, ws in scan.items() if len(s) == count)))
+            assert list(inverse_descent_class(d, count=count)) == want, (d, count)
+        for strip in (s for s in strips if len(s) == d):
+            got = list(inverse_descent_class(d, descents=strip.descents))
+            assert got == scan[strip.descents], strip.direction_word
+
+
+def test_random_long_strips():
+    rng = random.Random(20121220)
+    seen = 0
+    while seen < 8:
+        strip = _strip("".join(rng.choice("RU") for _ in range(rng.randint(9, 11))))
+        size = strip_volume(strip)
+        if size > 30000:  # keep the run short; the class is enumerated in full
+            continue
+        seen += 1
+        perms = list(inverse_descent_class(len(strip), descents=strip.descents))
+        assert len(perms) == size
+        assert all(a < b for a, b in zip(perms, perms[1:]))
+        assert all(descent_set(inverse_permutation(w)) == strip.descents for w in perms)
+        assert all(sorted(w) == list(range(1, len(strip) + 1)) for w in perms)
+
+
+def test_single_cell_extremes():
+    (low,) = hypersimplex_triangulation(1, 12)
+    assert low.perm == tuple(range(1, 12)) and abs(low.det) == 1
+    (high,) = hypersimplex_triangulation(11, 12)
+    assert high.perm == tuple(range(11, 0, -1)) and abs(high.det) == 1
+    (row,) = strip_triangulation(_strip("R" * 11))
+    assert row.perm == tuple(range(1, 13)) and abs(row.det) == 1
+    (column,) = strip_triangulation(_strip("U" * 11))
+    assert column.perm == tuple(range(12, 0, -1)) and abs(column.det) == 1
+
+
+def test_check_triangulation_flags_a_dropped_branch(monkeypatch):
+    tiny = dict(n_max=5, strip_max=1, roundtrip_n=2, samples=1)
+    assert check_triangulation(**tiny).ok
+    real = triangulate.inverse_descent_class
+
+    def pruned(d, **target):  # loses the subtree that starts with d
+        return (w for w in real(d, **target) if not (d > 2 and w[0] == d))
+
+    monkeypatch.setattr(triangulate, "inverse_descent_class", pruned)
+    res = check_triangulation(**tiny)
+    assert not res.ok
+    assert any("differ from the scan" in f for f in res.failures)
