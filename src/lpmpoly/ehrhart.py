@@ -239,10 +239,6 @@ class ReconcileReport:
     region: Region
     rows: tuple[ReconcileRow, ...]
 
-    @property
-    def all_match(self) -> bool:
-        return all(row.match for row in self.rows)
-
     def csv_lines(self) -> list[str]:
         return [
             f"{self.region.lower.word},{self.region.upper.word},{row.t},"

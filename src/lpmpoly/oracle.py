@@ -3,26 +3,23 @@
 These routines re-derive everything from first principles (subset scans,
 convex-hull membership, bijective fillings, circuit enumeration) so that
 the main modules can be checked against them.  Size caps keep every call
-at desk scale.
+at desk scale.  They are the second routes to the hot paths' quantities:
+facets by affine rank, with their own choice of representative;
+descent-class counts by inclusion-exclusion rather than the box DP;
+triangulation cells by a full permutation scan rather than generation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Iterator
+from math import comb
+from typing import Callable, Iterable, Iterator
 
 from .decompose import BorderStrip
 from .errors import TooLarge
 from .paths import PathWord, Region, enumerate_paths
-from .polytope import (
-    Candidate,
-    Facet,
-    canonical_facets,
-    dimension,
-    h_representation,
-    vertices,
-)
+from .polytope import Candidate, Facet, dimension, h_representation, vertices
 from .ratlinalg import affine_rank, in_convex_hull
 from .volume import catalan_number, descent_set, inverse_permutation
 
@@ -59,28 +56,41 @@ def brute_adjacent(verts: list[tuple[int, ...]], i: int, j: int) -> bool:
     return not in_convex_hull(others, mid)
 
 
+PREFER_BOX_LOWER, PREFER_BOX_UPPER, PREFER_PREFIX_UPPER, PREFER_PREFIX_LOWER = range(4)
+
+
+def _facet_key(region: Region, kind: str, position: int) -> tuple:
+    """Canonical order of candidates: box bounds first, then prefix bounds,
+    those at a corner of their path (EN on the upper, NE on the lower) first."""
+    if kind == "prefix_upper":
+        corner = region.upper.word[position - 1 : position + 1] == "EN"
+        return (PREFER_PREFIX_UPPER, not corner, position)
+    if kind == "prefix_lower":
+        corner = region.lower.word[position - 1 : position + 1] == "NE"
+        return (PREFER_PREFIX_LOWER, not corner, position)
+    return (PREFER_BOX_LOWER if kind == "x_lower" else PREFER_BOX_UPPER, False, position)
+
+
 def certify_facet_candidates(region: Region, candidates: list[Candidate]) -> list[Facet]:
     """Keep candidates whose tight vertex sets have affine rank dim - 1.
 
     Candidates cutting the same facet (identical tight sets) collapse to the
-    canonical representative, as in :func:`lpmpoly.polytope.facets`.
+    first in canonical order, and the facets come out in that order.
     """
     verts = vertices(region)
     dim = dimension(region)
     if dim <= 0:
         return []
-    groups: dict[tuple[int, ...], list[Candidate]] = {}
-    for kind, position, cons in candidates:
+    first: dict[tuple[int, ...], Candidate] = {}
+    for kind, position, cons in sorted(candidates, key=lambda c: _facet_key(region, *c[:2])):
         tight = tuple(k for k, v in enumerate(verts) if cons.tight(v))
         if tight and len(tight) < len(verts):
-            groups.setdefault(tight, []).append((kind, position, cons))
-    certified = [
-        (kind, position, cons, tight)
-        for tight, members in groups.items()
+            first.setdefault(tight, (kind, position, cons))
+    return [
+        Facet(cons, tight, kind, position)
+        for tight, (kind, position, cons) in first.items()
         if affine_rank([verts[k] for k in tight], cap=dim - 1) == dim - 1
-        for kind, position, cons in members
     ]
-    return canonical_facets(region, certified)
 
 
 def brute_facets(region: Region) -> list[Facet]:
@@ -150,6 +160,35 @@ def stepwise_lattice_count(region: Region, t: int) -> int:
         if not cur:
             return 0
     return cur.get(t * region.r, 0)
+
+
+def exact_descent_count(n: int, descents: Iterable[int]) -> int:
+    """Permutations of [n] with descent set exactly the given positions.
+
+    Inclusion-exclusion over subsets of the descent set, each term a
+    multinomial counting the permutations with descents confined to it.
+    2^|D| terms: the oracle for ``volume.strip_volume``.
+    """
+    d = sorted(set(descents))
+    if any(not 1 <= i <= n - 1 for i in d):
+        raise ValueError(f"descent positions must lie in 1..{n - 1}")
+
+    def confined(positions: tuple[int, ...]) -> int:
+        total = 1
+        prev = 0
+        remaining = n
+        for cut in positions:
+            total *= comb(remaining, cut - prev)
+            remaining -= cut - prev
+            prev = cut
+        return total
+
+    result = 0
+    for mask in range(1 << len(d)):
+        chosen = tuple(d[i] for i in range(len(d)) if mask >> i & 1)
+        sign = -1 if (len(d) - len(chosen)) % 2 else 1
+        result += sign * confined(chosen)
+    return result
 
 
 def brute_syt(strip: BorderStrip) -> int:

@@ -1,14 +1,17 @@
 """The polytope of a region: convex hull of the 0/1 basis vectors.
 
-Facets are certified without an affine rank.  A candidate inequality (a
-box bound, or a prefix bound at a corner of a bounding path) is tight on
-the paths of a region again: the deletion region for a box bound, the
-region pinched through one lattice point for a prefix bound, both read off
-bounds tightened in O(n) by ``tighten_bounds``.  The candidate is a facet
-exactly when that region's dimension (size minus touch points plus one) is
-dim - 1, and candidates cutting the same facet collapse to a canonical
-representative.  Edges come from an output-sensitive walk over the paths.
-The affine-rank certification is the oracle route in :mod:`lpmpoly.oracle`.
+Facets are certified without an affine rank, by one routine that both
+``facets`` and ``face_region`` call.  A candidate inequality (a box bound,
+or a prefix bound at a corner of a bounding path) is tight on the paths of
+a region again: the deletion region for a box bound, the region pinched
+through one lattice point for a prefix bound, both read off bounds
+tightened in O(n) by ``tighten_bounds``.  The candidate is a facet exactly
+when that region's dimension (size minus touch points plus one) is
+dim - 1.  Candidates come in canonical order, and a facet is listed under
+the first candidate that cuts it.  Edges come from an output-sensitive
+walk over the paths.  The oracle route, in :mod:`lpmpoly.oracle`,
+certifies every inequality of the H-representation by affine rank and
+picks the representative from the tight vertex sets.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGeneralizedCata
 from .matroid import bases, components, delete, is_connected
 from .paths import Region, area_below, enumerate_paths, path_from_profile, tighten_bounds
 from .volume import catalan_area, catalan_number
-
-PREFER_BOX_LOWER, PREFER_BOX_UPPER, PREFER_PREFIX_UPPER, PREFER_PREFIX_LOWER = range(4)
 
 _BOX_KINDS = ("x_lower", "x_upper")
 _BITS = str.maketrans("EN", "01")
@@ -143,13 +144,11 @@ def h_representation(region: Region) -> HRepresentation:
     eq = LinearConstraint((1,) * n, "=", region.r)
     ineqs: list[LinearConstraint] = []
     for i in range(1, n + 1):
-        prefix = (1,) * i + (0,) * (n - i)
-        ineqs.append(LinearConstraint(prefix, ">=", p[i]))
-        ineqs.append(LinearConstraint(prefix, "<=", q[i]))
-    for j in range(n):
-        unit = tuple(1 if t == j else 0 for t in range(n))
-        ineqs.append(LinearConstraint(unit, ">=", 0))
-        ineqs.append(LinearConstraint(unit, "<=", 1))
+        ineqs.append(_prefix_constraint(n, i, ">=", p[i]))
+        ineqs.append(_prefix_constraint(n, i, "<=", q[i]))
+    for j in range(1, n + 1):
+        ineqs.append(_box_constraint(n, j, ">="))
+        ineqs.append(_box_constraint(n, j, "<="))
     return HRepresentation((eq,), tuple(ineqs))
 
 
@@ -176,53 +175,19 @@ Candidate = tuple[str, int, LinearConstraint]
 
 
 def facet_candidates(region: Region) -> list[Candidate]:
-    """Box bounds on every coordinate, then prefix bounds at the paths' corners."""
+    """Box bounds, then prefix bounds at the paths' corners, in canonical order:
+    x_lower by position, then x_upper, prefix_upper and prefix_lower."""
     n = region.size
     q = region.upper.profile
     p = region.lower.profile
-    candidates: list[Candidate] = []
-    for j in range(1, n + 1):
-        candidates.append(("x_lower", j, _box_constraint(n, j, ">=")))
-        candidates.append(("x_upper", j, _box_constraint(n, j, "<=")))
-    for i in range(1, n):
-        if _upper_corner(q, i):
-            candidates.append(("prefix_upper", i, _prefix_constraint(n, i, "<=", q[i])))
-    for i in range(1, n):
-        if _lower_corner(p, i):
-            candidates.append(("prefix_lower", i, _prefix_constraint(n, i, ">=", p[i])))
-    return candidates
-
-
-def _facet_key(p: tuple[int, ...], q: tuple[int, ...], kind: str, position: int) -> tuple:
-    """Canonical order of candidates: box bounds first, then corner prefix bounds."""
-    if kind == "x_lower":
-        return (PREFER_BOX_LOWER, 0, position)
-    if kind == "x_upper":
-        return (PREFER_BOX_UPPER, 0, position)
-    if kind == "prefix_upper":
-        return (PREFER_PREFIX_UPPER, 0 if _upper_corner(q, position) else 1, position)
-    return (PREFER_PREFIX_LOWER, 0 if _lower_corner(p, position) else 1, position)
-
-
-def canonical_facets(
-    region: Region, certified: list[tuple[str, int, LinearConstraint, tuple[int, ...]]]
-) -> list[Facet]:
-    """One facet per tight vertex set, from (kind, position, constraint, tight) records.
-
-    Candidates cutting the same facet collapse to the canonical
-    representative: box bounds first, then corner prefix bounds; the facets
-    come out in that order too.
-    """
-    p = region.lower.profile
-    q = region.upper.profile
-    best: dict[tuple[int, ...], tuple[str, int, LinearConstraint]] = {}
-    for kind, position, cons, tight in certified:
-        kept = best.get(tight)
-        if kept is None or _facet_key(p, q, kind, position) < _facet_key(p, q, *kept[:2]):
-            best[tight] = (kind, position, cons)
-    out = [Facet(cons, tight, kind, position) for tight, (kind, position, cons) in best.items()]
-    out.sort(key=lambda f: _facet_key(p, q, f.kind, f.position))
-    return out
+    return (
+        [("x_lower", j, _box_constraint(n, j, ">=")) for j in range(1, n + 1)]
+        + [("x_upper", j, _box_constraint(n, j, "<=")) for j in range(1, n + 1)]
+        + [("prefix_upper", i, _prefix_constraint(n, i, "<=", q[i]))
+           for i in range(1, n) if _upper_corner(q, i)]
+        + [("prefix_lower", i, _prefix_constraint(n, i, ">=", p[i]))
+           for i in range(1, n) if _lower_corner(p, i)]
+    )
 
 
 def _face(region: Region, kind: str, position: int, rhs: int) -> Region:
@@ -235,51 +200,6 @@ def _face(region: Region, kind: str, position: int, rhs: int) -> Region:
     if bounds is None:
         raise EmptyFace(f"no basis has prefix sum {rhs} at {position}")
     return Region(*(path_from_profile(b) for b in bounds))
-
-
-def facets(region: Region) -> list[Facet]:
-    """Minimal facet list of a connected region.
-
-    A candidate is a facet exactly when its face, a region again, has
-    dimension dim - 1: size minus touch points plus one, O(n) per
-    candidate.  Tight vertex sets are listed for the facets only.
-    """
-    if not is_connected(region):
-        raise DisconnectedRegion("facets are computed per connected block")
-    dim = dimension(region)
-    if dim <= 0:
-        return []
-    paths = enumerate_paths(region)
-    certified = []
-    for kind, position, cons in facet_candidates(region):
-        try:
-            face = _face(region, kind, position, cons.rhs)
-        except EmptyFace:
-            continue
-        if dimension(face) != dim - 1:
-            continue
-        # the constraint's left side is the path's rise over its support
-        start = position - 1 if kind in _BOX_KINDS else 0
-        tight = tuple(
-            k for k, path in enumerate(paths)
-            if path.profile[position] - path.profile[start] == cons.rhs
-        )
-        certified.append((kind, position, cons, tight))
-    return canonical_facets(region, certified)
-
-
-def catalan_facet_count(n: int) -> int:
-    """Claimed facet count of the Catalan staircase polytope on 2n elements."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return 5 * n - 5
-
-
-def kcatalan_facet_count(width: int, n: int) -> int:
-    """Claimed facet count for the width-step staircase; verified against the oracle."""
-    if width < 1 or n < 2:
-        raise ValueError("need width >= 1 and n >= 2")
-    return (width + 1) * (2 * n - 3) + n - 2
 
 
 def _tight_on_whole_face(
@@ -299,6 +219,78 @@ def _tight_on_whole_face(
     if kind == "x_lower":
         return high[i] <= low[i - 1]
     return low[i] == high[i] == rhs
+
+
+def _certified(
+    region: Region, dim: int, candidates: list[Candidate], k: int
+) -> tuple[Region, tuple[int, ...], tuple[int, ...]] | None:
+    """The face of candidate k and its min and max profiles over all n
+    steps, if the candidate is a listed facet; None otherwise.
+
+    The face must be non-empty and of dimension dim - 1, and no earlier
+    candidate may be tight on all of it: that candidate's face contains
+    the facet, so it is the facet, listed under its first candidate.  (It
+    cannot be the whole polytope, which no candidate cuts in a connected
+    region: a box bound tight on every path is a loop or a coloop, a
+    corner prefix bound a touch point.)  O(1) per earlier candidate.
+    """
+    kind, i, cons = candidates[k]
+    rhs = cons.rhs
+    try:
+        face = _face(region, kind, i, rhs)
+    except EmptyFace:
+        return None
+    if dimension(face) != dim - 1:
+        return None
+    low, high = face.lower.profile, face.upper.profile
+    if kind in _BOX_KINDS:  # put the deleted letter back
+        low, high = (h[:i] + tuple(x + rhs for x in h[i - 1 :]) for h in (low, high))
+    earlier = candidates[:k]
+    if any(_tight_on_whole_face(low, high, other, j, c.rhs) for other, j, c in earlier):
+        return None
+    return face, low, high
+
+
+def facets(region: Region) -> list[Facet]:
+    """Minimal facet list of a connected region, in canonical candidate order.
+
+    A candidate is a facet exactly when its face, a region again, has
+    dimension dim - 1: size minus touch points plus one, O(n) per
+    candidate.  Tight vertex sets are listed for the facets only.
+    """
+    if not is_connected(region):
+        raise DisconnectedRegion("facets are computed per connected block")
+    dim = dimension(region)
+    if dim <= 0:
+        return []
+    paths = enumerate_paths(region)
+    candidates = facet_candidates(region)
+    out = []
+    for k, (kind, position, cons) in enumerate(candidates):
+        if _certified(region, dim, candidates, k) is None:
+            continue
+        # the constraint's left side is the path's rise over its support
+        start = position - 1 if kind in _BOX_KINDS else 0
+        tight = tuple(
+            t for t, path in enumerate(paths)
+            if path.profile[position] - path.profile[start] == cons.rhs
+        )
+        out.append(Facet(cons, tight, kind, position))
+    return out
+
+
+def catalan_facet_count(n: int) -> int:
+    """Claimed facet count of the Catalan staircase polytope on 2n elements."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    return 5 * n - 5
+
+
+def kcatalan_facet_count(width: int, n: int) -> int:
+    """Claimed facet count for the width-step staircase; verified against the oracle."""
+    if width < 1 or n < 2:
+        raise ValueError("need width >= 1 and n >= 2")
+    return (width + 1) * (2 * n - 3) + n - 2
 
 
 def _path_indices(
@@ -332,65 +324,35 @@ def _path_indices(
     return tuple(sorted(partial.get(q[n], ())))
 
 
-def _certified_face(region: Region, facet: Facet) -> Region:
-    """The face of a facet that :func:`facets` lists; NotAFacet otherwise.
-
-    Replays what ``facets`` does for this one candidate: it is a candidate,
-    its face has dimension dim - 1, no candidate earlier in the canonical
-    order cuts the same face, and ``facet.tight`` lists the face's paths.
-    O(n^2) plus the face's prefixes: no other candidate's tight set is listed.
-    """
-    if not is_connected(region):
-        raise DisconnectedRegion("facets are computed per connected block")
-    kind, i = facet.kind, facet.position
-    not_a_facet = NotAFacet(f"{kind} at {i} is not a facet here")
-    dim = dimension(region)
-    candidates = facet_candidates(region)
-    if dim <= 0 or (kind, i, facet.constraint) not in candidates:
-        raise not_a_facet
-    rhs = facet.constraint.rhs
-    try:
-        face = _face(region, kind, i, rhs)
-    except EmptyFace:
-        raise not_a_facet from None
-    if dimension(face) != dim - 1:
-        raise not_a_facet
-
-    def lift(h: tuple[int, ...]) -> tuple[int, ...]:
-        """A face profile over all n steps: put the deleted letter back."""
-        return h[:i] + tuple(x + rhs for x in h[i - 1 :]) if kind in _BOX_KINDS else h
-
-    low, high = lift(face.lower.profile), lift(face.upper.profile)
-    p, q = region.lower.profile, region.upper.profile
-    key = _facet_key(p, q, kind, i)
-    for other, j, cons in candidates:
-        # a facet inside another candidate's facet is that facet: same tight set
-        if (
-            _facet_key(p, q, other, j) < key
-            and _tight_on_whole_face(low, high, other, j, cons.rhs)
-            and dimension(_face(region, other, j, cons.rhs)) == dim - 1
-        ):
-            raise not_a_facet
-    rises = [(0, 1)] * (region.size + 1)
-    if kind in _BOX_KINDS:
-        rises[i] = (rhs,)
-    if facet.tight != _path_indices(region, low, high, rises):
-        raise not_a_facet
-    return face
-
-
 def face_region(region: Region, facet: Facet):
     """Recover the face cut by a facet as one region or a pinched pair.
 
     Box facets delete the fixed element; prefix facets pinch both paths
     through the shared lattice point, producing a direct sum.  Raises
-    NotAFacet unless :func:`facets` lists ``facet``, without computing it.
+    NotAFacet unless :func:`facets` lists ``facet``, without computing it:
+    the facet is certified alone, and ``facet.tight`` is checked against
+    the face's paths.  O(n^2) plus the face's prefixes.
     """
-    face = _certified_face(region, facet)
-    if facet.kind in _BOX_KINDS:
+    if not is_connected(region):
+        raise DisconnectedRegion("facets are computed per connected block")
+    kind, i, rhs = facet.kind, facet.position, facet.constraint.rhs
+    not_a_facet = NotAFacet(f"{kind} at {i} is not a facet here")
+    candidates = facet_candidates(region)
+    dim = dimension(region)
+    key = (kind, i, facet.constraint)
+    certified = None
+    if dim > 0 and key in candidates:
+        certified = _certified(region, dim, candidates, candidates.index(key))
+    if certified is None:
+        raise not_a_facet
+    face, low, high = certified
+    rises = [(0, 1)] * (region.size + 1)
+    if kind in _BOX_KINDS:
+        rises[i] = (rhs,)
+    if facet.tight != _path_indices(region, low, high, rises):
+        raise not_a_facet
+    if kind in _BOX_KINDS:
         return face
-    i = facet.position
-    low, high = face.lower.profile, face.upper.profile
     left = Region(path_from_profile(low[: i + 1]), path_from_profile(high[: i + 1]))
     right = Region(
         path_from_profile(tuple(h - high[i] for h in low[i:])),

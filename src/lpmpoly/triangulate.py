@@ -20,8 +20,12 @@ still land on the target count.
 The pull-back is affine on each order-type simplex and sends the simplex's
 0/1 staircase vertices to 0/1 points, so cells are built in integers;
 ``psi`` and its pull-back run on integer numerators over a shared
-denominator.  ``verify.check_triangulation`` checks the 0/1 property on
-every cell and compares the generated permutations with the full scan in
+denominator.  A cell's determinant is read off its permutation, not
+computed: differencing consecutive edge rows leaves a row permutation of
+a unit bidiagonal matrix.  ``verify.check_triangulation`` is the oracle
+side: it checks the 0/1 property on every cell, recomputes each cell's
+determinant from its edge rows with ``ratlinalg.det_int``, and compares
+the generated permutations with the full scan in
 ``oracle.scan_inverse_descents``.
 """
 
@@ -34,7 +38,6 @@ from typing import Iterator, Sequence
 
 from .decompose import BorderStrip
 from .errors import BadK, NonUnimodularCell, WrongChamber
-from .ratlinalg import det_int
 from .volume import inverse_permutation
 
 Perm = tuple[int, ...]
@@ -165,25 +168,25 @@ def cell_for_permutation(w: Perm) -> SimplexCell:
     """Pull the staircase vertices of the order-type simplex back through the map.
 
     The staircase's next vertex sets coordinate j = w[idx] - 1 of y to 1,
-    which moves the pull-back by +1 at j and -1 at j+1.
+    which moves the pull-back by +1 at j and -1 at j+1.  Edge row t (vertex
+    t minus the first) is the sum of those moves for w[d-1], ..., w[d-t], so
+    differencing consecutive rows leaves the rows e_v - e_{v+1} in the order
+    v = w[d-1], ..., w[0]: the unit bidiagonal matrix with its rows permuted
+    by w reversed.  The determinant is that permutation's sign, (-1) to the
+    number of pairs i < j with w_i < w_j.
     """
     d = len(w)
     bumps = _bumps(w)
     level = sum(bumps) + 1
     x = bumps  # the pull-back of the origin
-    edge = [0] * d  # the current vertex minus the first
     verts = [tuple(x)]
-    rows = []
     for idx in range(d - 1, -1, -1):
         j = w[idx] - 1
         x[j] += 1
-        edge[j] += 1
         if j + 1 < d:
             x[j + 1] -= 1
-            edge[j + 1] -= 1
         verts.append(tuple(x))
-        rows.append(list(edge))
-    det = det_int(rows)
+    det = (-1) ** sum(a < b for i, a in enumerate(w) for b in w[i + 1 :])
     lifted = tuple(v + (level - sum(v),) for v in verts)
     return SimplexCell(w, tuple(verts), lifted, det)
 

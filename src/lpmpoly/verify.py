@@ -51,7 +51,7 @@ from .polytope import (
     kcatalan_facet_count,
     vertices,
 )
-from .ratlinalg import affine_rank
+from .ratlinalg import affine_rank, det_int
 from .triangulate import (
     hypersimplex_triangulation,
     psi_int,
@@ -270,7 +270,8 @@ def check_decomposition(max_size: int = 7) -> CheckResult:
                 parent, good_partition_of_split(parent, split.x, split.j)
             ):
                 res.fail(f"good-partition arithmetic fails on {parent} at {split}")
-        total = sum(strip_volume(region_to_strip(leaf)) for leaf in leaves)
+        strips = map(region_to_strip, leaves)
+        total = sum(oracle.exact_descent_count(len(s), s.descents) for s in strips)
         if total != volume(region):
             res.fail(f"leaf volumes do not total the volume on {region}")
     return res
@@ -365,14 +366,28 @@ def _zero_one(cell) -> bool:
     return all(c in (0, 1) for v in cell.vertices for c in v)
 
 
+def _edge_det(cell) -> int:
+    """``det_int`` of the cell's edge rows, rebuilt from its permutation w:
+    row t sums the staircase moves e_v - e_{v+1} for v = w[d-1], ..., w[d-t]."""
+    d = len(cell.perm)
+    edge = [0] * (d + 1)
+    rows = []
+    for v in reversed(cell.perm):
+        edge[v - 1] += 1
+        edge[v] -= 1
+        rows.append(edge[:d])
+    return det_int(rows)
+
+
 def check_triangulation(
     n_max: int = 8, strip_max: int = 8, roundtrip_n: int = 6, samples: int = 1000
 ) -> CheckResult:
     """Hypersimplex slices, the prefix-sum round trip and strip triangulations.
 
     ``n_max`` bounds n for the slices (k, n): each slice's cells are checked
-    for an Eulerian count, unit determinants, 0/1 vertices in the slice and
-    permutations equal to the full scan's, in order (one scan per n).
+    for an Eulerian count, unit determinants equal to ``det_int`` of their
+    edge rows, 0/1 vertices in the slice and permutations equal to the full
+    scan's, in order (one scan per n).
     ``roundtrip_n`` bounds n for the round trip ``psi(psi_inverse_on(w, y)) == y``,
     run on integer numerators at ``samples`` points of every order simplex
     of dimension n - 1.
@@ -380,7 +395,8 @@ def check_triangulation(
     by the scan, is compared with ``strip_volume``.  The strips actually
     triangulated are every strip of at most 6 boxes, whatever ``strip_max``
     is: their cells are checked for a ``strip_volume`` count, unit
-    determinants, 0/1 vertices and permutations equal to the scan's, in order.
+    determinants equal to ``det_int`` of their edge rows, 0/1 vertices and
+    permutations equal to the scan's, in order.
     """
     res = CheckResult("triangulation")
     for n in range(2, n_max + 1):
@@ -397,6 +413,8 @@ def check_triangulation(
             for cell in cells:
                 if not _zero_one(cell):
                     res.fail(f"cell {cell.perm} is not a 0/1 simplex at (k,n)=({k},{n})")
+                if _edge_det(cell) != cell.det:
+                    res.fail(f"cell {cell.perm} determinant differs from det_int")
                 sums = {sum(v) for v in cell.vertices}
                 if not sums <= {k - 1, k}:
                     res.fail(f"cell {cell.perm} leaves the slice at (k,n)=({k},{n})")
@@ -428,6 +446,8 @@ def check_triangulation(
             res.fail(f"strip triangulation size mismatch on {strip.direction_word!r}")
         if not all(map(_zero_one, cells)):
             res.fail(f"strip cell is not a 0/1 simplex on {strip.direction_word!r}")
+        if any(_edge_det(cell) != cell.det for cell in cells):
+            res.fail(f"strip cell determinant differs from det_int on {strip.direction_word!r}")
         if [cell.perm for cell in cells] != scans[len(strip)].get(strip.descents, []):
             res.fail(f"strip cell permutations differ from the scan on {strip.direction_word!r}")
     return res

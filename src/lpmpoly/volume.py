@@ -2,14 +2,17 @@
 
 The volume of a connected region's polytope is the total, over its border
 strips, of the number of permutations whose descent set matches the strip.
-``volume`` sums over all strips at once with a transfer DP over the
-region's boxes, the descent-set DP of de Bruijn (1970) and Stanley's EC1
-ch. 1: a box holds, per rank of the last value among the values placed so
-far, the number of partial fillings reaching it.  An East move to the next
-box is an ascent and adds prefix sums, a North move a descent and adds
-suffix sums.  O(boxes * n).  ``strip_volume`` over ``border_strips`` (one
-inclusion-exclusion per strip) is the route the verify sweeps check it by.
-Unimodular-simplex normalization throughout: a unit simplex has volume 1.
+One transfer DP over boxes sorted by (col, row) computes it, the
+descent-set DP of de Bruijn (1970) and Stanley's EC1 ch. 1: a box holds,
+per rank of the last value among the values placed so far, the number of
+partial fillings reaching it.  An East move to the next box is an ascent
+and adds prefix sums, a North move a descent and adds suffix sums.
+O(boxes * n).  ``volume`` runs it on the region's boxes, summing over all
+strips at once; ``strip_volume`` runs it on one strip's boxes, whose path
+order is (col, row) order.  The oracle routes are the inclusion-exclusion
+``oracle.exact_descent_count`` over ``border_strips`` and the filling
+count ``oracle.brute_syt``.  Unimodular-simplex normalization throughout:
+a unit simplex has volume 1.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb
-from typing import Iterable
+from typing import Sequence
 
 from .decompose import BorderStrip
 from .errors import DisconnectedRegion
 from .matroid import is_connected
-from .paths import Region, region_boxes
+from .paths import Box, Region, region_boxes
 
 
 def descent_set(perm: tuple[int, ...]) -> frozenset[int]:
@@ -36,34 +39,6 @@ def inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     for pos, val in enumerate(perm, start=1):
         inv[val - 1] = pos
     return tuple(inv)
-
-
-def exact_descent_count(n: int, descents: Iterable[int]) -> int:
-    """Permutations of [n] with descent set exactly the given positions.
-
-    Inclusion-exclusion over subsets of the descent set, each term a
-    multinomial counting the permutations with descents confined to it.
-    """
-    d = sorted(set(descents))
-    if any(not 1 <= i <= n - 1 for i in d):
-        raise ValueError(f"descent positions must lie in 1..{n - 1}")
-
-    def confined(positions: tuple[int, ...]) -> int:
-        total = 1
-        prev = 0
-        remaining = n
-        for cut in positions:
-            total *= comb(remaining, cut - prev)
-            remaining -= cut - prev
-            prev = cut
-        return total
-
-    result = 0
-    for mask in range(1 << len(d)):
-        chosen = tuple(d[i] for i in range(len(d)) if mask >> i & 1)
-        sign = -1 if (len(d) - len(chosen)) % 2 else 1
-        result += sign * confined(chosen)
-    return result
 
 
 @cache
@@ -98,21 +73,12 @@ def catalan_area(n: int) -> Fraction:
     return Fraction(4**n, 2) - Fraction(comb(2 * n + 2, n + 1), 4)
 
 
-def strip_volume(strip: BorderStrip) -> int:
-    """Standard fillings of the strip: ascents along rows, descents up columns."""
-    return exact_descent_count(len(strip), strip.descents)
-
-
-def volume(region: Region) -> int:
-    """Normalized volume of a connected region's polytope: total over its strips."""
-    if not is_connected(region):
-        raise DisconnectedRegion(
-            "volume of a direct sum is not a plain total; compute per connected block"
-        )
-    boxes = region_boxes(region)
+def _fillings(boxes: Sequence[Box]) -> int:
+    """Standard fillings totalled over the monotone box paths from the first
+    box to the last, ``boxes`` sorted by (col, row); 1 for no boxes."""
     if not boxes:
         return 1
-    first, last = boxes[0], boxes[-1]
+    first = boxes[0]
     fillings: dict[tuple[int, int], list[int]] = {first: [1]}
     for col, row in boxes[1:]:
         west = fillings.get((col - 1, row))
@@ -123,4 +89,18 @@ def volume(region: Region) -> int:
             below = list(accumulate(south, initial=0))
             counts = [c + below[-1] - s for c, s in zip(counts, below)]
         fillings[col, row] = counts
-    return sum(fillings[last])
+    return sum(fillings[boxes[-1]])
+
+
+def strip_volume(strip: BorderStrip) -> int:
+    """Standard fillings of the strip: ascents along rows, descents up columns."""
+    return _fillings(strip.boxes)
+
+
+def volume(region: Region) -> int:
+    """Normalized volume of a connected region's polytope: total over its strips."""
+    if not is_connected(region):
+        raise DisconnectedRegion(
+            "volume of a direct sum is not a plain total; compute per connected block"
+        )
+    return _fillings(region_boxes(region))

@@ -172,6 +172,24 @@ def test_triangulate_output_is_byte_identical(capsys):
     assert digest.hexdigest() == TRIANGULATE_SHA256
 
 
+# sha256 of the stdout of ``lpm facets``, ``lpm hrep`` and ``lpm volume``, in
+# that order, on each of the 66 connected regions of at most 6 elements in
+# ``all_regions`` order; recorded before facet certification, the volume DP
+# and the H-representation shared their routines.
+REGION_VERBS_SHA256 = "aee5ad692e0ca748bcdb53036f6738bca65489a537280e855a33fb047d7ed43e"
+
+
+def test_region_verbs_output_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for region in all_regions(6, connected_only=True):
+        for verb in ("facets", "hrep", "volume"):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main([verb, "--lower", region.lower.word, "--upper", region.upper.word])
+            assert exit_.value.code == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == REGION_VERBS_SHA256
+
+
 REGION_FILES = {
     "bad.json": '{"lower": "EENN"',
     "list.json": '["EENN", "NNEE"]',

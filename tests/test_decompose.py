@@ -8,22 +8,24 @@ from lpmpoly import (
     BorderStrip,
     Box,
     DecompositionNode,
-    GoodPartition,
     Split,
     bases,
     border_strips,
     decomposition_tree,
     dimension,
     find_split,
-    good_partition_of_split,
     hyperplane_split,
-    is_border_strip,
     region_from_words,
     region_to_strip,
     strip_to_region,
     strip_volume,
-    verify_good_partition,
     volume,
+)
+from lpmpoly.decompose import (
+    GoodPartition,
+    good_partition_of_split,
+    is_border_strip,
+    verify_good_partition,
 )
 from lpmpoly.errors import InvalidSplit
 from lpmpoly.oracle import all_regions

@@ -19,7 +19,6 @@ from lpmpoly import (
     edges,
     enumerate_paths,
     facets,
-    strip_volume,
     vertices,
     volume,
 )
@@ -73,7 +72,9 @@ def test_draw_reaches_past_the_sweeps():
 @pytest.mark.parametrize("region", REGIONS, ids=repr)
 def test_fast_routes_match_oracles(region):
     assert facets(region) == oracle.certify_facet_candidates(region, facet_candidates(region))
-    assert volume(region) == sum(strip_volume(s) for s in border_strips(region))
+    assert volume(region) == sum(
+        oracle.exact_descent_count(len(s), s.descents) for s in border_strips(region)
+    )
     assert edges(region) == oracle.swap_edges(region)
     for i in range(1, region.size + 1):
         for value in (0, 1):

@@ -8,7 +8,6 @@ from lpmpoly import (
     EhrhartPolynomial,
     GammaBounds,
     bases,
-    basis_fold,
     count_lattice_points,
     dimension,
     ehrhart_polynomial,
@@ -19,7 +18,7 @@ from lpmpoly import (
     s_set,
 )
 from lpmpoly import ehrhart as eh
-from lpmpoly.ehrhart import formula_value, multichoose
+from lpmpoly.ehrhart import basis_fold, formula_value, multichoose
 from lpmpoly.oracle import all_regions
 from lpmpoly.verify import check_ehrhart
 

@@ -21,9 +21,11 @@ from lpmpoly import (
     vertices,
 )
 from lpmpoly.errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
-from lpmpoly.oracle import all_regions
+from lpmpoly import polytope
+from lpmpoly.oracle import all_regions, brute_facets
 from lpmpoly.polytope import Facet, facet_candidates
 from lpmpoly.ratlinalg import affine_rank
+from lpmpoly.verify import check_facets
 
 
 def test_vertices_examples():
@@ -169,11 +171,11 @@ def test_face_region_rejects_non_facets():
 
 
 def test_face_region_accepts_exactly_the_listed_facets():
-    # one facet certified alone against membership in the whole facet list:
-    # every candidate with its true tight tuple, and listed facets with
-    # perturbed tight tuples
+    # one facet certified alone against membership in the oracle's facet
+    # list: every candidate with its true tight tuple, and listed facets
+    # with perturbed tight tuples
     for region in all_regions(7, connected_only=True):
-        listed = facets(region)
+        listed = brute_facets(region)
         paths = enumerate_paths(region)
         for kind, position, cons in facet_candidates(region):
             start = position - 1 if kind in ("x_lower", "x_upper") else 0
@@ -196,3 +198,12 @@ def test_face_region_accepts_exactly_the_listed_facets():
                 assert accepted == (facet in listed), (region, kind, position, facet.tight)
     with pytest.raises(DisconnectedRegion):
         face_region(region_from_words("ENEN", "NEEN"), listed[0])
+
+
+def test_check_facets_flags_duplicate_facets(monkeypatch):
+    # without the dominance test every candidate cutting a facet is listed
+    assert check_facets(max_size=5).ok
+    monkeypatch.setattr(polytope, "_tight_on_whole_face", lambda *args: False)
+    res = check_facets(max_size=5)
+    assert not res.ok
+    assert any("facet list mismatch" in f for f in res.failures)

@@ -268,3 +268,19 @@ def test_check_triangulation_flags_a_dropped_branch(monkeypatch):
     res = check_triangulation(**tiny)
     assert not res.ok
     assert any("differ from the scan" in f for f in res.failures)
+
+
+def test_check_triangulation_flags_a_wrong_determinant(monkeypatch):
+    tiny = dict(n_max=4, strip_max=1, roundtrip_n=2, samples=1)
+    assert check_triangulation(**tiny).ok
+    real = triangulate.cell_for_permutation
+
+    def flipped(w):  # one cell's sign is wrong, still a unit
+        cell = real(w)
+        return replace(cell, det=-cell.det) if w == (2, 3, 1) else cell
+
+    monkeypatch.setattr(triangulate, "cell_for_permutation", flipped)
+    res = check_triangulation(**tiny)
+    assert not res.ok
+    assert "cell (2, 3, 1) determinant differs from det_int" in res.failures
+    assert all("determinant differs from det_int" in f for f in res.failures)

@@ -11,15 +11,14 @@ from lpmpoly import (
     catalan_number,
     ehrhart_polynomial,
     eulerian,
-    exact_descent_count,
     hypersimplex_region,
     region_from_words,
     strip_volume,
     volume,
 )
 from lpmpoly.errors import DisconnectedRegion
-from lpmpoly.oracle import all_regions, gap_area_series
-from lpmpoly.verify import check_catalan_area
+from lpmpoly.oracle import all_regions, exact_descent_count, gap_area_series
+from lpmpoly.verify import all_strips, check_catalan_area
 from lpmpoly.volume import descent_set
 
 
@@ -86,6 +85,35 @@ def test_strip_volume_examples():
     assert strip_volume(ell) == 2
     flat = BorderStrip((Box(1, 1), Box(2, 1), Box(3, 1)))
     assert strip_volume(flat) == 1
+
+
+def test_strip_volume_matches_inclusion_exclusion():
+    assert strip_volume(BorderStrip(())) == 1
+    for strip in all_strips(10):
+        assert strip_volume(strip) == exact_descent_count(len(strip), strip.descents)
+
+
+def zigzag_number(n):
+    """Alternating permutations of [n], by the Seidel-Entringer boustrophedon."""
+    row = [1]
+    for m in range(1, n + 1):
+        nxt = [0]
+        for k in range(1, m + 1):
+            nxt.append(nxt[-1] + row[m - k])
+        row = nxt
+    return row[-1]
+
+
+def test_long_zigzag_strip_is_an_euler_number():
+    assert [zigzag_number(n) for n in range(9)] == [1, 1, 1, 2, 5, 16, 61, 272, 1385]
+    # R, U, R, ..., R: descents at the even positions, w1 < w2 > w3 < ... < w40
+    boxes = [Box(1, 1)]
+    for step in "RU" * 19 + "R":
+        col, row = boxes[-1]
+        boxes.append(Box(col + 1, row) if step == "R" else Box(col, row + 1))
+    strip = BorderStrip(tuple(boxes))
+    assert len(strip) == 40 and strip.descents == frozenset(range(2, 40, 2))
+    assert strip_volume(strip) == zigzag_number(40)
 
 
 def test_volume_examples():
