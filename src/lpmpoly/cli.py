@@ -5,11 +5,15 @@ absent or unreadable region file), 3 invalid region, malformed region file
 or unsupported region for the verb, 4 size cap exceeded.  Errors print one
 ``error:`` line on stderr.  Output is deterministic byte-for-byte for
 identical inputs.
+
+The argument parser is built once per process, on first use, and every
+``main`` call reuses it: nothing is built at import time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -298,8 +302,14 @@ def _add_region_flags(sub) -> None:
     sub.add_argument("--file", help="JSON file with {\"lower\": .., \"upper\": ..}")
     sub.add_argument("--max-size", type=int, default=10, dest="max_size")
     sub.add_argument("--format", choices=("json", "text"), default="json")
+    sub.add_argument(
+        "--stats",
+        action="store_true",
+        help="write the parse and run seconds to stderr as one JSON line",
+    )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpm", description="lattice path matroid polytopes, exactly"
@@ -344,18 +354,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> None:
+    start = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
     if getattr(args, "t_max", 0) < 0:
         parser.error(f"--t-max must be at least 0, got {args.t_max}")
+    parsed = time.perf_counter()
     try:
         code = args.func(args)
     except (InvalidCharacter, EmptyWord, EndpointMismatch, DominanceViolation) as exc:
         raise _error(INVALID_REGION, f"{type(exc).__name__}: {exc}")
     except DisconnectedRegion as exc:
         raise _error(INVALID_REGION, str(exc))
+    if args.stats and args.verb != "verify":  # verify writes its own per-check record
+        stage = {
+            "verb": args.verb,
+            "parse_seconds": round(parsed - start, 6),
+            "run_seconds": round(time.perf_counter() - parsed, 6),
+        }
+        print(json.dumps(stage), file=sys.stderr)
     sys.exit(code)
 
 

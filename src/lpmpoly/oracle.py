@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 
 from .decompose import BorderStrip
 from .errors import TooLarge
-from .paths import PathWord, Region, enumerate_paths
+from .paths import PathWord, Region
 from .polytope import Candidate, Facet, dimension, h_representation, vertices
 from .ratlinalg import affine_rank, in_convex_hull
 from .volume import catalan_number, descent_set, inverse_permutation
@@ -129,14 +129,14 @@ def swap_edges(region: Region) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def projected_face(region: Region, i: int, value: int) -> set[str]:
-    """Words of the paths whose i-th letter encodes ``value``, with that letter cut out."""
+def projected_face(words: Iterable[str], i: int, value: int) -> set[str]:
+    """The path words whose i-th letter encodes ``value``, with that letter cut out.
+
+    ``words`` are a region's path words, listed once by ``enumerate_paths``
+    and shared by every (i, value) the caller projects.
+    """
     letter = "N" if value else "E"
-    return {
-        path.word[: i - 1] + path.word[i:]
-        for path in enumerate_paths(region)
-        if path.word[i - 1] == letter
-    }
+    return {word[: i - 1] + word[i:] for word in words if word[i - 1] == letter}
 
 
 def stepwise_lattice_count(region: Region, t: int) -> int:

@@ -23,10 +23,11 @@ The pull-back is affine on each order-type simplex and sends the simplex's
 denominator.  A cell's determinant is read off its permutation, not
 computed: differencing consecutive edge rows leaves a row permutation of
 a unit bidiagonal matrix.  ``verify.check_triangulation`` is the oracle
-side: it checks the 0/1 property on every cell, recomputes each cell's
-determinant from its edge rows with ``ratlinalg.det_int``, and compares
-the generated permutations with the full scan in
-``oracle.scan_inverse_descents``.
+side: it checks the 0/1 property on every cell, rebuilds each cell's
+vertices as ``psi_inverse_int`` of its permutation's staircase points and
+compares them with the cell's, recomputes each cell's determinant from its
+edge rows with ``ratlinalg.det_int``, and compares the generated
+permutations with the full scan in ``oracle.scan_inverse_descents``.
 """
 
 from __future__ import annotations

@@ -110,6 +110,7 @@ def check_deletion(max_size: int = 6) -> CheckResult:
     """The O(n) deletion against filter-and-project, for every coordinate and value."""
     res = CheckResult("deletion-vs-projection")
     for region in oracle.all_regions(max_size):
+        words = [p.word for p in enumerate_paths(region)]
         for i in range(1, region.size + 1):
             for value in (0, 1):
                 res.checked += 1
@@ -120,7 +121,7 @@ def check_deletion(max_size: int = 6) -> CheckResult:
                         continue
                     res.fail(f"deleted the only element of {region}")
                     continue
-                want = oracle.projected_face(region, i, value)
+                want = oracle.projected_face(words, i, value)
                 try:
                     got = {p.word for p in enumerate_paths(delete(region, i, value))}
                 except EmptyFace:
@@ -379,6 +380,17 @@ def _edge_det(cell) -> int:
     return det_int(rows)
 
 
+def _pullback_vertices(w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """``psi_inverse_int`` of the order simplex's staircase points: y = 0, then
+    y[w[idx] - 1] = 1 for idx = d-1, ..., 0."""
+    y = [0] * len(w)
+    verts = [psi_inverse_int(w, y, 1)]
+    for v in reversed(w):
+        y[v - 1] = 1
+        verts.append(psi_inverse_int(w, y, 1))
+    return tuple(verts)
+
+
 def check_triangulation(
     n_max: int = 8, strip_max: int = 8, roundtrip_n: int = 6, samples: int = 1000
 ) -> CheckResult:
@@ -386,8 +398,9 @@ def check_triangulation(
 
     ``n_max`` bounds n for the slices (k, n): each slice's cells are checked
     for an Eulerian count, unit determinants equal to ``det_int`` of their
-    edge rows, 0/1 vertices in the slice and permutations equal to the full
-    scan's, in order (one scan per n).
+    edge rows, 0/1 vertices in the slice, vertices equal to the pull-back of
+    their permutation's staircase and permutations equal to the full scan's,
+    in order (one scan per n).
     ``roundtrip_n`` bounds n for the round trip ``psi(psi_inverse_on(w, y)) == y``,
     run on integer numerators at ``samples`` points of every order simplex
     of dimension n - 1.
@@ -395,8 +408,10 @@ def check_triangulation(
     by the scan, is compared with ``strip_volume``.  The strips actually
     triangulated are every strip of at most 6 boxes, whatever ``strip_max``
     is: their cells are checked for a ``strip_volume`` count, unit
-    determinants equal to ``det_int`` of their edge rows, 0/1 vertices and
-    permutations equal to the scan's, in order.
+    determinants equal to ``det_int`` of their edge rows, 0/1 vertices equal
+    to the pull-back and permutations equal to the scan's, in order.
+    A cell that is not 0/1 fails on that alone; the pull-back comparison
+    runs on the 0/1 cells.
     """
     res = CheckResult("triangulation")
     for n in range(2, n_max + 1):
@@ -413,6 +428,8 @@ def check_triangulation(
             for cell in cells:
                 if not _zero_one(cell):
                     res.fail(f"cell {cell.perm} is not a 0/1 simplex at (k,n)=({k},{n})")
+                elif cell.vertices != _pullback_vertices(cell.perm):
+                    res.fail(f"cell {cell.perm} vertices differ from the pull-back at (k,n)=({k},{n})")
                 if _edge_det(cell) != cell.det:
                     res.fail(f"cell {cell.perm} determinant differs from det_int")
                 sums = {sum(v) for v in cell.vertices}
@@ -446,6 +463,8 @@ def check_triangulation(
             res.fail(f"strip triangulation size mismatch on {strip.direction_word!r}")
         if not all(map(_zero_one, cells)):
             res.fail(f"strip cell is not a 0/1 simplex on {strip.direction_word!r}")
+        elif any(cell.vertices != _pullback_vertices(cell.perm) for cell in cells):
+            res.fail(f"strip cell vertices differ from the pull-back on {strip.direction_word!r}")
         if any(_edge_det(cell) != cell.det for cell in cells):
             res.fail(f"strip cell determinant differs from det_int on {strip.direction_word!r}")
         if [cell.perm for cell in cells] != scans[len(strip)].get(strip.descents, []):

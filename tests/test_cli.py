@@ -199,33 +199,62 @@ REGION_FILES = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv,code",
-    [
-        (["triangulate", "--k", "5", "--n", "3"], 2),
-        (["catalan", "--n", "0"], 2),
-        (["catalan", "--n", "1", "--r", "2"], 2),
-        (["volume", "--file", "{dir}/absent.json"], 2),
-        (["volume", "--file", "{dir}"], 2),
-        (["volume", "--file", "{dir}/bad.json"], 3),
-        (["volume", "--file", "{dir}/list.json"], 3),
-        (["volume", "--file", "{dir}/missing.json"], 3),
-        (["volume", "--file", "{dir}/number.json"], 3),
-        (["volume", "--file", "{dir}/good.json", "--lower", "EENN"], 2),
-        (["bases", "--lower", "EN", "--upper", "NE", "--max-size", "0"], 2),
-        (["verify", "all", "--max-size", "0"], 2),
-        (["verify", "ehrhart-formula", "--t-max", "-1"], 2),
-        (["triangulate", "--k", "1", "--n", "11"], 4),
-        (["triangulate", "--k", "2", "--n", "5", "--max-size", "4"], 4),
-    ],
-)
-def test_bad_input_exit_codes(tmp_path, argv, code):
+BAD_INPUTS = [
+    (["triangulate", "--k", "5", "--n", "3"], 2),
+    (["catalan", "--n", "0"], 2),
+    (["catalan", "--n", "1", "--r", "2"], 2),
+    (["volume", "--file", "{dir}/absent.json"], 2),
+    (["volume", "--file", "{dir}"], 2),
+    (["volume", "--file", "{dir}/bad.json"], 3),
+    (["volume", "--file", "{dir}/list.json"], 3),
+    (["volume", "--file", "{dir}/missing.json"], 3),
+    (["volume", "--file", "{dir}/number.json"], 3),
+    (["volume", "--file", "{dir}/good.json", "--lower", "EENN"], 2),
+    (["bases", "--lower", "EN", "--upper", "NE", "--max-size", "0"], 2),
+    (["verify", "all", "--max-size", "0"], 2),
+    (["verify", "ehrhart-formula", "--t-max", "-1"], 2),
+    (["triangulate", "--k", "1", "--n", "11"], 4),
+    (["triangulate", "--k", "2", "--n", "5", "--max-size", "4"], 4),
+]
+
+
+def _write_region_files(directory):
     for name, text in REGION_FILES.items():
-        (tmp_path / name).write_text(text)
+        (directory / name).write_text(text)
+
+
+@pytest.mark.parametrize("argv,code", BAD_INPUTS)
+def test_bad_input_exit_codes(tmp_path, argv, code):
+    _write_region_files(tmp_path)
     out = run_cli(*(arg.format(dir=tmp_path) for arg in argv))
     assert out.returncode == code, out.stderr
     assert "error:" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_parser_is_built_once_and_not_at_import():
+    assert cli.build_parser() is cli.build_parser()
+    probe = "import lpmpoly.cli as c; print(c.build_parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=600
+    )
+    assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
+
+
+def test_reused_parser_matches_a_fresh_process(tmp_path, capsys, monkeypatch):
+    # usage lines wrap at the terminal width, so both sides read the same one
+    monkeypatch.setenv("COLUMNS", "80")
+    _write_region_files(tmp_path)
+    good = ["volume", "--lower", "EENN", "--upper", "NNEE"]
+    runs = [good] + [[arg.format(dir=tmp_path) for arg in argv] for argv, _ in BAD_INPUTS] + [good]
+    for argv in runs:
+        fresh = run_cli(*argv)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
 
 
 def test_kn_verbs_reject_region_flags():
@@ -270,3 +299,38 @@ def test_verify_stats_go_to_stderr_only(argv):
         assert names == ["ehrhart-formula"]
     else:
         assert names == [plain.stdout.split(":")[0]]
+
+
+VERB_ARGV = {
+    "bases": ["--lower", "EENN", "--upper", "NENE"],
+    "dim": ["--lower", "EENN", "--upper", "NENE"],
+    "edges": ["--lower", "EENN", "--upper", "NNEE"],
+    "hrep": ["--lower", "EN", "--upper", "NE"],
+    "facets": ["--lower", "EENN", "--upper", "NENE"],
+    "decompose": ["--lower", "EENN", "--upper", "NNEE"],
+    "volume": ["--lower", "EENN", "--upper", "NNEE"],
+    "ehrhart": ["--lower", "EENN", "--upper", "NNEE"],
+    "triangulate": ["--k", "2", "--n", "4"],
+    "catalan": ["--n", "3"],
+}
+
+
+@pytest.mark.parametrize("verb", VERB_ARGV)
+def test_verb_stats_go_to_stderr_only(verb):
+    plain = run_cli(verb, *VERB_ARGV[verb])
+    timed = run_cli(verb, *VERB_ARGV[verb], "--stats")
+    assert timed.returncode == plain.returncode == 0
+    assert timed.stdout == plain.stdout
+    assert plain.stderr == ""
+    (line,) = timed.stderr.splitlines()
+    stats = json.loads(line)
+    assert list(stats) == ["verb", "parse_seconds", "run_seconds"]
+    assert stats["verb"] == verb
+    assert stats["parse_seconds"] >= 0 and stats["run_seconds"] >= 0
+
+
+def test_stats_line_is_not_written_on_an_error_exit():
+    out = run_cli("volume", "--lower", "NENE", "--upper", "EENN", "--stats")
+    assert out.returncode == 3
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("error:")

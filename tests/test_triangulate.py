@@ -23,7 +23,7 @@ from lpmpoly.errors import BadK, NonUnimodularCell, WrongChamber
 from lpmpoly.oracle import scan_inverse_descents
 from lpmpoly.polytope import h_representation
 from lpmpoly.ratlinalg import barycentric_coordinates
-from lpmpoly import triangulate
+from lpmpoly import triangulate, verify
 from lpmpoly.triangulate import SimplexCell, inverse_descent_class
 from lpmpoly.verify import all_strips, check_triangulation
 from lpmpoly.volume import descent_set, inverse_permutation
@@ -284,3 +284,28 @@ def test_check_triangulation_flags_a_wrong_determinant(monkeypatch):
     assert not res.ok
     assert "cell (2, 3, 1) determinant differs from det_int" in res.failures
     assert all("determinant differs from det_int" in f for f in res.failures)
+
+
+@pytest.mark.parametrize(
+    "route,message",
+    [
+        ("hypersimplex_triangulation", "vertices differ from the pull-back at (k,n)"),
+        ("strip_triangulation", "strip cell vertices differ from the pull-back on"),
+    ],
+    ids=("slices", "strips"),
+)
+def test_check_triangulation_flags_vertices_rotated_among_cells(monkeypatch, route, message):
+    tiny = dict(n_max=5, strip_max=1, roundtrip_n=2, samples=1)
+    assert check_triangulation(**tiny).ok
+    real = getattr(verify, route)
+
+    def rotated(*args):  # each cell takes the next cell's vertices: 0/1, in the slice
+        cells = real(*args)
+        moved = [cell.vertices for cell in cells[1:] + cells[:1]]
+        return [replace(cell, vertices=v) for cell, v in zip(cells, moved)]
+
+    monkeypatch.setattr(verify, route, rotated)
+    res = check_triangulation(**tiny)
+    assert not res.ok
+    assert res.failures and all(message in f for f in res.failures)
+
