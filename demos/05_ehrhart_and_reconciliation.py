@@ -12,8 +12,8 @@ from lpmpoly import (
     gamma_set,
     reconcile_ehrhart_formula,
     region_from_words,
-    s_set,
 )
+from lpmpoly.oracle import s_set
 
 octahedron = region_from_words("EENN", "NNEE")
 print("dilation counts:", [count_lattice_points(octahedron, t) for t in range(6)])

@@ -2,21 +2,25 @@
 
 Ground truth is a dynamic program over prefix sums: the new count at a
 prefix sum c is the window sum of the previous counts over [c - t, c], read
-off one prefix-sum pass per step.  Polynomial coefficients come from the
-Newton form through the d+1 counts at t = 0..d: integer forward
-differences, expanded into monomials over the common denominator d!.
-``verify.check_ehrhart`` compares the counts with the stepwise DP in
-:mod:`lpmpoly.oracle` and overdetermines the polynomial at two extra
-dilations.  The prefix-block composition sets and the double-sum formula
-evaluator exist to be *compared* against the ground truth, never trusted.
+off one prefix-sum pass per step as the difference of two slices of it.
+Polynomial coefficients come from the Newton form through the d+1 counts
+at t = 0..d: integer forward differences, expanded into monomials over the
+common denominator d!.  ``verify.check_ehrhart`` compares the counts with
+the stepwise DP in :mod:`lpmpoly.oracle` and overdetermines the polynomial
+at two extra dilations.  The prefix-block composition sets and the
+double-sum formula exist to be *compared* against the ground truth, never
+trusted.  The double sum is evaluated per composition by a transfer chain
+over its slack variables; ``oracle.literal_formula_value`` sums it term by
+term over every slack array, and ``verify.check_ehrhart`` compares the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial
+from operator import sub
 
 from .matroid import components, presentation
 from .paths import Region
@@ -27,9 +31,14 @@ def count_lattice_points(region: Region, t: int) -> int:
 
     The admissible prefix sums after i steps satisfy t*p_i <= c_i <= t*q_i
     and 0 <= c_i - c_{i-1} <= t, and form one contiguous range [lo, hi].
-    The count at c is the window sum of the previous counts over [c - t, c],
-    so one prefix-sum pass per step gives every count: O(n * states) exact
-    big-integer additions, whatever t.
+    The count at c is the window sum of the previous counts over
+    [max(c - t, lo), min(c, hi)], that is below[top] - below[bottom] for the
+    prefix sums ``below`` of the previous counts.  Across the new range the
+    window has three zones: where c - t < lo its bottom is pinned to lo
+    (bottom index 0), in the middle both ends slide with c, and where c > hi
+    its top is pinned to hi (the last prefix sum).  So each step is two
+    slices of ``below``, padded at the pinned ends, subtracted elementwise:
+    O(n * states) exact big-integer operations, whatever t.
 
     >>> from lpmpoly.paths import region_from_words
     >>> [count_lattice_points(region_from_words("EENN", "NNEE"), t) for t in range(4)]
@@ -46,10 +55,13 @@ def count_lattice_points(region: Region, t: int) -> int:
         if new_lo > new_hi:
             return 0
         below = list(accumulate(counts, initial=0))  # below[k]: sum of counts[:k]
-        counts = [
-            below[min(c, hi) - lo + 1] - below[max(c - t, lo) - lo]
-            for c in range(new_lo, new_hi + 1)
-        ]
+        # top index min(c, hi) - lo + 1: sliding up to hi, then pinned to below[-1]
+        tops = below[new_lo - lo + 1 : min(new_hi, hi) - lo + 2]
+        tops += repeat(below[-1], new_hi - max(hi, new_lo - 1))
+        # bottom index max(c - t, lo) - lo: pinned to below[0] = 0 up to lo + t, then sliding
+        bottoms = [0] * (min(new_hi, lo + t) - new_lo + 1)
+        bottoms += below[max(new_lo - t - lo, 1) : new_hi - t - lo + 1]
+        counts = list(map(sub, tops, bottoms))
         lo, hi = new_lo, new_hi
     return counts[0]  # p_n = q_n = r pins the last range to the one sum t*r
 
@@ -170,30 +182,6 @@ def basis_fold(coords: tuple[int, ...]) -> tuple[int, ...]:
     return (counts[0] + counts[1],) + tuple(counts[2:])
 
 
-def s_set(r: int, t: int) -> list[tuple[int, ...]]:
-    """Nonnegative arrays of length 2(r-1) whose adjacent pairs total at most t."""
-    if r < 1:
-        raise ValueError("rank must be at least 1")
-    length = 2 * (r - 1)
-    if length == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    arr: list[int] = []
-
-    def extend(i: int) -> None:
-        if i == length:
-            out.append(tuple(arr))
-            return
-        cap = t - (arr[-1] if arr else 0)
-        for v in range(0, cap + 1):
-            arr.append(v)
-            extend(i + 1)
-            arr.pop()
-
-    extend(0)
-    return out
-
-
 def multichoose(n: int, k: int) -> int:
     """Multisets of size k from n symbols; zero when n is not positive."""
     if k == 0:
@@ -204,22 +192,33 @@ def multichoose(n: int, k: int) -> int:
 
 
 def formula_value(region: Region, t: int) -> int:
-    """The double-sum candidate for the dilation count, evaluated literally."""
+    """The double-sum candidate for the dilation count, by a transfer chain.
+
+    For each composition alpha in ``gamma_set`` the inner sum runs over the
+    slack arrays s_0..s_{2r-3} >= 0 with s_j + s_{j+1} <= t of
+    M(t+1-s_0, alpha_0) * prod_{i=1}^{r-2} M(t-s_{2i-1}-s_{2i}, alpha_i)
+    * M(t-s_{2r-3}, alpha_{r-1}), M the multiset count.  Adjacent slacks are
+    the only coupling, so the sum is a vector carried along the chain:
+    vec[v] totals the partial products with the current slack equal to v.
+    Stepping to the next slack u sums vec over v <= t - u, times the factor
+    M(t-u-v, alpha_{j/2}) when the new slack s_j has even j.  O(r t^2)
+    integer operations per composition instead of one term per slack array.
+    """
     r = region.r
     if r == 0:
         return 1
     total = 0
-    svals = s_set(r, t)
+    ones = [1] * (t + 1)
     for alpha in gamma_set(region):
-        for s in svals:
-            term = multichoose(t + 1 - (s[0] if s else 0), alpha[0])
-            for i in range(2, r):
-                term *= multichoose(t - s[2 * i - 3] - s[2 * i - 2], alpha[i - 1])
-                if not term:
-                    break
-            if term and r >= 2:
-                term *= multichoose(t - s[2 * r - 3], alpha[r - 1])
-            total += term
+        if r == 1:
+            total += multichoose(t + 1, alpha[0])
+            continue
+        vec = [multichoose(t + 1 - v, alpha[0]) for v in range(t + 1)]
+        for j in range(1, 2 * r - 2):
+            # m[k] is the factor at slack total k = t - u - v; odd j only couples
+            m = [multichoose(k, alpha[j // 2]) for k in range(t + 1)] if j % 2 == 0 else ones
+            vec = [sum(vec[v] * m[t - u - v] for v in range(t - u + 1)) for u in range(t + 1)]
+        total += sum(vec[v] * multichoose(t - v, alpha[r - 1]) for v in range(t + 1))
     return total
 
 

@@ -6,7 +6,9 @@ the main modules can be checked against them.  Size caps keep every call
 at desk scale.  They are the second routes to the hot paths' quantities:
 facets by affine rank, with their own choice of representative;
 descent-class counts by inclusion-exclusion rather than the box DP;
-triangulation cells by a full permutation scan rather than generation.
+triangulation cells by a full permutation scan rather than generation;
+the Ehrhart double sum term by term over every slack array rather than by
+a transfer chain.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .decompose import BorderStrip
+from .ehrhart import gamma_set, multichoose
 from .errors import TooLarge
 from .paths import PathWord, Region
 from .polytope import Candidate, Facet, dimension, h_representation, vertices
@@ -160,6 +163,50 @@ def stepwise_lattice_count(region: Region, t: int) -> int:
         if not cur:
             return 0
     return cur.get(t * region.r, 0)
+
+
+def s_set(r: int, t: int) -> list[tuple[int, ...]]:
+    """Nonnegative arrays of length 2(r-1) whose adjacent pairs total at most t."""
+    if r < 1:
+        raise ValueError("rank must be at least 1")
+    length = 2 * (r - 1)
+    if length == 0:
+        return [()]
+    out: list[tuple[int, ...]] = []
+    arr: list[int] = []
+
+    def extend(i: int) -> None:
+        if i == length:
+            out.append(tuple(arr))
+            return
+        cap = t - (arr[-1] if arr else 0)
+        for v in range(0, cap + 1):
+            arr.append(v)
+            extend(i + 1)
+            arr.pop()
+
+    extend(0)
+    return out
+
+
+def literal_formula_value(region: Region, t: int) -> int:
+    """The double-sum candidate for the dilation count, one term per slack array."""
+    r = region.r
+    if r == 0:
+        return 1
+    total = 0
+    svals = s_set(r, t)
+    for alpha in gamma_set(region):
+        for s in svals:
+            term = multichoose(t + 1 - (s[0] if s else 0), alpha[0])
+            for i in range(2, r):
+                term *= multichoose(t - s[2 * i - 3] - s[2 * i - 2], alpha[i - 1])
+                if not term:
+                    break
+            if term and r >= 2:
+                term *= multichoose(t - s[2 * r - 3], alpha[r - 1])
+            total += term
+    return total
 
 
 def exact_descent_count(n: int, descents: Iterable[int]) -> int:

@@ -411,9 +411,13 @@ def check_triangulation(
     determinants equal to ``det_int`` of their edge rows, 0/1 vertices equal
     to the pull-back and permutations equal to the scan's, in order.
     A cell that is not 0/1 fails on that alone; the pull-back comparison
-    runs on the 0/1 cells.
+    runs on the 0/1 cells.  A strip cell equal to a slice cell that passed
+    every per-cell check (the same permutation builds the same cell) is
+    not checked again; the rest get the full per-cell checks.
     """
     res = CheckResult("triangulation")
+    strip_boxes = 6
+    verified = {}  # perm -> slice cell that passed its per-cell checks
     for n in range(2, n_max + 1):
         total = 0
         scan = oracle.scan_inverse_descents(n - 1, key=len)
@@ -426,17 +430,23 @@ def check_triangulation(
                 res.fail(f"cell permutations differ from the scan at (k,n)=({k},{n})")
             total += len(cells)
             for cell in cells:
+                problems = []
                 if not _zero_one(cell):
-                    res.fail(f"cell {cell.perm} is not a 0/1 simplex at (k,n)=({k},{n})")
+                    problems.append(f"cell {cell.perm} is not a 0/1 simplex at (k,n)=({k},{n})")
                 elif cell.vertices != _pullback_vertices(cell.perm):
-                    res.fail(f"cell {cell.perm} vertices differ from the pull-back at (k,n)=({k},{n})")
+                    problems.append(
+                        f"cell {cell.perm} vertices differ from the pull-back at (k,n)=({k},{n})"
+                    )
                 if _edge_det(cell) != cell.det:
-                    res.fail(f"cell {cell.perm} determinant differs from det_int")
-                sums = {sum(v) for v in cell.vertices}
-                if not sums <= {k - 1, k}:
-                    res.fail(f"cell {cell.perm} leaves the slice at (k,n)=({k},{n})")
+                    problems.append(f"cell {cell.perm} determinant differs from det_int")
+                if not {sum(v) for v in cell.vertices} <= {k - 1, k}:
+                    problems.append(f"cell {cell.perm} leaves the slice at (k,n)=({k},{n})")
                 if any(sum(v) != k for v in cell.vertices_lifted):
-                    res.fail(f"lifted cell {cell.perm} is off the hyperplane")
+                    problems.append(f"lifted cell {cell.perm} is off the hyperplane")
+                for message in problems:
+                    res.fail(message)
+                if not problems and n - 1 <= strip_boxes:
+                    verified[cell.perm] = cell
         res.checked += 1
         if total != factorial(n - 1):
             res.fail(f"slice cell counts do not fill the cube at n={n}")
@@ -449,23 +459,24 @@ def check_triangulation(
                     break
     scans = {
         length: oracle.scan_inverse_descents(length)
-        for length in range(1, max(strip_max, 6) + 1)
+        for length in range(1, max(strip_max, strip_boxes) + 1)
     }
     for length in range(1, strip_max + 1):
         for strip in (s for s in all_strips(length) if len(s) == length):
             res.checked += 1
             if len(scans[length].get(strip.descents, [])) != strip_volume(strip):
                 res.fail(f"strip cell count mismatch on {strip.direction_word!r}")
-    for strip in all_strips(6):
+    for strip in all_strips(strip_boxes):
         res.checked += 1
         cells = strip_triangulation(strip)
         if triangulation_volume_check(cells) != strip_volume(strip):
             res.fail(f"strip triangulation size mismatch on {strip.direction_word!r}")
-        if not all(map(_zero_one, cells)):
+        fresh = [cell for cell in cells if verified.get(cell.perm) != cell]
+        if not all(map(_zero_one, fresh)):
             res.fail(f"strip cell is not a 0/1 simplex on {strip.direction_word!r}")
-        elif any(cell.vertices != _pullback_vertices(cell.perm) for cell in cells):
+        elif any(cell.vertices != _pullback_vertices(cell.perm) for cell in fresh):
             res.fail(f"strip cell vertices differ from the pull-back on {strip.direction_word!r}")
-        if any(_edge_det(cell) != cell.det for cell in cells):
+        if any(_edge_det(cell) != cell.det for cell in fresh):
             res.fail(f"strip cell determinant differs from det_int on {strip.direction_word!r}")
         if [cell.perm for cell in cells] != scans[len(strip)].get(strip.descents, []):
             res.fail(f"strip cell permutations differ from the scan on {strip.direction_word!r}")
@@ -473,14 +484,20 @@ def check_triangulation(
 
 
 def check_ehrhart(max_size: int = 6) -> CheckResult:
-    """The window-sum counts against the stepwise DP at t = 0..3, and each
-    interpolated polynomial at t = 0, 1 and at the two dilations past its degree."""
+    """The window-sum counts against the stepwise DP at t = 0..3, each
+    interpolated polynomial at t = 0, 1 and at the two dilations past its
+    degree, and, on regions of at most 5 elements, the double sum's transfer
+    chain against its literal evaluation at t = 0..2."""
     res = CheckResult("ehrhart-interpolation")
     for region in oracle.all_regions(max_size):
         res.checked += 1
         for t in range(4):
             if eh.count_lattice_points(region, t) != oracle.stepwise_lattice_count(region, t):
                 res.fail(f"window sums differ from the stepwise DP at t={t} on {region}")
+        if region.size <= 5:
+            for t in range(3):
+                if eh.formula_value(region, t) != oracle.literal_formula_value(region, t):
+                    res.fail(f"transfer chain differs from the literal double sum at t={t} on {region}")
         poly = eh.ehrhart_polynomial(region)
         if poly(0) != 1 or poly(1) != len(enumerate_paths(region)):
             res.fail(f"values at 0/1 wrong on {region}")

@@ -272,6 +272,17 @@ def test_verify_ehrhart_formula_csv():
     assert "EN,NE,1,3,2,false" in lines
 
 
+def test_verify_ehrhart_formula_at_high_dilations():
+    # the literal double sum at t = 8 on rank-6 regions has about 84 M slack arrays
+    high = run_cli("verify", "ehrhart-formula", "--max-size", "6", "--t-max", "8")
+    low = run_cli("verify", "ehrhart-formula", "--max-size", "6", "--t-max", "3")
+    assert high.returncode == 0 and low.returncode == 0
+    header, *rows = high.stdout.splitlines(keepends=True)
+    kept = [row for row in rows if int(row.split(",")[2]) <= 3]
+    assert header + "".join(kept) == low.stdout
+    assert len(rows) == 9 * (len(low.stdout.splitlines()) - 1) // 4
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,8 @@ stdlib ``random`` seed draws connected regions of 9-16 elements and every
 profile-bound route is replayed against its enumerative counterpart.  The
 draw keeps regions with at most ``PATH_CAP`` paths and ``STRIP_CAP`` border
 strips, so the affine-rank and inclusion-exclusion oracles stay at desk scale.
+Wider draws of 14-36 elements check the lattice-point window sums, and
+rank-7 draws check the Ehrhart double sum's transfer chain.
 """
 
 import random
@@ -19,10 +21,12 @@ from lpmpoly import (
     edges,
     enumerate_paths,
     facets,
+    gamma_set,
     vertices,
     volume,
 )
 from lpmpoly import oracle
+from lpmpoly.ehrhart import formula_value
 from lpmpoly.errors import EmptyFace
 from lpmpoly.paths import PathWord, Region, path_from_profile
 from lpmpoly.polytope import facet_candidates
@@ -97,6 +101,71 @@ def test_window_counts_match_stepwise_dp_on_sweep():
     for region in oracle.all_regions(6):
         for t in range(6):
             assert count_lattice_points(region, t) == oracle.stepwise_lattice_count(region, t), (region, t)
+
+
+def _between_two_random_paths(rng, n, r):
+    """The region bounded by the pointwise min and max of two random paths; they may touch."""
+    words = [rng.sample("N" * r + "E" * (n - r), n) for _ in range(2)]
+    a, b = (PathWord("".join(w)).profile for w in words)
+    return Region(path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b))))
+
+
+def wide_regions(seed=SEED, count=8):
+    """Regions of 14-36 elements whose paths may touch, so the admissible
+    prefix sums can jump past the previous step's range."""
+    rng = random.Random(seed)
+    sizes = (14 + k * 22 // (count - 1) for k in range(count))
+    return [_between_two_random_paths(rng, n, rng.randint(n // 3, 2 * n // 3)) for n in sizes]
+
+
+WIDE = wide_regions()
+
+
+def test_wide_draw_covers_the_window_zones():
+    # The range of prefix sums after step i is [t*p_i, t*q_i], so each end moves
+    # by 0 or t: the top pins to the old hi when the upper path steps E, the
+    # bottom zone shrinks to one entry when the lower path steps N, and the new
+    # range starts past the old hi when both paths step N from a touch point.
+    upper_e = lower_n = past_hi = False
+    for region in WIDE:
+        p, q = region.lower.profile, region.upper.profile
+        for i in range(1, region.size + 1):
+            upper_e |= q[i] == q[i - 1]
+            lower_n |= p[i] == p[i - 1] + 1
+            past_hi |= p[i] > q[i - 1]
+    assert upper_e and lower_n and past_hi
+    assert {region.size for region in WIDE} >= {14, 36}
+
+
+@pytest.mark.parametrize("region", WIDE, ids=repr)
+def test_window_counts_match_stepwise_dp_on_wide_regions(region):
+    for t in (0, 1, 2, 7, 19):
+        assert count_lattice_points(region, t) == oracle.stepwise_lattice_count(region, t), t
+
+
+def rank_seven_regions(seed=SEED, count=2):
+    """Rank-7 regions of 10-12 elements with 5-30 windowed compositions, so the
+    literal double sum (20 216 slack arrays at t = 2) stays at desk scale."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        region = _between_two_random_paths(rng, rng.randint(10, 12), 7)
+        if 5 <= len(gamma_set(region)) <= 30:
+            out.append(region)
+    return out
+
+
+def test_transfer_chain_matches_literal_double_sum_on_sweep():
+    for region in oracle.all_regions(6):
+        for t in range(3 if region.size == 6 else 4):
+            assert formula_value(region, t) == oracle.literal_formula_value(region, t), (region, t)
+
+
+@pytest.mark.parametrize("region", rank_seven_regions(), ids=repr)
+def test_transfer_chain_matches_literal_double_sum_at_rank_seven(region):
+    assert region.r == 7
+    for t in range(3):
+        assert formula_value(region, t) == oracle.literal_formula_value(region, t), t
 
 
 def test_midpoint_oracle_matches_swap_edges():

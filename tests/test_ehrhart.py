@@ -15,11 +15,10 @@ from lpmpoly import (
     gamma_set,
     reconcile_ehrhart_formula,
     region_from_words,
-    s_set,
 )
 from lpmpoly import ehrhart as eh
 from lpmpoly.ehrhart import basis_fold, formula_value, multichoose
-from lpmpoly.oracle import all_regions
+from lpmpoly.oracle import all_regions, s_set
 from lpmpoly.verify import check_ehrhart
 
 
@@ -108,6 +107,41 @@ def test_check_ehrhart_flags_a_shifted_window(monkeypatch):
     assert not res.ok
     assert res.checked == clean.checked
     assert any("window sums differ from the stepwise DP" in f for f in res.failures)
+
+
+def test_check_ehrhart_flags_a_window_one_step_high(monkeypatch):
+    clean = check_ehrhart(4)
+
+    def one_high(region, t):  # each count sums the window [c - t + 1, c + 1]
+        p, q = region.lower.profile, region.upper.profile
+        counts = {0: 1}
+        for i in range(1, region.size + 1):
+            counts = {
+                c: sum(counts.get(b, 0) for b in range(c - t + 1, c + 2))
+                for c in range(t * p[i], t * q[i] + 1)
+            }
+        return counts.get(t * region.r, 0)
+
+    monkeypatch.setattr(eh, "count_lattice_points", one_high)
+    res = check_ehrhart(4)
+    assert not res.ok
+    assert res.checked == clean.checked
+    assert any("window sums differ from the stepwise DP" in f for f in res.failures)
+
+
+def test_check_ehrhart_flags_a_broken_transfer_chain(monkeypatch):
+    clean = check_ehrhart(4)
+
+    def off_by_one(region, t):
+        return formula_value(region, t) + (t == 2)
+
+    monkeypatch.setattr(eh, "formula_value", off_by_one)
+    res = check_ehrhart(4)
+    assert not res.ok
+    assert res.checked == clean.checked
+    assert res.failures and all(
+        "transfer chain differs from the literal double sum at t=2" in f for f in res.failures
+    )
 
 
 def test_interpolation_through_seeded_integer_sequences():

@@ -309,3 +309,34 @@ def test_check_triangulation_flags_vertices_rotated_among_cells(monkeypatch, rou
     assert not res.ok
     assert res.failures and all(message in f for f in res.failures)
 
+
+
+def test_check_triangulation_checks_each_permutation_once(monkeypatch):
+    # the slices (k, n) for n <= 7 and the strips of at most 6 boxes both
+    # cover every permutation of length <= 6, 873 in all
+    calls = []
+    real = verify._pullback_vertices
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(verify, "_pullback_vertices", counted)
+    assert check_triangulation(n_max=7, strip_max=1, roundtrip_n=2, samples=1).ok
+    assert len(calls) == len(set(calls)) == 873
+
+
+def test_check_triangulation_flags_strip_cells_unlike_their_verified_twins(monkeypatch):
+    # every strip permutation has a verified slice twin at n_max = 7, and
+    # rotated vertices make each cell differ from it
+    real = verify.strip_triangulation
+
+    def rotated(strip):
+        cells = real(strip)
+        moved = [cell.vertices for cell in cells[1:] + cells[:1]]
+        return [replace(cell, vertices=v) for cell, v in zip(cells, moved)]
+
+    monkeypatch.setattr(verify, "strip_triangulation", rotated)
+    res = check_triangulation(n_max=7, strip_max=1, roundtrip_n=2, samples=1)
+    assert not res.ok
+    assert res.failures and all("strip cell vertices differ from the pull-back on" in f for f in res.failures)
