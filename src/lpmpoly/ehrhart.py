@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import sub
 
 from .matroid import components, presentation
@@ -77,10 +77,13 @@ class EhrhartPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, t: int) -> Fraction:
-        acc = Fraction(0)
+        """Horner's rule on integer numerators over the coefficients' common
+        denominator, one ``Fraction`` at the end."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+            acc = acc * t + c.numerator * (den // c.denominator)
+        return Fraction(acc, den)
 
     @property
     def normalized_volume(self) -> int:

@@ -3,7 +3,8 @@
 Every published closed form and every main-module computation is replayed
 against the brute-force oracles over deterministic sweeps.  Genuine check
 failures flip ``ok``; discrepancies in the tracked published claims never
-do - they land in the errata report instead.
+do - they land in the errata report instead.  Each check and the errata
+report walk their region sweep once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .decompose import (
     border_strips,
     decomposition_tree,
     good_partition_of_split,
-    hyperplane_split,
     partition_arithmetic_ok,
     region_to_strip,
     verify_good_partition,
@@ -233,7 +233,7 @@ def check_decomposition(max_size: int = 7) -> CheckResult:
 
     The published pairing property (P2) is *not* a hard check here: the
     straddle condition does not imply it (see the errata report); the split
-    itself is validated directly instead.
+    itself is validated directly instead, on the halves the tree holds.
     """
     res = CheckResult("decomposition-to-strips")
     for region in oracle.all_regions(max_size, connected_only=True):
@@ -250,22 +250,15 @@ def check_decomposition(max_size: int = 7) -> CheckResult:
             if not node.children:
                 continue
             stack.extend(node.children)
-            split = node.split
-            parent = node.region
-            result = hyperplane_split(parent, split.x, split.j)
-            lb, rb = _support_set(result.left), _support_set(result.right)
-            if lb | rb != _support_set(parent):
+            parent, split = node.region, node.split
+            left, right = (child.region for child in node.children)
+            lb, rb, whole = _support_set(left), _support_set(right), _support_set(parent)
+            if lb | rb != whole:
                 res.fail(f"split loses bases on {parent}")
-            shared = lb & rb
-            expected = {
-                b for b in _support_set(parent)
-                if len(b & set(range(1, split.x + 1))) == split.j
-            }
-            if shared != expected:
+            prefix = set(range(1, split.x + 1))
+            if lb & rb != {b for b in whole if len(b & prefix) == split.j}:
                 res.fail(f"shared bases are not the split face on {parent}")
-            if dimension(result.left) != dimension(parent) or dimension(
-                result.right
-            ) != dimension(parent):
+            if dimension(left) != dimension(parent) or dimension(right) != dimension(parent):
                 res.fail(f"split changes dimension on {parent}")
             if not partition_arithmetic_ok(
                 parent, good_partition_of_split(parent, split.x, split.j)
@@ -276,30 +269,6 @@ def check_decomposition(max_size: int = 7) -> CheckResult:
         if total != volume(region):
             res.fail(f"leaf volumes do not total the volume on {region}")
     return res
-
-
-def split_goodness_stats(max_size: int = 7) -> tuple[int, int, str]:
-    """(splits checked, splits whose partition fails the pairing property, first witness).
-
-    Feeds the errata report: the straddle condition guarantees the split but
-    not the published pairing certification.
-    """
-    checked = failed = 0
-    witness = ""
-    for region in oracle.all_regions(max_size, connected_only=True):
-        stack = [decomposition_tree(region)]
-        while stack:
-            node = stack.pop()
-            if not node.children:
-                continue
-            stack.extend(node.children)
-            checked += 1
-            gp = good_partition_of_split(node.region, node.split.x, node.split.j)
-            if not verify_good_partition(node.region, gp):
-                failed += 1
-                if not witness:
-                    witness = f"{node.region} at (x={node.split.x}, j={node.split.j})"
-    return checked, failed, witness
 
 
 def check_volume(
@@ -406,17 +375,17 @@ def check_triangulation(
     of dimension n - 1.
     ``strip_max`` bounds the boxes of the strips whose descent class, counted
     by the scan, is compared with ``strip_volume``.  The strips actually
-    triangulated are every strip of at most 6 boxes, whatever ``strip_max``
-    is: their cells are checked for a ``strip_volume`` count, unit
-    determinants equal to ``det_int`` of their edge rows, 0/1 vertices equal
-    to the pull-back and permutations equal to the scan's, in order.
+    triangulated are every strip of at most ``n_max - 1`` boxes: their cells
+    are checked for a ``strip_volume`` count, unit determinants equal to
+    ``det_int`` of their edge rows, 0/1 vertices equal to the pull-back and
+    permutations equal to the scan's, in order.
     A cell that is not 0/1 fails on that alone; the pull-back comparison
-    runs on the 0/1 cells.  A strip cell equal to a slice cell that passed
-    every per-cell check (the same permutation builds the same cell) is
-    not checked again; the rest get the full per-cell checks.
+    runs on the 0/1 cells.  Every strip cell has a slice twin (the same
+    permutation builds the same cell); one equal to a twin that passed
+    every per-cell check is not checked again, the rest get the full
+    per-cell checks.
     """
     res = CheckResult("triangulation")
-    strip_boxes = 6
     verified = {}  # perm -> slice cell that passed its per-cell checks
     for n in range(2, n_max + 1):
         total = 0
@@ -445,7 +414,7 @@ def check_triangulation(
                     problems.append(f"lifted cell {cell.perm} is off the hyperplane")
                 for message in problems:
                     res.fail(message)
-                if not problems and n - 1 <= strip_boxes:
+                if not problems:
                     verified[cell.perm] = cell
         res.checked += 1
         if total != factorial(n - 1):
@@ -459,14 +428,14 @@ def check_triangulation(
                     break
     scans = {
         length: oracle.scan_inverse_descents(length)
-        for length in range(1, max(strip_max, strip_boxes) + 1)
+        for length in range(1, max(strip_max, n_max - 1) + 1)
     }
     for length in range(1, strip_max + 1):
         for strip in (s for s in all_strips(length) if len(s) == length):
             res.checked += 1
             if len(scans[length].get(strip.descents, [])) != strip_volume(strip):
                 res.fail(f"strip cell count mismatch on {strip.direction_word!r}")
-    for strip in all_strips(strip_boxes):
+    for strip in all_strips(n_max - 1):
         res.checked += 1
         cells = strip_triangulation(strip)
         if triangulation_volume_check(cells) != strip_volume(strip):
@@ -530,9 +499,16 @@ class ErrataRow:
 
 
 def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
+    """One row per tracked published claim.
+
+    The region rows read one walk over the regions of at most
+    ``min(max_size, 6)`` elements, listing each region's bases once; the
+    split-goodness row reads its connected regions, the double-sum and
+    affine-sum rows its regions of at most 5 elements.
+    """
     rows = []
 
-    printed_ok, corrected_ok = True, True
+    printed_ok = True
     for n in range(1, 7):
         enumerated = len(edges(catalan_region(n)))
         printed = (
@@ -541,7 +517,6 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
             - Fraction(comb(2 * n + 2, n + 1), 4)
         )
         printed_ok &= printed == enumerated
-        corrected_ok &= catalan_edge_formula(n) == enumerated
     rows.append(
         ErrataRow(
             "catalan-edge-closed-form",
@@ -553,20 +528,51 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
         )
     )
 
-    plus_two_ok, plus_one_ok, comp_ok = True, True, True
+    plus_one_ok = comp_ok = affine_ok = True
+    fold_witness = count_witness = split_witness = ""
+    splits = bad_splits = total = matched = 0
     for region in oracle.all_regions(min(max_size, 6)):
-        d = affine_rank(vertices(region))
+        basis_vectors = list(bases(region))
+        d = affine_rank([bv.coords for bv in basis_vectors])
         k = len(intersection_vertices(region))
-        plus_two_ok &= d == region.size - k + 2
         plus_one_ok &= d == region.size - k + 1
         comp_ok &= d == dimension(region)
+        if region.r >= 2:
+            bounds = eh.gamma_bounds(region)
+            for bv in basis_vectors:
+                fold = eh.basis_fold(bv.coords)
+                sums = [sum(fold[: i + 1]) for i in range(region.r - 1)]
+                if not all(a <= s <= b for a, s, b in zip(bounds.a, sums, bounds.b)):
+                    fold_witness = fold_witness or f"{region} basis {bv.support}"
+        compositions = len(eh.gamma_set(region))
+        points = eh.count_lattice_points(region, 1)
+        if compositions != points and not count_witness:
+            count_witness = f"{region}: {compositions} compositions, {points} lattice points"
+        if k == 2:  # connected: the paths touch only at their endpoints
+            stack = [decomposition_tree(region)]
+            while stack:
+                node = stack.pop()
+                if not node.children:
+                    continue
+                stack.extend(node.children)
+                splits += 1
+                x, j = node.split.x, node.split.j
+                if not verify_good_partition(node.region, good_partition_of_split(node.region, x, j)):
+                    bad_splits += 1
+                    split_witness = split_witness or f"{node.region} at (x={x}, j={j})"
+        if region.size <= 5:
+            for row in eh.reconcile_ehrhart_formula(region, t_max).rows:
+                total += 1
+                matched += row.match
+            affine_ok &= all(sum(bv.coords) == region.r for bv in basis_vectors)
+
     rows.append(
         ErrataRow(
             "dimension-touch-point-offset",
             "dim = m + r - k + 2 with k the number of path intersection points",
             "affine ranks give dim = m + r - k + 1 on the whole sweep"
             + ("" if plus_one_ok else " (even the corrected offset fails!)"),
-            "erratum" if not plus_two_ok and plus_one_ok else "confirmed",
+            "erratum" if plus_one_ok else "confirmed",
         )
     )
     rows.append(
@@ -608,53 +614,27 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
         )
     )
 
-    printed_orientation_ok = True
-    witness = ""
-    for region in oracle.all_regions(min(max_size, 6)):
-        if region.r < 2:
-            continue
-        bounds = eh.gamma_bounds(region)
-        for bv in bases(region):
-            fold = eh.basis_fold(bv.coords)
-            sums = [sum(fold[: i + 1]) for i in range(region.r - 1)]
-            if not all(a <= s <= b for a, s, b in zip(bounds.a, sums, bounds.b)):
-                printed_orientation_ok = False
-                if not witness:
-                    witness = f"{region} basis {bv.support}"
     rows.append(
         ErrataRow(
             "gamma-bound-orientation",
             "partial sums bounded below by the lower path's crossing times "
             "and above by the upper path's",
-            "holds as printed"
-            if printed_orientation_ok
-            else f"printed orientation excludes realized folds (first witness: {witness}); "
-            "the swapped orientation contains every basis fold on the sweep",
-            "confirmed" if printed_orientation_ok else "erratum",
+            f"printed orientation excludes realized folds (first witness: {fold_witness}); "
+            "the swapped orientation contains every basis fold on the sweep"
+            if fold_witness
+            else "holds as printed",
+            "erratum" if fold_witness else "confirmed",
         )
     )
-
-    gamma_count_ok = True
-    witness = ""
-    for region in oracle.all_regions(min(max_size, 6)):
-        if len(eh.gamma_set(region)) != eh.count_lattice_points(region, 1):
-            gamma_count_ok = False
-            if not witness:
-                witness = (
-                    f"{region}: {len(eh.gamma_set(region))} compositions, "
-                    f"{eh.count_lattice_points(region, 1)} lattice points"
-                )
     rows.append(
         ErrataRow(
             "gamma-lattice-point-count",
             "the number of lattice points equals the number of windowed compositions",
             "the composition count is a fold-class count, not a point count"
-            + (f" (witness {witness})" if witness else ""),
-            "confirmed" if gamma_count_ok else "erratum",
+            + (f" (witness {count_witness})" if count_witness else ""),
+            "erratum" if count_witness else "confirmed",
         )
     )
-
-    checked, failed, witness = split_goodness_stats(min(max_size, 6))
     rows.append(
         ErrataRow(
             "split-goodness-certification",
@@ -662,18 +642,11 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
             "(threshold-bounded independent pairs stay independent)",
             f"splits themselves verified directly (base union, common facet, equal "
             f"dimension) on the whole sweep; the pairing property fails for "
-            f"{failed}/{checked} splits"
-            + (f", first witness {witness}" if witness else ""),
-            "confirmed" if failed == 0 else "erratum",
+            f"{bad_splits}/{splits} splits"
+            + (f", first witness {split_witness}" if split_witness else ""),
+            "confirmed" if bad_splits == 0 else "erratum",
         )
     )
-
-    total, matched = 0, 0
-    for region in oracle.all_regions(min(max_size, 5)):
-        report = eh.reconcile_ehrhart_formula(region, t_max)
-        for row in report.rows:
-            total += 1
-            matched += row.match
     rows.append(
         ErrataRow(
             "ehrhart-double-sum",
@@ -682,12 +655,6 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
             "full table via the reconciliation CSV",
             "confirmed" if matched == total else "erratum",
         )
-    )
-
-    affine_ok = all(
-        sum(bv.coords) == region.r
-        for region in oracle.all_regions(min(max_size, 5))
-        for bv in bases(region)
     )
     rows.append(
         ErrataRow(

@@ -190,6 +190,24 @@ def test_region_verbs_output_is_byte_identical(capsys):
     assert digest.hexdigest() == REGION_VERBS_SHA256
 
 
+# sha256 of the stdout of ``lpm verify all --max-size s``; recorded while the
+# errata report still walked the region sweep once per row.
+VERIFY_ALL_SHA256 = {
+    1: "2b0593eb482459f2729088ecfbcb002db3880fba8b8dd845b2d1a02971f294c3",
+    4: "ccb393bfeed9d2e14cd609d052aff6574f83bf2495346dc88deeb13f68a5e832",
+    6: "3d7db3cb74137abfa2075e6cb7bba8f6dbe98f7e0483c0f0a69a413e6fa1f549",
+}
+
+
+@pytest.mark.parametrize("max_size", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_output_is_byte_identical(capsys, max_size):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", "all", "--max-size", str(max_size)])
+    assert exit_.value.code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY_ALL_SHA256[max_size]
+
+
 REGION_FILES = {
     "bad.json": '{"lower": "EENN"',
     "list.json": '["EENN", "NNEE"]',

@@ -17,7 +17,6 @@ from lpmpoly import (
     hyperplane_split,
     region_from_words,
     region_to_strip,
-    strip_to_region,
     strip_volume,
     volume,
 )
@@ -25,11 +24,14 @@ from lpmpoly.decompose import (
     GoodPartition,
     good_partition_of_split,
     is_border_strip,
+    strip_to_region,
     verify_good_partition,
 )
 from lpmpoly.errors import InvalidSplit
 from lpmpoly.oracle import all_regions
 from lpmpoly.polytope import h_representation
+from lpmpoly import verify
+from lpmpoly.verify import check_decomposition
 
 
 def supports(region):
@@ -206,6 +208,21 @@ def test_decomposition_tree_children_are_the_split_halves():
             halves = hyperplane_split(node.region, node.split.x, node.split.j)
             assert [child.region for child in node.children] == [halves.left, halves.right]
             stack.extend(node.children)
+
+
+def test_check_decomposition_reads_the_halves_from_the_tree(monkeypatch):
+    assert check_decomposition(5).ok
+
+    def doubled(region):  # the root's left half replaced by its right half
+        tree = decomposition_tree(region)
+        if not tree.children:
+            return tree
+        return dataclasses.replace(tree, children=(tree.children[1],) * 2)
+
+    monkeypatch.setattr(verify, "decomposition_tree", doubled)
+    res = check_decomposition(5)
+    assert not res.ok
+    assert any(f.startswith("split loses bases on") for f in res.failures)
 
 
 def test_border_strips_walk_a_strip_past_the_recursion_limit():

@@ -6,20 +6,19 @@ import pytest
 
 from lpmpoly import (
     EhrhartPolynomial,
-    GammaBounds,
     bases,
     count_lattice_points,
     dimension,
     ehrhart_polynomial,
-    gamma_bounds,
     gamma_set,
     reconcile_ehrhart_formula,
     region_from_words,
 )
 from lpmpoly import ehrhart as eh
-from lpmpoly.ehrhart import basis_fold, formula_value, multichoose
+from lpmpoly import oracle
+from lpmpoly.ehrhart import GammaBounds, basis_fold, formula_value, gamma_bounds, multichoose
 from lpmpoly.oracle import all_regions, s_set
-from lpmpoly.verify import check_ehrhart
+from lpmpoly.verify import build_errata_report, check_ehrhart
 
 
 def test_count_lattice_points_examples():
@@ -205,6 +204,19 @@ def test_reconcile_report_shape():
     assert not report.rows[1].match
     lines = report.csv_lines()
     assert lines[0] == "EN,NE,0,1,1,true"
+
+
+def test_errata_report_walks_the_regions_once(monkeypatch):
+    calls = []
+    real = oracle.all_regions
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "all_regions", counted)
+    build_errata_report(6, 3)
+    assert len(calls) == 1
 
 
 def test_formula_value_octahedron():

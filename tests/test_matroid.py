@@ -8,13 +8,12 @@ from lpmpoly import (
     components,
     delete,
     enumerate_paths,
-    is_basis,
     is_independent,
     presentation,
     region_from_words,
 )
 from lpmpoly.errors import EmptyFace, WrongCardinality
-from lpmpoly.matroid import IntervalPresentation
+from lpmpoly.matroid import IntervalPresentation, is_basis
 from lpmpoly.oracle import all_regions, brute_components
 
 

@@ -4,7 +4,6 @@ from lpmpoly import (
     Box,
     PathWord,
     Region,
-    area_below,
     catalan_edge_formula,
     catalan_region,
     enumerate_paths,
@@ -15,6 +14,7 @@ from lpmpoly import (
 )
 from lpmpoly.errors import DominanceViolation, EmptyWord, EndpointMismatch, InvalidCharacter
 from lpmpoly.oracle import all_regions
+from lpmpoly.paths import area_below
 from math import comb
 
 

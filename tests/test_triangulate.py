@@ -14,11 +14,11 @@ from lpmpoly import (
     hypersimplex_triangulation,
     psi,
     psi_inverse_on,
-    strip_to_region,
     strip_triangulation,
     strip_volume,
     triangulation_volume_check,
 )
+from lpmpoly.decompose import strip_to_region
 from lpmpoly.errors import BadK, NonUnimodularCell, WrongChamber
 from lpmpoly.oracle import scan_inverse_descents
 from lpmpoly.polytope import h_representation
@@ -324,6 +324,21 @@ def test_check_triangulation_checks_each_permutation_once(monkeypatch):
     monkeypatch.setattr(verify, "_pullback_vertices", counted)
     assert check_triangulation(n_max=7, strip_max=1, roundtrip_n=2, samples=1).ok
     assert len(calls) == len(set(calls)) == 873
+
+
+def test_check_triangulation_sizes_its_strips_from_n_max(monkeypatch):
+    # the strips of at most n_max - 1 = 3 boxes: 1 + 2 + 4 direction words
+    calls = []
+    real = verify.strip_triangulation
+
+    def counted(strip):
+        calls.append(strip)
+        return real(strip)
+
+    monkeypatch.setattr(verify, "strip_triangulation", counted)
+    assert check_triangulation(n_max=4, strip_max=4, roundtrip_n=2, samples=1).ok
+    assert len(calls) == 7
+    assert sorted(len(strip) for strip in calls) == [1, 2, 2, 3, 3, 3, 3]
 
 
 def test_check_triangulation_flags_strip_cells_unlike_their_verified_twins(monkeypatch):
