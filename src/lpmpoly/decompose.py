@@ -65,17 +65,6 @@ def hyperplane_split(region: Region, x: int, j: int) -> SplitResult:
     return SplitResult(left, right, Split(x, j))
 
 
-def is_border_strip(region: Region) -> bool:
-    """No 2-by-2 square of boxes anywhere in the region."""
-    boxes = set(region_boxes(region))
-    return not any(
-        (b.col + 1, b.row) in boxes
-        and (b.col, b.row + 1) in boxes
-        and (b.col + 1, b.row + 1) in boxes
-        for b in boxes
-    )
-
-
 @dataclass(frozen=True)
 class BorderStrip:
     """A monotone box path; each successor is one step East or one step North."""

@@ -3,15 +3,21 @@
 Ground truth is a dynamic program over prefix sums: the new count at a
 prefix sum c is the window sum of the previous counts over [c - t, c], read
 off one prefix-sum pass per step as the difference of two slices of it.
-Polynomial coefficients come from the Newton form through the d+1 counts
-at t = 0..d: integer forward differences, expanded into monomials over the
-common denominator d!.  ``verify.check_ehrhart`` compares the counts with
-the stepwise DP in :mod:`lpmpoly.oracle` and overdetermines the polynomial
-at two extra dilations.  The prefix-block composition sets and the
-double-sum formula exist to be *compared* against the ground truth, never
-trusted.  The double sum is evaluated per composition by a transfer chain
-over its slack variables; ``oracle.literal_formula_value`` sums it term by
-term over every slack array, and ``verify.check_ehrhart`` compares the two.
+The same kernel counts the relative-interior points, with strict steps in
+a window of width t - 2 and the bounds moved in by one between the touch
+points.  The polynomial comes from Ehrhart-Macdonald reciprocity,
+L(-t) = (-1)^d L°(t): the plain counts at t = 0..ceil(d/2) and the
+interior counts at t = 1..floor(d/2) are its values at the d+1 consecutive
+points -floor(d/2)..ceil(d/2), and the Newton form through them is expanded
+in integer forward differences over the common denominator d!.
+``verify.check_ehrhart`` compares both counts with the stepwise DPs in
+:mod:`lpmpoly.oracle` and the polynomial with every plain dilation it does
+not read, up to two past its degree.  The prefix-block composition sets and
+the double-sum formula exist to be *compared* against the ground truth,
+never trusted.  The double sum is evaluated per composition by a transfer
+chain over its slack variables; ``oracle.literal_formula_value`` sums it
+term by term over every slack array, and ``verify.check_ehrhart`` compares
+the two.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .matroid import components, presentation
 from .paths import Region
 
 
-def count_lattice_points(region: Region, t: int) -> int:
+def count_lattice_points(region: Region, t: int, interior: bool = False) -> int:
     """Points of the t-th dilation, by dynamic programming over prefix sums.
 
     The admissible prefix sums after i steps satisfy t*p_i <= c_i <= t*q_i
@@ -35,35 +41,70 @@ def count_lattice_points(region: Region, t: int) -> int:
     [max(c - t, lo), min(c, hi)], that is below[top] - below[bottom] for the
     prefix sums ``below`` of the previous counts.  Across the new range the
     window has three zones: where c - t < lo its bottom is pinned to lo
-    (bottom index 0), in the middle both ends slide with c, and where c > hi
-    its top is pinned to hi (the last prefix sum).  So each step is two
-    slices of ``below``, padded at the pinned ends, subtracted elementwise:
-    O(n * states) exact big-integer operations, whatever t.
+    (bottom index 0, so the count is the top alone), in the middle both ends
+    slide with c, and where c > hi its top is pinned to hi (the last prefix
+    sum).  So each step is two slices of ``below``, the top one padded at its
+    pinned end, subtracted elementwise: O(n * states) exact big-integer
+    operations, whatever t.
+
+    With ``interior`` the count is of the relative-interior points of the
+    dilation.  Inside a connected block every inequality holds strictly,
+    0 < x_i < t and t*p_i < c_i < t*q_i, while the prefix sums at the
+    touch points and the steps of loops and coloops stay equalities.  A
+    strict step is the shifted step x_i - 1 in a window of width t - 2, so
+    the same kernel runs on the prefix sums less the strict steps so far,
+    with the bounds moved in by one between the touch points.
 
     >>> from lpmpoly.paths import region_from_words
-    >>> [count_lattice_points(region_from_words("EENN", "NNEE"), t) for t in range(4)]
+    >>> octahedron = region_from_words("EENN", "NNEE")
+    >>> [count_lattice_points(octahedron, t) for t in range(4)]
     [1, 6, 19, 44]
+    >>> [count_lattice_points(octahedron, t, interior=True) for t in range(1, 4)]
+    [0, 1, 6]
     """
     if t < 0:
         raise ValueError("dilation must be nonnegative")
     p = region.lower.profile
     q = region.upper.profile
+    n = region.size
+    widths = [t] * n
+    floors = [t * h for h in p[1:]]
+    ceilings = [t * h for h in q[1:]]
+    if interior:
+        shift = 0  # strict steps so far: the kernel's prefix sums are c_i less these
+        for i in range(n):
+            if p[i] < q[i] or p[i + 1] < q[i + 1]:  # step i + 1 lies inside a block
+                if t < 2:
+                    return 0
+                widths[i] = t - 2
+                shift += 1
+            inset = int(p[i + 1] < q[i + 1])  # strict bounds between the touch points
+            floors[i] += inset - shift
+            ceilings[i] -= inset + shift
     lo = hi = 0
     counts = [1]  # counts[c - lo] for c in [lo, hi]
-    for i in range(1, region.size + 1):
-        new_lo, new_hi = max(lo, t * p[i]), min(hi + t, t * q[i])
+    for w, bottom, top in zip(widths, floors, ceilings):
+        # Conditional expressions rather than max/min: on small regions a
+        # builtin call per bound costs a third of the step.
+        new_lo = bottom if bottom > lo else lo
+        new_hi = top if top < hi + w else hi + w
         if new_lo > new_hi:
             return 0
         below = list(accumulate(counts, initial=0))  # below[k]: sum of counts[:k]
         # top index min(c, hi) - lo + 1: sliding up to hi, then pinned to below[-1]
-        tops = below[new_lo - lo + 1 : min(new_hi, hi) - lo + 2]
-        tops += repeat(below[-1], new_hi - max(hi, new_lo - 1))
-        # bottom index max(c - t, lo) - lo: pinned to below[0] = 0 up to lo + t, then sliding
-        bottoms = [0] * (min(new_hi, lo + t) - new_lo + 1)
-        bottoms += below[max(new_lo - t - lo, 1) : new_hi - t - lo + 1]
-        counts = list(map(sub, tops, bottoms))
+        tops = below[new_lo - lo + 1 : (new_hi if new_hi < hi else hi) - lo + 2]
+        if new_hi > hi:
+            tops += repeat(below[-1], new_hi - (hi if hi >= new_lo else new_lo - 1))
+        # bottom index max(c - w, lo) - lo: pinned to below[0] = 0 up to lo + w, where
+        # the counts are the tops as they stand, then sliding
+        pinned = (new_hi if new_hi < lo + w else lo + w) - new_lo + 1
+        if pinned < 0:
+            pinned = 0
+        start = new_lo - w - lo
+        counts = tops[:pinned]
+        counts += map(sub, tops[pinned:], below[start if start > 1 else 1 : new_hi - w - lo + 1])
         lo, hi = new_lo, new_hi
-    return counts[0]  # p_n = q_n = r pins the last range to the one sum t*r
+    return counts[0]  # p_n = q_n = r pins the last range to one sum
 
 
 @dataclass(frozen=True)
@@ -93,13 +134,15 @@ class EhrhartPolynomial:
         return int(scaled)
 
 
-def _interpolate(values: list[int]) -> tuple[Fraction, ...]:
-    """Monomial coefficients of the unique polynomial through (i, values[i]).
+def _interpolate(values: list[int], start: int) -> tuple[Fraction, ...]:
+    """Monomial coefficients of the unique polynomial through
+    (start + i, values[i]).
 
-    Newton form f(t) = sum_k D^k f(0) C(t, k) with integer forward
-    differences D^k f(0).  Scaled by d!, it is sum_k D^k f(0) (d!/k!) (t)_k,
-    expanded by Horner's rule in the falling factorials (t)_k: O(d^2)
-    integer operations, one ``Fraction`` per coefficient at the end.
+    Newton form f(t) = sum_k D^k f(start) C(t - start, k) with integer
+    forward differences D^k f(start).  Scaled by d!, it is
+    sum_k D^k f(start) (d!/k!) (t - start)_k, expanded by Horner's rule in
+    the falling factorials (t - start)_k: O(d^2) integer operations, one
+    ``Fraction`` per coefficient at the end.
     """
     d = len(values) - 1
     diffs = list(values)
@@ -109,10 +152,10 @@ def _interpolate(values: list[int]) -> tuple[Fraction, ...]:
     scale = 1  # d!/k! for k running down from d
     numer: list[int] = []
     for k in range(d, -1, -1):
-        # numer := numer * (t - k) + D^k f(0) * d!/k!
+        # numer := numer * (t - start - k) + D^k f(start) * d!/k!
         numer = [0] + numer
         for j in range(len(numer) - 1):
-            numer[j] -= k * numer[j + 1]
+            numer[j] -= (start + k) * numer[j + 1]
         numer[0] += diffs[k] * scale
         scale *= k
     denom = factorial(max(d, 0))
@@ -120,10 +163,21 @@ def _interpolate(values: list[int]) -> tuple[Fraction, ...]:
 
 
 def ehrhart_polynomial(region: Region) -> EhrhartPolynomial:
-    """Interpolate through the dilation counts at t = 0..d, d the dimension."""
+    """Interpolate through d+1 consecutive values, d the dimension, half of
+    them read off interior counts by Ehrhart-Macdonald reciprocity.
+
+    Reciprocity gives L(-t) = (-1)^d L°(t), L° the count of
+    relative-interior points.  So the plain counts at t = 0..ceil(d/2) and
+    the interior counts at t = 1..floor(d/2) are the values at
+    t = -floor(d/2)..ceil(d/2).  The window DP costs about n * t * width
+    operations, so no run goes past t = ceil(d/2).
+    """
     d = region.size - components(region).count
-    values = [count_lattice_points(region, t) for t in range(d + 1)]
-    return EhrhartPolynomial(_interpolate(values))
+    half = d // 2
+    sign = -1 if d % 2 else 1
+    negative = [sign * count_lattice_points(region, t, interior=True) for t in range(half, 0, -1)]
+    plain = [count_lattice_points(region, t) for t in range(d - half + 1)]
+    return EhrhartPolynomial(_interpolate(negative + plain, -half))
 
 
 @dataclass(frozen=True)
@@ -207,12 +261,16 @@ def formula_value(region: Region, t: int) -> int:
     M(t-u-v, alpha_{j/2}) when the new slack s_j has even j.  O(r t^2)
     integer operations per composition instead of one term per slack array.
     """
-    r = region.r
+    return _transfer_chain(region.r, t, gamma_set(region))
+
+
+def _transfer_chain(r: int, t: int, compositions: list[tuple[int, ...]]) -> int:
+    """``formula_value`` over a composition set its caller built once."""
     if r == 0:
         return 1
     total = 0
     ones = [1] * (t + 1)
-    for alpha in gamma_set(region):
+    for alpha in compositions:
         if r == 1:
             total += multichoose(t + 1, alpha[0])
             continue
@@ -256,8 +314,9 @@ def reconcile_ehrhart_formula(region: Region, t_max: int) -> ReconcileReport:
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    compositions = gamma_set(region)
     rows = tuple(
-        ReconcileRow(t, formula_value(region, t), count_lattice_points(region, t))
+        ReconcileRow(t, _transfer_chain(region.r, t, compositions), count_lattice_points(region, t))
         for t in range(0, t_max + 1)
     )
     return ReconcileReport(region, rows)

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator
 from .decompose import BorderStrip
 from .ehrhart import gamma_set, multichoose
 from .errors import TooLarge
+from .matroid import components
 from .paths import PathWord, Region
 from .polytope import Candidate, Facet, dimension, h_representation, vertices
 from .ratlinalg import affine_rank, in_convex_hull
@@ -165,6 +166,40 @@ def stepwise_lattice_count(region: Region, t: int) -> int:
     return cur.get(t * region.r, 0)
 
 
+def stepwise_interior_count(region: Region, t: int) -> int:
+    """Relative-interior points of the t-th dilation, stepwise.
+
+    Inside each connected block of ``components`` every step runs over
+    1..t-1 and every prefix sum short of the block's end lies strictly
+    between its bounds; loops, coloops and the prefix sums at the block
+    ends keep their plain ranges, which pin them.
+    """
+    if t < 0:
+        raise ValueError("dilation must be nonnegative")
+    strict_steps: set[int] = set()
+    strict_sums: set[int] = set()
+    for block in components(region).blocks:
+        if block.kind == "block":
+            strict_steps.update(range(block.start, block.stop + 1))
+            strict_sums.update(range(block.start, block.stop))
+    p = region.lower.profile
+    q = region.upper.profile
+    cur = {0: 1}
+    for i in range(1, region.size + 1):
+        strict = i in strict_sums
+        lo, hi = t * p[i] + strict, t * q[i] - strict
+        steps = range(1, t) if i in strict_steps else range(0, t + 1)
+        nxt: dict[int, int] = {}
+        for c, ways in cur.items():
+            for step in steps:
+                if lo <= c + step <= hi:
+                    nxt[c + step] = nxt.get(c + step, 0) + ways
+        cur = nxt
+        if not cur:
+            return 0
+    return cur.get(t * region.r, 0)
+
+
 def s_set(r: int, t: int) -> list[tuple[int, ...]]:
     """Nonnegative arrays of length 2(r-1) whose adjacent pairs total at most t."""
     if r < 1:
@@ -191,12 +226,16 @@ def s_set(r: int, t: int) -> list[tuple[int, ...]]:
 
 def literal_formula_value(region: Region, t: int) -> int:
     """The double-sum candidate for the dilation count, one term per slack array."""
-    r = region.r
+    return _literal_double_sum(region.r, t, gamma_set(region))
+
+
+def _literal_double_sum(r: int, t: int, compositions: list[tuple[int, ...]]) -> int:
+    """``literal_formula_value`` over a composition set its caller built once."""
     if r == 0:
         return 1
     total = 0
     svals = s_set(r, t)
-    for alpha in gamma_set(region):
+    for alpha in compositions:
         for s in svals:
             term = multichoose(t + 1 - (s[0] if s else 0), alpha[0])
             for i in range(2, r):

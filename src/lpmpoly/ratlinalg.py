@@ -2,8 +2,8 @@
 
 No floating point enters any computation.  Ranks, determinants and the
 convex-hull test run on plain Python ints by fraction-free elimination and
-integer-preserving pivoting; only ``barycentric_coordinates`` returns
-``fractions.Fraction``.  Matrices are lists of row tuples.
+integer-preserving pivoting; ``fractions.Fraction`` enters only as the
+convex-hull test's target point.  Matrices are lists of row tuples.
 """
 
 from __future__ import annotations
@@ -86,45 +86,6 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
             work[i][k] = 0
         prev = pv
     return sign * work[n - 1][n - 1]
-
-
-def barycentric_coordinates(
-    vertices: Sequence[Sequence[int]], point: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Coefficients expressing ``point`` affinely over ``vertices``; None if not in the hull's span."""
-    k = len(vertices)
-    dim = len(point)
-    # Solve [V^T; 1^T] lam = [point; 1] in the least-dimension sense: the
-    # vertices of a simplex are affinely independent, so the square system
-    # over a maximal independent subset suffices; here callers pass simplex
-    # vertex lists (k = dim + 1 or fewer).
-    rows = [[Fraction(vertices[j][i]) for j in range(k)] for i in range(dim)]
-    rows.append([Fraction(1)] * k)
-    rhs = [Fraction(x) for x in point] + [Fraction(1)]
-    # Overdetermined when k < dim + 1: reduce to a square subsystem and check the rest.
-    aug = [row + [rhs[i]] for i, row in enumerate(rows)]
-    pivots = []
-    row_i = 0
-    for col in range(k):
-        pivot = next((i for i in range(row_i, len(aug)) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[row_i], aug[pivot] = aug[pivot], aug[row_i]
-        pv = aug[row_i][col]
-        aug[row_i] = [x / pv for x in aug[row_i]]
-        for i in range(len(aug)):
-            if i != row_i and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row_i])]
-        pivots.append(col)
-        row_i += 1
-    for i in range(row_i, len(aug)):
-        if aug[i][k]:
-            return None
-    lam = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        lam[col] = aug[i][k]
-    return lam
 
 
 def _phase_one_feasible(columns: list[list[int]], rhs: list[int]) -> bool:

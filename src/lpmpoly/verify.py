@@ -453,28 +453,36 @@ def check_triangulation(
 
 
 def check_ehrhart(max_size: int = 6) -> CheckResult:
-    """The window-sum counts against the stepwise DP at t = 0..3, each
-    interpolated polynomial at t = 0, 1 and at the two dilations past its
-    degree, and, on regions of at most 5 elements, the double sum's transfer
-    chain against its literal evaluation at t = 0..2."""
+    """The window-sum counts against the stepwise DP and the interior counts
+    against the strict stepwise DP at t = 0..3; each interpolated polynomial
+    at t = 0, 1 and at every plain dilation from ceil(d/2) + 1, the first it
+    does not read, to d + 2, past its degree; and, on regions of at most 5
+    elements, the double sum's transfer chain against its literal evaluation
+    at t = 0..2.  Each region builds its composition set once."""
     res = CheckResult("ehrhart-interpolation")
     for region in oracle.all_regions(max_size):
         res.checked += 1
+        poly = eh.ehrhart_polynomial(region)
+        plain = [eh.count_lattice_points(region, t) for t in range(max(4, poly.degree + 3))]
         for t in range(4):
-            if eh.count_lattice_points(region, t) != oracle.stepwise_lattice_count(region, t):
+            if plain[t] != oracle.stepwise_lattice_count(region, t):
                 res.fail(f"window sums differ from the stepwise DP at t={t} on {region}")
+            interior = eh.count_lattice_points(region, t, interior=True)
+            if interior != oracle.stepwise_interior_count(region, t):
+                res.fail(f"interior window sums differ from the strict stepwise DP at t={t} on {region}")
+        compositions = eh.gamma_set(region)
         if region.size <= 5:
             for t in range(3):
-                if eh.formula_value(region, t) != oracle.literal_formula_value(region, t):
+                chain = eh._transfer_chain(region.r, t, compositions)
+                if chain != oracle._literal_double_sum(region.r, t, compositions):
                     res.fail(f"transfer chain differs from the literal double sum at t={t} on {region}")
-        poly = eh.ehrhart_polynomial(region)
         if poly(0) != 1 or poly(1) != len(enumerate_paths(region)):
             res.fail(f"values at 0/1 wrong on {region}")
-        for t in (poly.degree + 1, poly.degree + 2):
-            if poly(t) != eh.count_lattice_points(region, t):
+        for t in range((poly.degree + 1) // 2 + 1, poly.degree + 3):
+            if poly(t) != plain[t]:
                 res.fail(f"overdetermination fails at t={t} on {region}")
         folds = {eh.basis_fold(bv.coords) for bv in bases(region)}
-        if not folds <= set(eh.gamma_set(region)):
+        if not folds <= set(compositions):
             res.fail(f"basis fold escapes the composition set on {region}")
     return res
 
@@ -544,10 +552,10 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
                 sums = [sum(fold[: i + 1]) for i in range(region.r - 1)]
                 if not all(a <= s <= b for a, s, b in zip(bounds.a, sums, bounds.b)):
                     fold_witness = fold_witness or f"{region} basis {bv.support}"
-        compositions = len(eh.gamma_set(region))
+        compositions = eh.gamma_set(region)
         points = eh.count_lattice_points(region, 1)
-        if compositions != points and not count_witness:
-            count_witness = f"{region}: {compositions} compositions, {points} lattice points"
+        if len(compositions) != points and not count_witness:
+            count_witness = f"{region}: {len(compositions)} compositions, {points} lattice points"
         if k == 2:  # connected: the paths touch only at their endpoints
             stack = [decomposition_tree(region)]
             while stack:
@@ -561,9 +569,10 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
                     bad_splits += 1
                     split_witness = split_witness or f"{node.region} at (x={x}, j={j})"
         if region.size <= 5:
-            for row in eh.reconcile_ehrhart_formula(region, t_max).rows:
+            for t in range(t_max + 1):
                 total += 1
-                matched += row.match
+                chain = eh._transfer_chain(region.r, t, compositions)
+                matched += chain == eh.count_lattice_points(region, t)
             affine_ok &= all(sum(bv.coords) == region.r for bv in basis_vectors)
 
     rows.append(

@@ -190,6 +190,70 @@ def test_region_verbs_output_is_byte_identical(capsys):
     assert digest.hexdigest() == REGION_VERBS_SHA256
 
 
+# ``lpm ehrhart`` stdout, recorded while the polynomial was interpolated
+# through the plain counts at t = 0..d: a loop, a coloop, a loop plus a
+# coloop, two direct sums, the octahedron, the 3x3 rectangle, the Catalan
+# staircase with its loop and coloop, ``reduced_catalan_region(5)`` and
+# ``kcatalan_region(2, 3)``.
+EHRHART_STDOUT = {
+    ("E", "E"): (
+        '{"coeffs": ["1/1"], "volume_normalized": "1", "values": {"0": "1", "1": "1", "2": '
+        '"1"}}\n'
+    ),
+    ("N", "N"): (
+        '{"coeffs": ["1/1"], "volume_normalized": "1", "values": {"0": "1", "1": "1", "2": '
+        '"1"}}\n'
+    ),
+    ("EN", "EN"): (
+        '{"coeffs": ["1/1"], "volume_normalized": "1", "values": {"0": "1", "1": "1", "2": '
+        '"1"}}\n'
+    ),
+    ("ENEEN", "NENEE"): (
+        '{"coeffs": ["1/1", "5/2", "2/1", "1/2"], "volume_normalized": "3", "values": {"0": '
+        '"1", "1": "6", "2": "18", "3": "40", "4": "75", "5": "126"}}\n'
+    ),
+    ("ENNEN", "NENNE"): (
+        '{"coeffs": ["1/1", "2/1", "1/1"], "volume_normalized": "2", "values": {"0": "1", '
+        '"1": "4", "2": "9", "3": "16", "4": "25"}}\n'
+    ),
+    ("EENN", "NNEE"): (
+        '{"coeffs": ["1/1", "7/3", "2/1", "2/3"], "volume_normalized": "4", "values": {"0": '
+        '"1", "1": "6", "2": "19", "3": "44", "4": "85", "5": "146"}}\n'
+    ),
+    ("EEENNN", "NNNEEE"): (
+        '{"coeffs": ["1/1", "37/10", "25/4", "23/4", "11/4", "11/20"], "volume_normalized": '
+        '"66", "values": {"0": "1", "1": "20", "2": "141", "3": "580", "4": "1751", "5": '
+        '"4332", "6": "9331", "7": "18152"}}\n'
+    ),
+    ("EEENNN", "ENENEN"): (
+        '{"coeffs": ["1/1", "13/6", "3/2", "1/3"], "volume_normalized": "2", "values": '
+        '{"0": "1", "1": "5", "2": "14", "3": "30", "4": "55", "5": "91"}}\n'
+    ),
+    ("EEEEENNNNN", "NENENENENE"): (
+        '{"coeffs": ["1/1", "751/126", "16999/1008", "165259/5670", "32063/960", '
+        '"225271/8640", "441/32", "143167/30240", "19267/20160", "15619/181440"], '
+        '"volume_normalized": "31238", "values": {"0": "1", "1": "132", "2": "3459", "3": '
+        '"38364", "4": "256624", "5": "1233106", "6": "4694004", "7": "15032792", "8": '
+        '"42136553", "9": "106240068", "10": "245751011", "11": "529246796"}}\n'
+    ),
+    ("EEEENN", "NEENEE"): (
+        '{"coeffs": ["1/1", "191/60", "33/8", "65/24", "7/8", "13/120"], '
+        '"volume_normalized": "13", "values": {"0": "1", "1": "12", "2": "63", "3": "218", '
+        '"4": "588", "5": "1344", "6": "2730", "7": "5076"}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("words", sorted(EHRHART_STDOUT), ids="/".join)
+def test_ehrhart_output_is_byte_identical(capsys, words, fmt):
+    lower, upper = words
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["ehrhart", "--lower", lower, "--upper", upper, "--format", fmt])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == EHRHART_STDOUT[words]
+
+
 # sha256 of the stdout of ``lpm verify all --max-size s``; recorded while the
 # errata report still walked the region sweep once per row.
 VERIFY_ALL_SHA256 = {

@@ -23,15 +23,26 @@ from lpmpoly import (
 from lpmpoly.decompose import (
     GoodPartition,
     good_partition_of_split,
-    is_border_strip,
     strip_to_region,
     verify_good_partition,
 )
 from lpmpoly.errors import InvalidSplit
 from lpmpoly.oracle import all_regions
+from lpmpoly.paths import region_boxes
 from lpmpoly.polytope import h_representation
 from lpmpoly import verify
 from lpmpoly.verify import check_decomposition
+
+
+def is_border_strip(region):
+    """No 2-by-2 square of boxes anywhere in the region."""
+    boxes = set(region_boxes(region))
+    return not any(
+        (b.col + 1, b.row) in boxes
+        and (b.col, b.row + 1) in boxes
+        and (b.col + 1, b.row + 1) in boxes
+        for b in boxes
+    )
 
 
 def supports(region):

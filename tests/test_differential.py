@@ -5,8 +5,10 @@ stdlib ``random`` seed draws connected regions of 9-16 elements and every
 profile-bound route is replayed against its enumerative counterpart.  The
 draw keeps regions with at most ``PATH_CAP`` paths and ``STRIP_CAP`` border
 strips, so the affine-rank and inclusion-exclusion oracles stay at desk scale.
-Wider draws of 14-36 elements check the lattice-point window sums, and
-rank-7 draws check the Ehrhart double sum's transfer chain.
+Wider draws of 14-36 elements check the lattice-point window sums and,
+with direct sums of connected blocks, loops and coloops, the Ehrhart
+polynomial read off half the dilations by reciprocity; rank-7 draws check
+the Ehrhart double sum's transfer chain.
 """
 
 import random
@@ -16,12 +18,17 @@ import pytest
 
 from lpmpoly import (
     border_strips,
+    components,
     count_lattice_points,
     delete,
+    dimension,
     edges,
+    ehrhart_polynomial,
     enumerate_paths,
     facets,
     gamma_set,
+    is_connected,
+    region_from_words,
     vertices,
     volume,
 )
@@ -141,6 +148,52 @@ def test_wide_draw_covers_the_window_zones():
 def test_window_counts_match_stepwise_dp_on_wide_regions(region):
     for t in (0, 1, 2, 7, 19):
         assert count_lattice_points(region, t) == oracle.stepwise_lattice_count(region, t), t
+
+
+def direct_sums(seed=SEED, count=6):
+    """A loop, a coloop and two to four connected blocks of 2-8 elements, in
+    seeded order: 6-34 elements whose paths touch between every two pieces."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        pieces = [("E", "E"), ("N", "N")]
+        while len(pieces) < 2 + rng.randint(2, 4):
+            n = rng.randint(2, 8)
+            block = _between_two_random_paths(rng, n, rng.randint(1, n - 1))
+            if is_connected(block):
+                pieces.append((block.lower.word, block.upper.word))
+        rng.shuffle(pieces)
+        out.append(region_from_words("".join(w for w, _ in pieces), "".join(w for _, w in pieces)))
+    return out
+
+
+SUMS = direct_sums()
+
+
+def test_direct_sums_have_loops_coloops_and_blocks():
+    for region in SUMS:
+        kinds = [block.kind for block in components(region).blocks]
+        assert kinds.count("loop") == kinds.count("coloop") == 1
+        assert kinds.count("block") >= 2
+
+
+@pytest.mark.parametrize("region", WIDE + SUMS, ids=repr)
+def test_interior_counts_match_strict_stepwise_dp(region):
+    for t in (0, 1, 2, 3, 7):
+        want = oracle.stepwise_interior_count(region, t)
+        assert count_lattice_points(region, t, interior=True) == want, t
+
+
+@pytest.mark.parametrize("region", WIDE + SUMS, ids=repr)
+def test_ehrhart_polynomial_matches_every_plain_dilation_and_reciprocity(region):
+    # d + 1 plain counts fix a polynomial of degree d; the route under test
+    # reads only those up to ceil(d/2), the rest through interior counts
+    d = dimension(region)
+    poly = ehrhart_polynomial(region)
+    assert poly.degree == d
+    assert [poly(t) for t in range(d + 1)] == [count_lattice_points(region, t) for t in range(d + 1)]
+    for t in (1, 2, 3):
+        assert count_lattice_points(region, t, interior=True) == (-1) ** d * poly(-t), t
 
 
 def rank_seven_regions(seed=SEED, count=2):

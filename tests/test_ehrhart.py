@@ -67,26 +67,50 @@ def test_ehrhart_values_on_sweep():
 
 
 def test_ehrhart_polynomial_counts_d_plus_one_dilations(monkeypatch):
+    # d+1 counts in all: plain at t = 0..ceil(d/2), interior at t = 1..floor(d/2)
     calls = []
 
-    def counting(region, t):
-        calls.append(t)
-        return count_lattice_points(region, t)
+    def counting(region, t, interior=False):
+        calls.append((t, interior))
+        return count_lattice_points(region, t, interior)
 
     monkeypatch.setattr(eh, "count_lattice_points", counting)
-    for lower, upper in (("ENEN", "ENEN"), ("EN", "NE"), ("EENN", "NNEE"), ("EEENNN", "NENENE")):
+    pairs = (("ENEN", "ENEN"), ("EN", "NE"), ("EENN", "NNEE"), ("EEENNN", "NENENE"), ("EEENNN", "NNNEEE"))
+    for lower, upper in pairs:
         region = region_from_words(lower, upper)
+        d = dimension(region)
         calls.clear()
         ehrhart_polynomial(region)
-        assert calls == list(range(dimension(region) + 1))
+        assert sorted(t for t, interior in calls if not interior) == list(range((d + 1) // 2 + 1))
+        assert sorted(t for t, interior in calls if interior) == list(range(1, d // 2 + 1))
+
+
+def test_interior_counts_examples():
+    octahedron = region_from_words("EENN", "NNEE")  # d = 3: L(-t) = -L°(t)
+    poly = ehrhart_polynomial(octahedron)
+    assert [count_lattice_points(octahedron, t, interior=True) for t in range(5)] == [0, 0, 1, 6, 19]
+    assert [-poly(-t) for t in range(1, 5)] == [0, 1, 6, 19]
+    # a loop, a segment, a coloop and a triangle: the forced steps and the
+    # touch points stay equalities, so L°(t) = (t - 1) * C(t - 1, 2)
+    split = region_from_words("EENNEEN", "ENENNEE")
+    assert [count_lattice_points(split, t, interior=True) for t in range(1, 5)] == [0, 0, 2, 9]
+    single = region_from_words("N", "N")
+    assert [count_lattice_points(single, t, interior=True) for t in range(3)] == [1, 1, 1]
+
+
+def test_interior_counts_match_the_strict_oracle_on_sweep():
+    for region in all_regions(6):
+        for t in range(6):
+            want = oracle.stepwise_interior_count(region, t)
+            assert count_lattice_points(region, t, interior=True) == want, (region, t)
 
 
 def test_check_ehrhart_flags_a_failed_overdetermination(monkeypatch):
     clean = check_ehrhart(4)
     assert clean.ok
 
-    def perturbed(region, t):  # past t = 3, where the stepwise cross-check stops
-        return count_lattice_points(region, t) + (t >= 4)
+    def perturbed(region, t, interior=False):  # past t = 3, where the stepwise cross-check stops
+        return count_lattice_points(region, t, interior) + (t >= 4 and not interior)
 
     monkeypatch.setattr(eh, "count_lattice_points", perturbed)
     res = check_ehrhart(4)
@@ -111,7 +135,9 @@ def test_check_ehrhart_flags_a_shifted_window(monkeypatch):
 def test_check_ehrhart_flags_a_window_one_step_high(monkeypatch):
     clean = check_ehrhart(4)
 
-    def one_high(region, t):  # each count sums the window [c - t + 1, c + 1]
+    def one_high(region, t, interior=False):  # each plain count sums the window [c - t + 1, c + 1]
+        if interior:
+            return count_lattice_points(region, t, interior=True)
         p, q = region.lower.profile, region.upper.profile
         counts = {0: 1}
         for i in range(1, region.size + 1):
@@ -131,10 +157,12 @@ def test_check_ehrhart_flags_a_window_one_step_high(monkeypatch):
 def test_check_ehrhart_flags_a_broken_transfer_chain(monkeypatch):
     clean = check_ehrhart(4)
 
-    def off_by_one(region, t):
-        return formula_value(region, t) + (t == 2)
+    chain = eh._transfer_chain
 
-    monkeypatch.setattr(eh, "formula_value", off_by_one)
+    def off_by_one(r, t, compositions):
+        return chain(r, t, compositions) + (t == 2)
+
+    monkeypatch.setattr(eh, "_transfer_chain", off_by_one)
     res = check_ehrhart(4)
     assert not res.ok
     assert res.checked == clean.checked
@@ -143,14 +171,46 @@ def test_check_ehrhart_flags_a_broken_transfer_chain(monkeypatch):
     )
 
 
+def test_check_ehrhart_flags_an_interior_count_off_by_one(monkeypatch):
+    clean = check_ehrhart(4)
+
+    def off_by_one(region, t, interior=False):
+        return count_lattice_points(region, t, interior) + (interior and t >= 2)
+
+    monkeypatch.setattr(eh, "count_lattice_points", off_by_one)
+    res = check_ehrhart(4)
+    assert not res.ok
+    assert res.checked == clean.checked
+    assert res.failures and all(
+        "interior window sums differ from the strict stepwise DP" in f for f in res.failures
+    )
+
+
+def test_check_ehrhart_flags_a_disagreeing_strict_oracle(monkeypatch):
+    clean = check_ehrhart(4)
+    strict = oracle.stepwise_interior_count
+
+    def disagreeing(region, t):
+        return strict(region, t) + (t == 3)
+
+    monkeypatch.setattr(oracle, "stepwise_interior_count", disagreeing)
+    res = check_ehrhart(4)
+    assert not res.ok
+    assert res.checked == clean.checked
+    assert res.failures and all(
+        "interior window sums differ from the strict stepwise DP at t=3" in f for f in res.failures
+    )
+
+
 def test_interpolation_through_seeded_integer_sequences():
     rng = random.Random(20121220)
     for length in range(1, 41):
         values = [rng.randint(-(10**6), 10**6) for _ in range(length)]
-        coeffs = eh._interpolate(values)
+        start = rng.randint(-length, length)
+        coeffs = eh._interpolate(values, start)
         assert len(coeffs) == len(values)
         poly = EhrhartPolynomial(coeffs)
-        assert [poly(i) for i in range(length)] == values
+        assert [poly(start + i) for i in range(length)] == values
 
 
 def test_gamma_bounds_and_set_examples():

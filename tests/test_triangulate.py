@@ -22,7 +22,6 @@ from lpmpoly.decompose import strip_to_region
 from lpmpoly.errors import BadK, NonUnimodularCell, WrongChamber
 from lpmpoly.oracle import scan_inverse_descents
 from lpmpoly.polytope import h_representation
-from lpmpoly.ratlinalg import barycentric_coordinates
 from lpmpoly import triangulate, verify
 from lpmpoly.triangulate import SimplexCell, inverse_descent_class
 from lpmpoly.verify import all_strips, check_triangulation
@@ -95,6 +94,32 @@ def test_cell_geometry():
             for v in cell.vertices_lifted:
                 assert sum(v) == k
                 assert set(v) <= {0, 1}
+
+
+def barycentric_coordinates(vertices, point):
+    """Coefficients expressing ``point`` affinely over ``vertices``, by
+    Gauss-Jordan elimination in ``Fraction``s; None if not in the hull's span."""
+    k = len(vertices)
+    rows = [[F(v[i]) for v in vertices] + [F(x)] for i, x in enumerate(point)]
+    rows.append([F(1)] * (k + 1))
+    pivots = []
+    for col in range(k):
+        pivot = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[top])]
+        pivots.append(col)
+    if any(row[k] for row in rows[len(pivots):]):
+        return None
+    lam = [F(0)] * k
+    for i, col in enumerate(pivots):
+        lam[col] = rows[i][k]
+    return lam
 
 
 def _interior_point(cell):
