@@ -9,7 +9,7 @@ block of boxes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidSplit
@@ -25,15 +25,18 @@ class Split(NamedTuple):
 def find_split(region: Region) -> Split | None:
     """Smallest (j, x) where both the j-th and (j+1)-th intervals straddle x.
 
+    The j-th interval runs from s_j, the j-th N position of the upper path,
+    to t_j, that of the lower path.  The smallest x for j is
+    max(s_j + 1, s_{j+1}), a split when it is below min(t_j, t_{j+1} - 1).
+    Both position lists increase strictly, so that x is s_{j+1}, and it is
+    below t_{j+1} - 1 once it is below t_j: O(r) off the N positions.
     Absent exactly when the region is a border strip.
     """
-    intervals = presentation(region).intervals
-    for j in range(1, len(intervals)):
-        s_j, t_j = intervals[j - 1]
-        s_next, t_next = intervals[j]
-        for x in range(s_j + 1, t_j):
-            if s_next < x + 1 < t_next:
-                return Split(x, j)
+    s = region.upper.north_positions()
+    t = region.lower.north_positions()
+    for j, (x, t_j) in enumerate(zip(s[1:], t), start=1):
+        if x < t_j:
+            return Split(x, j)
     return None
 
 
@@ -47,19 +50,17 @@ class SplitResult:
 def hyperplane_split(region: Region, x: int, j: int) -> SplitResult:
     """Split into the child with at most j N steps in the first x elements (left)
     and the child with at least j (right); the shared bases form a facet of both."""
-    intervals = presentation(region).intervals
-    ok = (
-        1 <= j < region.r
-        and intervals[j - 1][0] < x < intervals[j - 1][1]
-        and intervals[j][0] < x + 1 < intervals[j][1]
-    )
-    if not ok:
+    s = region.upper.north_positions()
+    t = region.lower.north_positions()
+    if not (1 <= j < region.r and s[j - 1] < x < t[j - 1] and s[j] < x + 1 < t[j]):
         raise InvalidSplit(f"(x={x}, j={j}) does not satisfy the split condition")
     p = region.lower.profile
     q = region.upper.profile
-    n = region.size
-    capped = tuple(min(q[i], j + max(0, i - x)) for i in range(n + 1))
-    raised = tuple(max(p[i], j - max(0, x - i)) for i in range(n + 1))
+    # capped: min(q_i, j + max(0, i - x)); raised: max(p_i, j - max(0, x - i))
+    capped = [h if h < j else j for h in q[: x + 1]]
+    capped += [h if h < c else c for h, c in zip(q[x + 1 :], count(j + 1))]
+    raised = [h if h > c else c for h, c in zip(p[:x], count(j - x))]
+    raised += [h if h > j else j for h in p[x:]]
     left = Region(region.lower, path_from_profile(capped))
     right = Region(path_from_profile(raised), region.upper)
     return SplitResult(left, right, Split(x, j))

@@ -23,6 +23,7 @@ the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial, lcm
@@ -117,13 +118,20 @@ class EhrhartPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def _numerators(self) -> tuple[tuple[int, ...], int]:
+        """The coefficients over their common denominator, highest degree
+        first, and that denominator; computed once per polynomial."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs)), den
+
     def __call__(self, t: int) -> Fraction:
         """Horner's rule on integer numerators over the coefficients' common
         denominator, one ``Fraction`` at the end."""
-        den = lcm(*(c.denominator for c in self.coeffs))
+        numerators, den = self._numerators
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c.numerator * (den // c.denominator)
+        for c in numerators:
+            acc = acc * t + c
         return Fraction(acc, den)
 
     @property

@@ -9,11 +9,11 @@ exactly the N-position sets of the paths inside the region.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyFace, WrongCardinality
 from .paths import (
-    PathWord,
     Region,
     enumerate_paths,
     intersection_vertices,
@@ -106,15 +106,14 @@ def is_independent(pres: IntervalPresentation, subset: Iterable[int]) -> bool:
     return True
 
 
-def basis_vector_of_path(path: PathWord) -> BasisVector:
-    coords = tuple(1 if s == "N" else 0 for s in path.word)
-    return BasisVector(coords, path.north_positions())
-
-
 def bases(region: Region) -> Iterator[BasisVector]:
-    """Basis vectors in lexicographic coordinate order, bijective with the paths."""
+    """Basis vectors in lexicographic coordinate order, bijective with the
+    paths: each word's bytes translated to 0/1, the support compressed out
+    of the ground set by them."""
+    ground = range(1, region.size + 1)
     for path in enumerate_paths(region):
-        yield basis_vector_of_path(path)
+        coords = tuple(path.bits())
+        yield BasisVector(coords, tuple(compress(ground, coords)))
 
 
 def components(region: Region) -> ComponentPartition:

@@ -13,9 +13,15 @@ never climbing above the upper one.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import gt, sub
 from typing import NamedTuple
 
 from .errors import DominanceViolation, EmptyWord, EndpointMismatch, InvalidCharacter
+
+
+_STEP_BITS = bytes.maketrans(b"EN", b"\x00\x01")
+_STEP_LETTERS = bytes.maketrans(b"\x00\x01", b"EN")
 
 
 class PathWord:
@@ -64,9 +70,17 @@ class PathWord:
     def __repr__(self) -> str:
         return f"PathWord({self.word!r})"
 
+    def bits(self) -> bytes:
+        """The word as bytes, 0 for each E step and 1 for each N step.
+
+        >>> list(PathWord("ENN").bits())
+        [0, 1, 1]
+        """
+        return self.word.encode().translate(_STEP_BITS)
+
     def north_positions(self) -> tuple[int, ...]:
         """1-based positions of the N steps."""
-        return tuple(i for i, s in enumerate(self.word, start=1) if s == "N")
+        return tuple(compress(range(1, len(self.word) + 1), self.bits()))
 
     def east_step_heights(self) -> tuple[int, ...]:
         """Height at which each E step is taken, left to right."""
@@ -74,13 +88,21 @@ class PathWord:
 
 
 def path_from_profile(profile: tuple[int, ...]) -> PathWord:
-    """Rebuild the word whose height profile (including the leading 0) is given."""
-    letters = []
-    for a, b in zip(profile, profile[1:]):
-        if b - a not in (0, 1):
-            raise ValueError(f"not a unit-step profile: {profile}")
-        letters.append("N" if b == a + 1 else "E")
-    return PathWord("".join(letters))
+    """Rebuild the word whose height profile (including the leading 0) is
+    given, and wrap it with that profile."""
+    try:
+        steps = bytes(map(sub, profile[1:], profile))
+    except ValueError:  # a step below 0 or above 255
+        steps = None
+    if steps is None or steps.translate(None, b"\x00\x01"):
+        raise ValueError(f"not a unit-step profile: {profile}")
+    if not steps:
+        raise EmptyWord("path word is empty")
+    if profile[0] != 0:
+        raise ValueError(f"profile does not start at 0: {profile}")
+    word = steps.translate(_STEP_LETTERS).decode()
+    r = profile[-1]
+    return PathWord._from_profile(word, tuple(profile), len(word) - r, r)
 
 
 class Box(NamedTuple):
@@ -100,9 +122,9 @@ class Region:
             raise EndpointMismatch(
                 f"endpoints differ: ({lower.m},{lower.r}) vs ({upper.m},{upper.r})"
             )
-        for i in range(1, len(lower) + 1):
-            if lower.profile[i] > upper.profile[i]:
-                raise DominanceViolation(i)
+        if any(map(gt, lower.profile, upper.profile)):
+            pairs = enumerate(zip(lower.profile, upper.profile))
+            raise DominanceViolation(next(i for i, (a, b) in pairs if a > b))
         self.lower = lower
         self.upper = upper
 

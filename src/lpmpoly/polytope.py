@@ -8,15 +8,25 @@ through one lattice point for a prefix bound, both read off bounds
 tightened in O(n) by ``tighten_bounds``.  The candidate is a facet exactly
 when that region's dimension (size minus touch points plus one) is
 dim - 1.  Candidates come in canonical order, and a facet is listed under
-the first candidate that cuts it.  Edges come from an output-sensitive
-walk over the paths.  The oracle route, in :mod:`lpmpoly.oracle`,
-certifies every inequality of the H-representation by affine rank and
-picks the representative from the tight vertex sets.
+the first candidate that cuts it.  The oracle route, in
+:mod:`lpmpoly.oracle`, certifies every inequality of the H-representation
+by affine rank and picks the representative from the tight vertex sets.
+
+Edges are single N/E swaps between two paths.  They come from the walk
+that lists the paths in lexicographic order, read off rank offsets: a
+path's index is a sum of completion counts over its N steps, so the swap
+of an E at b with the N at a moves the index by an offset that depends on
+the prefix up to a only.  The walk carries those offsets for the E steps
+still open, recomputes only the suffix it rewrites from one path to the
+next, and never looks a partner up; the lookup of every swapped vector
+is the oracle's route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Sequence
 
 from .errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGeneralizedCatalan
@@ -25,7 +35,6 @@ from .paths import Region, area_below, enumerate_paths, path_from_profile, tight
 from .volume import catalan_area, catalan_number
 
 _BOX_KINDS = ("x_lower", "x_upper")
-_BITS = str.maketrans("EN", "01")
 
 
 @dataclass(frozen=True)
@@ -83,36 +92,82 @@ def dimension(region: Region) -> int:
     return region.size - components(region).count
 
 
+def _completions(region: Region) -> list[list[int]]:
+    """after[i][y]: the paths from height y after i steps to the end, for y
+    in 0..r+1; zero at the heights the region leaves out."""
+    p = region.lower.profile
+    q = region.upper.profile
+    n, r = region.size, region.r
+    after = [[0] * (r + 2) for _ in range(n + 1)]
+    after[n][r] = 1
+    for i in range(n - 1, -1, -1):
+        nxt = after[i + 1]
+        after[i][p[i] : q[i] + 1] = map(add, nxt[p[i] : q[i] + 1], nxt[p[i] + 1 : q[i] + 2])
+    return after
+
+
 def edges(region: Region) -> list[tuple[int, int]]:
     """Vertex-index pairs whose incidence vectors differ by a single swap, sorted.
 
-    Paths come in lexicographic order, so moving an N step from position a
-    to an E position b < a gives a later vertex.  The move raises the path
-    by one on [b, a), so for each N step the walk runs b leftwards while
-    the raised path stays under the upper path: every swap it tries is an
-    edge, found by bitmask lookup.
+    Paths come in lexicographic order, and a path's index is the sum, over
+    its N steps at positions i, of A_i(h_{i-1}): the paths that agree with
+    it before i and take E there (``after[i]`` by height).  Moving the N
+    step at a to an E position b < a raises the path by one on [b, a), an
+    edge exactly when the raised steps stay under the upper path, and adds
+
+        A_b(h_{b-1}) + sum over N steps i in (b, a) of
+        [A_i(h_{i-1} + 1) - A_i(h_{i-1})] - A_a(h_{a-1})
+
+    to the index.  That offset depends on the prefix up to a only, so the
+    walk of :func:`enumerate_paths` carries the open E steps (no touch with
+    the upper path since) with their running offsets, and each path
+    recomputes only the suffix the walk rewrote.  Sorted offsets are the
+    sorted later partners; ``index`` lets every pair share one int per
+    vertex.
     """
-    paths = enumerate_paths(region)
-    n = region.size
+    p = region.lower.profile
     q = region.upper.profile
-    masks = [int(path.word.translate(_BITS), 2) for path in paths]
-    index = {mask: k for k, mask in enumerate(masks)}
-    out = []
-    for k, path in enumerate(paths):
-        word, h, mask = path.word, path.profile, masks[k]
-        later = []
-        for a in range(2, n + 1):
-            if word[a - 1] != "N":
-                continue
-            moved = mask ^ (1 << (n - a))
-            b = a - 1
-            while b >= 1 and h[b] < q[b]:
-                if word[b - 1] == "E":
-                    later.append(index[moved | (1 << (n - b))])
-                b -= 1
-        later.sort()
-        out.extend((k, other) for other in later)
-    return out
+    n = region.size
+    after = _completions(region)
+    index = list(range(after[0][0]))
+    out: list[tuple[int, int]] = []
+    offsets: list[int] = []  # partner offsets found on the current prefix
+    opened: list[int] = []  # per E step on the prefix: its base offset less the shift then
+    heights = [0] * (n + 1)
+    # after i steps: shift (the sum of A_j(h_{j-1} + 1) - A_j(h_{j-1}) over
+    # the N steps so far), the first E step still open, and the lengths of
+    # ``offsets`` and ``opened``
+    state = [(0, 0, 0, 0)] + [None] * n
+    k = i = 0
+    rise = False  # step i + 1 is the E the walk raises
+    while True:
+        h = heights[i]
+        shift, first, found, open_ = state[i]
+        del offsets[found:], opened[open_:]
+        while i < n:
+            row = after[i + 1]
+            if rise or h < p[i + 1]:
+                rise = False
+                if first < len(opened):
+                    offsets += map((shift - row[h]).__add__, opened[first:])
+                shift += row[h + 1] - row[h]
+                h += 1
+                if h == q[i + 1]:
+                    first = len(opened)
+            elif h < q[i + 1]:  # on the upper path, the touch before closed all
+                opened.append(row[h] - shift)
+            i += 1
+            heights[i] = h
+            state[i] = (shift, first, len(offsets), len(opened))
+        out.extend(zip(repeat(k), map(index.__getitem__, map(k.__add__, sorted(offsets)))))
+        k += 1
+        # the next path raises the last E whose N would stay under the upper path
+        i = n - 1
+        while i >= 0 and (heights[i + 1] > heights[i] or heights[i] >= q[i + 1]):
+            i -= 1
+        if i < 0:
+            return out
+        rise = True
 
 
 def edge_count_by_area(region: Region) -> int:
@@ -304,21 +359,16 @@ def _path_indices(
     the partial counts of all prefixes by height, so the cost is the number
     of prefixes, not paths times n.
     """
-    p = region.lower.profile
     q = region.upper.profile
     n = region.size
-    # after[k][y]: paths from height y after k steps to the end
-    after: list[dict[int, int]] = [{} for _ in range(n)] + [{q[n]: 1}]
-    for k in range(n - 1, -1, -1):
-        nxt = after[k + 1]
-        after[k] = {y: nxt.get(y, 0) + nxt.get(y + 1, 0) for y in range(p[k], q[k] + 1)}
+    after = _completions(region)
     partial: dict[int, list[int]] = {0: [0]}
     for k in range(1, n + 1):
         grown: dict[int, list[int]] = {}
         for y, found in partial.items():
             for rise in rises[k]:
                 if low[k] <= y + rise <= high[k]:
-                    gain = after[k].get(y, 0) if rise else 0
+                    gain = after[k][y] if rise else 0
                     grown.setdefault(y + rise, []).extend([x + gain for x in found])
         partial = grown
     return tuple(sorted(partial.get(q[n], ())))

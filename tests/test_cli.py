@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lpmpoly import cli, decomposition_tree
+from lpmpoly import cli, decomposition_tree, is_connected, region_from_words
 from lpmpoly.decompose import region_to_strip
 from lpmpoly.oracle import all_regions
 
@@ -188,6 +188,43 @@ def test_region_verbs_output_is_byte_identical(capsys):
             assert exit_.value.code == 0
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == REGION_VERBS_SHA256
+
+
+# sha256 of the stdout of ``lpm edges``, ``lpm bases`` and ``lpm decompose
+# --format json``, in that order, on each region below in turn; recorded
+# while edges were looked up in a bitmask dictionary, basis coordinates
+# were built letter by letter and splits were read off the interval
+# presentation.  A single element, a loop plus a coloop, a disconnected
+# region, the 3x3 rectangle, ``reduced_catalan_region(5)``,
+# ``kcatalan_region(2, 4)``, two regions whose paths touch mid-way and
+# three small connected ones.  ``decompose`` exits 3 on the disconnected
+# ones, with nothing on stdout.
+ENUMERATION_REGIONS = (
+    ("N", "N"),
+    ("EN", "EN"),
+    ("ENEEN", "NENEE"),
+    ("EEENNN", "NNNEEE"),
+    ("EEEEENNNNN", "NENENENENE"),
+    ("EEEEEENNN", "NEENEENEE"),
+    ("EENNEENN", "NNEENNEE"),
+    ("EEENNENN", "NENEENNE"),
+    ("EENN", "NENE"),
+    ("EENN", "NNEE"),
+    ("EEEENN", "NEENEE"),
+)
+ENUMERATION_VERBS_SHA256 = "a2a978a1f452242f079b1c2d2c57dbb59b4bf22a8fed85c15ff381c76b1fa99f"
+
+
+def test_enumeration_verbs_output_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for lower, upper in ENUMERATION_REGIONS:
+        decompose_code = 0 if is_connected(region_from_words(lower, upper)) else 3
+        for verb, code in (("edges", 0), ("bases", 0), ("decompose", decompose_code)):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main([verb, "--lower", lower, "--upper", upper, "--format", "json"])
+            assert exit_.value.code == code, (verb, lower, upper)
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ENUMERATION_VERBS_SHA256
 
 
 # ``lpm ehrhart`` stdout, recorded while the polynomial was interpolated

@@ -27,8 +27,9 @@ from lpmpoly.decompose import (
     verify_good_partition,
 )
 from lpmpoly.errors import InvalidSplit
+from lpmpoly.matroid import presentation
 from lpmpoly.oracle import all_regions
-from lpmpoly.paths import region_boxes
+from lpmpoly.paths import PathWord, region_boxes
 from lpmpoly.polytope import h_representation
 from lpmpoly import verify
 from lpmpoly.verify import check_decomposition
@@ -53,6 +54,63 @@ def test_find_split_examples():
     assert find_split(region_from_words("EENN", "NNEE")) == Split(x=2, j=1)
     assert find_split(region_from_words("EENN", "NENE")) is None
     assert find_split(region_from_words("EN", "NE")) is None
+
+
+def reference_split(region):
+    """The smallest (j, x) straddle, scanned over the interval presentation."""
+    intervals = presentation(region).intervals
+    for j in range(1, len(intervals)):
+        (s_j, t_j), (s_next, t_next) = intervals[j - 1], intervals[j]
+        for x in range(s_j + 1, t_j):
+            if s_next < x + 1 < t_next:
+                return Split(x, j)
+    return None
+
+
+def reference_halves(region, x, j):
+    """The capped upper and raised lower profiles of a split, or None when
+    (x, j) fails the straddle condition on the interval presentation."""
+    intervals = presentation(region).intervals
+    if not (
+        1 <= j < region.r
+        and intervals[j - 1][0] < x < intervals[j - 1][1]
+        and intervals[j][0] < x + 1 < intervals[j][1]
+    ):
+        return None
+    p, q = region.lower.profile, region.upper.profile
+    capped = tuple(min(q[i], j + max(0, i - x)) for i in range(region.size + 1))
+    raised = tuple(max(p[i], j - max(0, x - i)) for i in range(region.size + 1))
+    return capped, raised
+
+
+def _halves(result):
+    left, right = result.left, result.right
+    for path in (left.upper, right.lower):  # the wrapped word agrees with its profile
+        assert PathWord(path.word).profile == path.profile
+    return left.lower, left.upper.profile, right.lower.profile, right.upper
+
+
+def test_splits_match_the_interval_presentation_reference():
+    for region in all_regions(8):
+        split = find_split(region)
+        assert split == reference_split(region), region
+        if split is not None:
+            want = reference_halves(region, split.x, split.j)
+            got = _halves(hyperplane_split(region, split.x, split.j))
+            assert got == (region.lower, *want, region.upper), region
+
+
+def test_hyperplane_split_accepts_exactly_the_straddles():
+    for region in all_regions(6):
+        for x in range(-1, region.size + 2):
+            for j in range(-1, region.r + 2):
+                want = reference_halves(region, x, j)
+                if want is None:
+                    with pytest.raises(InvalidSplit):
+                        hyperplane_split(region, x, j)
+                else:
+                    got = _halves(hyperplane_split(region, x, j))
+                    assert got == (region.lower, *want, region.upper), (region, x, j)
 
 
 def test_hyperplane_split_example():

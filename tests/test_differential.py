@@ -5,6 +5,9 @@ stdlib ``random`` seed draws connected regions of 9-16 elements and every
 profile-bound route is replayed against its enumerative counterpart.  The
 draw keeps regions with at most ``PATH_CAP`` paths and ``STRIP_CAP`` border
 strips, so the affine-rank and inclusion-exclusion oracles stay at desk scale.
+A second draw of 6-24 elements lets the paths touch, so disconnected
+regions, loops and coloops come in; on it and the first, the enumeration
+kernels (edges, bases, decomposition leaves) meet their oracles.
 Wider draws of 14-36 elements check the lattice-point window sums and,
 with direct sums of connected blocks, loops and coloops, the Ehrhart
 polynomial read off half the dilations by reciprocity; rank-7 draws check
@@ -12,14 +15,17 @@ the Ehrhart double sum's transfer chain.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from lpmpoly import (
+    Box,
+    bases,
     border_strips,
     components,
     count_lattice_points,
+    decomposition_tree,
     delete,
     dimension,
     edges,
@@ -35,7 +41,7 @@ from lpmpoly import (
 from lpmpoly import oracle
 from lpmpoly.ehrhart import formula_value
 from lpmpoly.errors import EmptyFace
-from lpmpoly.paths import PathWord, Region, path_from_profile
+from lpmpoly.paths import PathWord, Region, path_from_profile, region_boxes
 from lpmpoly.polytope import facet_candidates
 
 SEED = 20121220
@@ -115,6 +121,66 @@ def _between_two_random_paths(rng, n, r):
     words = [rng.sample("N" * r + "E" * (n - r), n) for _ in range(2)]
     a, b = (PathWord("".join(w)).profile for w in words)
     return Region(path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b))))
+
+
+def touching_regions(seed=SEED, count=60):
+    """Regions of 6-24 elements between two random paths, which may touch:
+    disconnected ones, loops and coloops among them.  A draw with more than
+    ``5 * PATH_CAP`` paths is drawn again, so the swap oracle stays at desk
+    scale."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = 6 + len(out) % 19
+        region = _between_two_random_paths(rng, n, rng.randint(1, n - 1))
+        if _path_count(region.lower.profile, region.upper.profile) <= 5 * PATH_CAP:
+            out.append(region)
+    return out
+
+
+TOUCHING = touching_regions()
+
+
+def test_touching_draw_has_disconnected_regions_loops_and_coloops():
+    kinds = [block.kind for region in TOUCHING for block in components(region).blocks]
+    assert {"loop", "coloop"} <= set(kinds)
+    assert sum(not is_connected(region) for region in TOUCHING) >= len(TOUCHING) // 2
+    assert any(
+        [block.kind for block in components(region).blocks].count("block") >= 2
+        for region in TOUCHING
+    )
+    assert max(region.size for region in TOUCHING) == 24
+
+
+def _strips_by_block(region):
+    """Box sets of the border strips of a direct sum, sorted: one strip of
+    each connected block, shifted to where the block sits; the region's own
+    strips when it is connected."""
+    p, q = region.lower.profile, region.upper.profile
+    choices = []
+    for start, stop, kind in components(region).blocks:
+        if kind != "block":
+            continue
+        base = p[start - 1]
+        block = Region(*(
+            path_from_profile(tuple(h - base for h in prof[start - 1 : stop + 1])) for prof in (p, q)
+        ))
+        shift = start - 1 - base
+        strips = border_strips(block)
+        choices.append([[Box(b.col + shift, b.row + base) for b in s.boxes] for s in strips])
+    return sorted(sorted(sum(pick, [])) for pick in product(*choices))
+
+
+@pytest.mark.parametrize("region", TOUCHING + REGIONS, ids=repr)
+def test_enumeration_kernels_match_oracles(region):
+    assert edges(region) == oracle.swap_edges(region)
+    if region.size <= 12:  # the basis scan's cap
+        assert {frozenset(b.support) for b in bases(region)} == oracle.brute_bases(region)
+    leaves = decomposition_tree(region).leaves()
+    want = _strips_by_block(region)
+    assert sorted(sorted(region_boxes(leaf.region)) for leaf in leaves) == want
+    if is_connected(region):
+        assert want == sorted(list(s.boxes) for s in border_strips(region))
 
 
 def wide_regions(seed=SEED, count=8):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 import pytest
 
@@ -64,6 +65,23 @@ def test_ehrhart_values_on_sweep():
         poly = ehrhart_polynomial(region)
         assert poly(0) == 1
         assert poly(1) == len(list(bases(region)))
+
+
+def test_polynomial_takes_its_common_denominator_once(monkeypatch):
+    region = region_from_words("EEENNN", "NENENE")
+    poly = ehrhart_polynomial(region)
+    calls = []
+
+    def counted_lcm(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(eh, "lcm", counted_lcm)
+    assert [poly(t) for t in range(6)] == [count_lattice_points(region, t) for t in range(6)]
+    assert [poly(t) for t in range(-3, 0)] == [
+        (-1) ** poly.degree * count_lattice_points(region, -t, interior=True) for t in range(-3, 0)
+    ]
+    assert len(calls) == 1
 
 
 def test_ehrhart_polynomial_counts_d_plus_one_dilations(monkeypatch):

@@ -14,7 +14,7 @@ from lpmpoly import (
 )
 from lpmpoly.errors import DominanceViolation, EmptyWord, EndpointMismatch, InvalidCharacter
 from lpmpoly.oracle import all_regions
-from lpmpoly.paths import area_below
+from lpmpoly.paths import area_below, path_from_profile
 from math import comb
 
 
@@ -42,6 +42,28 @@ def test_region_validation():
     assert err.value.position == 1
     with pytest.raises(EndpointMismatch):
         Region(PathWord("EN"), PathWord("NNE"))
+
+
+def test_dominance_violation_names_the_first_step_above():
+    with pytest.raises(DominanceViolation) as err:
+        Region(PathWord("EENNNE"), PathWord("ENEENN"))
+    assert err.value.position == 4
+
+
+def test_path_from_profile_wraps_the_profile_it_is_given():
+    for n in range(1, 9):
+        for r in range(n + 1):
+            for path in enumerate_paths(rectangle_region(n - r, r)):
+                rebuilt = path_from_profile(path.profile)
+                parsed = PathWord(rebuilt.word)
+                assert rebuilt == path
+                assert (rebuilt.profile, rebuilt.m, rebuilt.r) == (parsed.profile, parsed.m, parsed.r)
+    assert path_from_profile([0, 1, 1]).profile == (0, 1, 1)
+    for bad in ((0, 2), (0, 1, 0), (0, -1), (0, 300), (1, 1, 2)):
+        with pytest.raises(ValueError):
+            path_from_profile(bad)
+    with pytest.raises(EmptyWord):
+        path_from_profile((0,))
 
 
 @pytest.mark.parametrize(
