@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyFace, WrongCardinality
@@ -38,8 +39,7 @@ class IntervalPresentation:
             raise ValueError("interval endpoints must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class BasisVector:
+class BasisVector(NamedTuple):
     """0/1 incidence vector of a basis together with its support."""
 
     coords: tuple[int, ...]
@@ -124,7 +124,7 @@ def components(region: Region) -> ComponentPartition:
     """
     p = region.lower.profile
     q = region.upper.profile
-    touch = [i for i in range(region.size + 1) if p[i] == q[i]]
+    touch = list(compress(range(region.size + 1), map(eq, p, q)))
     blocks = []
     for a, b in zip(touch, touch[1:]):
         if b - a == 1:
@@ -156,5 +156,6 @@ def delete(region: Region, i: int, value: int) -> Region:
     )
     if bounds is None:
         raise EmptyFace(f"no basis has coordinate {i} equal to {value}")
-    low, high = (prof[:i] + tuple(h - value for h in prof[i + 1 :]) for prof in bounds)
+    drop = (-value).__add__
+    low, high = (prof[:i] + tuple(map(drop, prof[i + 1 :])) for prof in bounds)
     return Region(path_from_profile(low), path_from_profile(high))

@@ -9,6 +9,13 @@ descent-class counts by inclusion-exclusion rather than the box DP;
 triangulation cells by a full permutation scan rather than generation;
 the Ehrhart double sum term by term over every slack array rather than by
 a transfer chain.
+
+Adjacency is the midpoint test on the vertex list alone, never the swap
+rule or the matroid.  It runs on the midpoint's cube face: a convex
+combination of 0/1 points that hits a point of a face of the cube uses
+only points of that face, so the vertices that disagree with the pair
+where the pair agrees cannot take part, and a pair that no other vertex
+shares a face with is an edge without an LP.
 """
 
 from __future__ import annotations
@@ -52,12 +59,30 @@ def brute_bases(region: Region) -> set[frozenset[int]]:
 
 
 def brute_adjacent(verts: list[tuple[int, ...]], i: int, j: int) -> bool:
-    """Midpoint test: an edge iff the midpoint escapes the hull of the others."""
+    """Midpoint test on 0/1 vertices: an edge iff the midpoint escapes the
+    hull of the others.
+
+    Only the others on the midpoint's cube face take part.  The midpoint
+    keeps every coordinate where ``verts[i]`` and ``verts[j]`` agree, and a
+    convex combination of 0/1 points that hits a point of a face of the
+    cube uses only points of that face.  So the hull test runs on the
+    other vertices that agree with ``verts[i]`` there, projected to the
+    coordinates where the pair differs, with the midpoint all halves; a
+    pair with no such vertex is an edge without an LP.
+    """
     if len(verts) > 40:
         raise TooLarge("adjacency oracle is capped at 40 vertices")
-    mid = [Fraction(a + b, 2) for a, b in zip(verts[i], verts[j])]
-    others = [v for k, v in enumerate(verts) if k not in (i, j)]
-    return not in_convex_hull(others, mid)
+    u, v = verts[i], verts[j]
+    free = [c for c, (a, b) in enumerate(zip(u, v)) if a != b]
+    fixed = [(c, a) for c, (a, b) in enumerate(zip(u, v)) if a == b]
+    face = [
+        tuple(w[c] for c in free)
+        for k, w in enumerate(verts)
+        if k != i and k != j and all(w[c] == a for c, a in fixed)
+    ]
+    if not face:
+        return True
+    return not in_convex_hull(face, [Fraction(1, 2)] * len(free))
 
 
 PREFER_BOX_LOWER, PREFER_BOX_UPPER, PREFER_PREFIX_UPPER, PREFER_PREFIX_LOWER = range(4)

@@ -113,9 +113,10 @@ class Box(NamedTuple):
 
 
 class Region:
-    """A pair of bounding paths, lower never above upper."""
+    """A pair of bounding paths, lower never above upper; ``size`` is the
+    ground-set size m + r."""
 
-    __slots__ = ("lower", "upper")
+    __slots__ = ("lower", "upper", "size")
 
     def __init__(self, lower: PathWord, upper: PathWord):
         if lower.m != upper.m or lower.r != upper.r:
@@ -127,6 +128,7 @@ class Region:
             raise DominanceViolation(next(i for i, (a, b) in pairs if a > b))
         self.lower = lower
         self.upper = upper
+        self.size = lower.m + lower.r
 
     @property
     def m(self) -> int:
@@ -135,11 +137,6 @@ class Region:
     @property
     def r(self) -> int:
         return self.lower.r
-
-    @property
-    def size(self) -> int:
-        """Ground-set size m + r."""
-        return len(self.lower)
 
     def __eq__(self, other) -> bool:
         return (
@@ -215,9 +212,16 @@ def tighten_bounds(
     """Min and max height profiles of the paths between ``low`` and ``high``
     whose i-th letter is ``step``, or which stand at ``height`` after i steps.
 
-    Each step rises by 0 or 1, or by exactly the fixed letter's rise at step
-    i; one forward and one backward pass close the bounds under those rises.
-    Returns None when no path qualifies.  O(n).
+    Precondition: ``low`` and ``high`` are path profiles, unit steps with
+    ``low <= high`` pointwise, as every caller passes them (a region's
+    bounding paths, from ``matroid.delete`` and ``polytope._face``, which
+    feed ``facets`` and ``face_region``).  Such bounds are already closed
+    under rises of 0 or 1, so only the fixed step breaks the closure: one
+    pass runs forward from step i (from i + 1 when a height is pinned) and
+    one backward from i - 1, each stopping at the first step where neither
+    bound moves, since past it the given profiles hold again.  Returns None
+    when no path qualifies.  O(n) in copies and comparisons at C speed;
+    the Python loop visits only the steps whose bounds move.
     """
     n = len(low) - 1
     if not 1 <= i <= n or (step is None) == (height is None):
@@ -227,18 +231,30 @@ def tighten_bounds(
     if height is not None:
         lo[i] = max(lo[i], height)
         hi[i] = min(hi[i], height)
-        fixed_min, fixed_max = 0, 1
+        rise_min, rise_max = 0, 1
     else:
-        fixed_min = fixed_max = 1 if step == "N" else 0
-    for j in range(1, n + 1):
-        rise_min, rise_max = (fixed_min, fixed_max) if j == i else (0, 1)
-        lo[j] = max(lo[j], lo[j - 1] + rise_min)
-        hi[j] = min(hi[j], hi[j - 1] + rise_max)
-    for j in range(n - 1, -1, -1):
-        rise_min, rise_max = (fixed_min, fixed_max) if j + 1 == i else (0, 1)
-        lo[j] = max(lo[j], lo[j + 1] - rise_max)
-        hi[j] = min(hi[j], hi[j + 1] - rise_min)
-    if any(a > b for a, b in zip(lo, hi)):
+        rise_min = rise_max = 1 if step == "N" else 0
+        lo[i] = max(lo[i], lo[i - 1] + rise_min)
+        hi[i] = min(hi[i], hi[i - 1] + rise_max)
+    floor, ceiling = lo[i], hi[i] + 1
+    for j in range(i + 1, n + 1):
+        if lo[j] >= floor and hi[j] <= ceiling:
+            break
+        if lo[j] < floor:
+            lo[j] = floor
+        if hi[j] > ceiling:
+            hi[j] = ceiling
+        floor, ceiling = lo[j], hi[j] + 1
+    floor, ceiling = lo[i] - rise_max, hi[i] - rise_min
+    for j in range(i - 1, -1, -1):
+        if lo[j] >= floor and hi[j] <= ceiling:
+            break
+        if lo[j] < floor:
+            lo[j] = floor
+        if hi[j] > ceiling:
+            hi[j] = ceiling
+        floor, ceiling = lo[j] - 1, hi[j]
+    if any(map(gt, lo, hi)):
         return None
     return tuple(lo), tuple(hi)
 

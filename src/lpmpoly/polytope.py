@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGeneralizedCatalan
@@ -46,7 +46,7 @@ class LinearConstraint:
     rhs: int
 
     def holds(self, point: Sequence[int]) -> bool:
-        v = sum(c * x for c, x in zip(self.coeffs, point))
+        v = sum(map(mul, self.coeffs, point))
         if self.rel == "<=":
             return v <= self.rhs
         if self.rel == ">=":
@@ -54,7 +54,7 @@ class LinearConstraint:
         return v == self.rhs
 
     def tight(self, point: Sequence[int]) -> bool:
-        return sum(c * x for c, x in zip(self.coeffs, point)) == self.rhs
+        return sum(map(mul, self.coeffs, point)) == self.rhs
 
     def to_json_dict(self, tight_vertices: tuple[int, ...] | None = None) -> dict:
         d = {"coeffs": list(self.coeffs), "rel": self.rel, "rhs": self.rhs}

@@ -4,6 +4,10 @@ No floating point enters any computation.  Ranks, determinants and the
 convex-hull test run on plain Python ints by fraction-free elimination and
 integer-preserving pivoting; ``fractions.Fraction`` enters only as the
 convex-hull test's target point.  Matrices are lists of row tuples.
+Fraction-free elimination keeps every entry a minor of the input, so each
+division by the previous pivot is exact; that holds only when rows with a
+zero in the pivot column are rescaled too, which ``rank_int`` and the
+simplex tableau both do.
 """
 
 from __future__ import annotations
@@ -16,8 +20,12 @@ from typing import Sequence
 def rank_int(rows: Sequence[Sequence[int]], cap: int | None = None) -> int:
     """Rank of an integer matrix by fraction-free elimination.
 
-    When ``cap`` is given, returns early with ``cap + 1`` as soon as the rank
-    is known to exceed ``cap``.
+    Every surviving row is mapped to ``(pv * a - rv * b) // prev_pivot``,
+    a row with ``rv == 0`` in the pivot column included (it becomes
+    ``pv * a // prev_pivot``): its entries stay minors of the input, so
+    the next step's division is exact.  When ``cap`` is given,
+    returns early with ``cap + 1`` as soon as the rank is known to exceed
+    ``cap``.
     """
     work = [list(r) for r in rows if any(r)]
     if not work:
@@ -45,6 +53,8 @@ def rank_int(rows: Sequence[Sequence[int]], cap: int | None = None) -> int:
             rv = row[col]
             if rv:
                 row = [(pv * a - rv * b) // prev_pivot for a, b in zip(row, pivot)]
+            elif pv != prev_pivot:
+                row = [pv * a // prev_pivot for a in row]
             if any(row):
                 reduced.append(row)
         work = reduced
@@ -54,12 +64,18 @@ def rank_int(rows: Sequence[Sequence[int]], cap: int | None = None) -> int:
 
 
 def affine_rank(points: Sequence[Sequence[int]], cap: int | None = None) -> int:
-    """Dimension of the affine hull: -1 for no points, 0 for a single point."""
+    """Dimension of the affine hull: -1 for no points, 0 for a single point.
+
+    The rank of the differences from the first point, eliminated on the
+    transpose: one row per coordinate.  A polytope's vertex sets have more
+    points than coordinates, so ``rank_int`` makes fewer Python-level row
+    passes; the rank is the same.
+    """
     if not points:
         return -1
     base = points[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return rank_int(diffs, cap=cap)
+    columns = zip(*points[1:])
+    return rank_int([[x - b for x in column] for column, b in zip(columns, base)], cap=cap)
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -150,3 +151,84 @@ def test_in_convex_hull_against_certificates():
         denominators.update(x.denominator for x in outside)
         assert not in_convex_hull(points, outside), (points, outside, c)
     assert len(denominators - {1, 2}) > 5
+
+
+def _fraction_rank(rows):
+    """Gauss-Jordan rank over ``Fraction``: the reference for ``rank_int``."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((k for k in range(rank, len(work)) if work[k][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        for k, row in enumerate(work):
+            if k != rank and row[col]:
+                f = row[col] / top[col]
+                work[k] = [a - f * b for a, b in zip(row, top)]
+        rank += 1
+    return rank
+
+
+RANK_WITNESS = [[0, 0, -1, 1, 1], [0, 0, 0, -1, 1], [1, -1, 1, 0, -1], [1, 1, -1, -1, 1], [0, 0, -1, 0, 1]]
+
+
+def test_rank_int_rescales_rows_with_a_zero_pivot_entry():
+    # the second pivot (column 1) is 2; the rows with 0 there must be
+    # doubled, or the next step's division by 2 truncates a row to zero
+    assert _fraction_rank(RANK_WITNESS) == 5
+    assert rank_int(RANK_WITNESS) == 5
+    assert rank_int(RANK_WITNESS, cap=4) == 5
+
+
+def test_rank_int_matches_fraction_reference():
+    rng = random.Random(20121220)
+    for trial in range(3000):
+        rows = [[rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]]
+        rows += [[rng.randint(-3, 3) for _ in rows[0]] for _ in range(rng.randint(0, 6))]
+        want = _fraction_rank(rows)
+        assert rank_int(rows) == want, rows
+        cap = rng.randint(0, 6)
+        assert rank_int(rows, cap=cap) == (want if want <= cap else cap + 1), (rows, cap)
+
+
+def test_affine_rank_matches_fraction_reference():
+    rng = random.Random(20121221)
+    for trial in range(2000):
+        dim = rng.randint(1, 7)
+        points = [tuple(rng.randint(0, 1) for _ in range(dim)) for _ in range(rng.randint(1, 12))]
+        want = _fraction_rank([[a - b for a, b in zip(p, points[0])] for p in points[1:]] or [[0]])
+        assert affine_rank(points) == want, points
+        cap = rng.randint(0, dim)
+        assert affine_rank(points, cap=cap) == (want if want <= cap else cap + 1), (points, cap)
+
+
+def test_brute_adjacent_matches_hull_of_all_other_vertices():
+    """The cube-face restriction against the unrestricted midpoint test on
+    every vertex pair of every region of at most 6 elements."""
+    pairs = 0
+    for region in all_regions(6):
+        verts = vertices(region)
+        if len(verts) > 40:
+            continue
+        for i, j in combinations(range(len(verts)), 2):
+            mid = [Fraction(a + b, 2) for a, b in zip(verts[i], verts[j])]
+            others = [v for k, v in enumerate(verts) if k not in (i, j)]
+            assert brute_adjacent(verts, i, j) == (not in_convex_hull(others, mid)), (region, i, j)
+            pairs += 1
+    assert pairs == 7927
+
+
+def test_brute_adjacent_runs_the_lp_on_a_crowded_face():
+    """Vertices 0 and 1 agree on the last coordinate; four others share that
+    face with no two of them mirror images through the midpoint, so only the
+    LP decides.  Their average is the midpoint; drop one and it escapes."""
+    face = [(0, 0, 0, 1, 0), (0, 1, 1, 0, 0), (1, 0, 1, 0, 0), (1, 1, 0, 1, 0)]
+    off_face = [(1, 1, 1, 1, 1), (0, 0, 0, 0, 1)]
+    verts = [(0, 0, 0, 0, 0), (1, 1, 1, 1, 0)] + face + off_face
+    assert not brute_adjacent(verts, 0, 1)
+    fewer = verts[:5] + off_face
+    assert brute_adjacent(fewer, 0, 1)
+    mid = [Fraction(1, 2)] * 4 + [Fraction(0)]
+    assert in_convex_hull(verts[2:], mid) and not in_convex_hull(fewer[2:], mid)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lpmpoly import (
@@ -14,7 +16,7 @@ from lpmpoly import (
 )
 from lpmpoly.errors import DominanceViolation, EmptyWord, EndpointMismatch, InvalidCharacter
 from lpmpoly.oracle import all_regions
-from lpmpoly.paths import area_below, path_from_profile
+from lpmpoly.paths import area_below, path_from_profile, tighten_bounds
 from math import comb
 
 
@@ -168,3 +170,69 @@ def test_region_boxes_monotone_under_widening():
 def test_region_json_round_trip():
     region = region_from_words("EENN", "NENE")
     assert Region.from_json_dict(region.to_json_dict()) == region
+
+
+def _two_pass_tighten(low, high, i, step=None, height=None):
+    """The reference closure: one full forward and one full backward pass."""
+    n = len(low) - 1
+    lo, hi = list(low), list(high)
+    if height is not None:
+        lo[i] = max(lo[i], height)
+        hi[i] = min(hi[i], height)
+        fixed_min, fixed_max = 0, 1
+    else:
+        fixed_min = fixed_max = 1 if step == "N" else 0
+    for j in range(1, n + 1):
+        rise_min, rise_max = (fixed_min, fixed_max) if j == i else (0, 1)
+        lo[j] = max(lo[j], lo[j - 1] + rise_min)
+        hi[j] = min(hi[j], hi[j - 1] + rise_max)
+    for j in range(n - 1, -1, -1):
+        rise_min, rise_max = (fixed_min, fixed_max) if j + 1 == i else (0, 1)
+        lo[j] = max(lo[j], lo[j + 1] - rise_max)
+        hi[j] = min(hi[j], hi[j + 1] - rise_min)
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    return tuple(lo), tuple(hi)
+
+
+def _tighten_mismatches(region):
+    """Calls on which the local closure and the reference differ: both
+    letters at every step, and every height from -1 to r + 1."""
+    low, high = region.lower.profile, region.upper.profile
+    bad = []
+    for i in range(1, region.size + 1):
+        fixes = [{"step": s} for s in "EN"] + [{"height": h} for h in range(-1, region.r + 2)]
+        for fix in fixes:
+            if tighten_bounds(low, high, i, **fix) != _two_pass_tighten(low, high, i, **fix):
+                bad.append((region, i, fix))
+    return bad
+
+
+def test_local_tighten_bounds_matches_two_full_passes_on_sweep():
+    assert [bad for region in all_regions(7) for bad in _tighten_mismatches(region)] == []
+
+
+def test_local_tighten_bounds_matches_two_full_passes_on_wide_regions():
+    """Seeded regions of 30-60 elements between two random paths, which may touch."""
+    rng = random.Random(20121220)
+    touching = 0
+    for trial in range(12):
+        n = rng.randint(30, 60)
+        r = rng.randint(1, n - 1)
+        a, b = (PathWord("".join(rng.sample("N" * r + "E" * (n - r), n))).profile for _ in "ab")
+        region = Region(
+            path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b)))
+        )
+        touching += len(intersection_vertices(region)) > 2
+        assert _tighten_mismatches(region) == []
+    assert touching >= 3
+
+
+def test_tighten_bounds_rejects_a_free_or_doubly_fixed_step():
+    region = region_from_words("EENN", "NNEE")
+    low, high = region.lower.profile, region.upper.profile
+    for bad in ({}, {"step": "N", "height": 1}):
+        with pytest.raises(ValueError):
+            tighten_bounds(low, high, 1, **bad)
+    with pytest.raises(ValueError):
+        tighten_bounds(low, high, 0, step="E")
