@@ -32,8 +32,12 @@ def find_split(region: Region) -> Split | None:
     below t_{j+1} - 1 once it is below t_j: O(r) off the N positions.
     Absent exactly when the region is a border strip.
     """
-    s = region.upper.north_positions()
-    t = region.lower.north_positions()
+    return _first_straddle(region.upper.north_positions(), region.lower.north_positions())
+
+
+def _first_straddle(s: tuple[int, ...], t: tuple[int, ...]) -> Split | None:
+    """:func:`find_split` off the N positions ``s`` of the upper path and
+    ``t`` of the lower path."""
     for j, (x, t_j) in enumerate(zip(s[1:], t), start=1):
         if x < t_j:
             return Split(x, j)
@@ -54,6 +58,13 @@ def hyperplane_split(region: Region, x: int, j: int) -> SplitResult:
     t = region.lower.north_positions()
     if not (1 <= j < region.r and s[j - 1] < x < t[j - 1] and s[j] < x + 1 < t[j]):
         raise InvalidSplit(f"(x={x}, j={j}) does not satisfy the split condition")
+    left, right = _split_children(region, x, j)
+    return SplitResult(left, right, Split(x, j))
+
+
+def _split_children(region: Region, x: int, j: int) -> tuple[Region, Region]:
+    """The two children of a valid split: the left one keeps the lower
+    path, the right one the upper path."""
     p = region.lower.profile
     q = region.upper.profile
     # capped: min(q_i, j + max(0, i - x)); raised: max(p_i, j - max(0, x - i))
@@ -61,9 +72,10 @@ def hyperplane_split(region: Region, x: int, j: int) -> SplitResult:
     capped += [h if h < c else c for h, c in zip(q[x + 1 :], count(j + 1))]
     raised = [h if h > c else c for h, c in zip(p[:x], count(j - x))]
     raised += [h if h > j else j for h in p[x:]]
-    left = Region(region.lower, path_from_profile(capped))
-    right = Region(path_from_profile(raised), region.upper)
-    return SplitResult(left, right, Split(x, j))
+    return (
+        Region(region.lower, path_from_profile(capped)),
+        Region(path_from_profile(raised), region.upper),
+    )
 
 
 @dataclass(frozen=True)
@@ -334,16 +346,19 @@ def decomposition_tree(region: Region) -> DecompositionNode:
 
     Splits are found in preorder on an explicit stack, then nodes are built
     in reverse preorder, children before parents, so depth is unbounded.
+    Each node carries the N positions of its paths: a child shares one
+    path with its parent, so only the new path's positions are read, once.
     """
     preorder: list[tuple[Region, Split | None]] = []
-    stack = [region]
+    stack = [(region, region.upper.north_positions(), region.lower.north_positions())]
     while stack:
-        node = stack.pop()
-        split = find_split(node)
+        node, s, t = stack.pop()
+        split = _first_straddle(s, t)
         preorder.append((node, split))
         if split is not None:
-            result = hyperplane_split(node, split.x, split.j)
-            stack += (result.right, result.left)
+            left, right = _split_children(node, split.x, split.j)
+            stack.append((right, s, right.lower.north_positions()))
+            stack.append((left, left.upper.north_positions(), t))
     built: list[DecompositionNode] = []
     for node, split in reversed(preorder):
         if split is None:

@@ -29,8 +29,9 @@ from itertools import accumulate, repeat
 from math import comb, factorial, lcm
 from operator import sub
 
-from .matroid import components, presentation
+from .matroid import presentation
 from .paths import Region
+from .polytope import dimension
 
 
 def count_lattice_points(region: Region, t: int, interior: bool = False) -> int:
@@ -180,7 +181,7 @@ def ehrhart_polynomial(region: Region) -> EhrhartPolynomial:
     t = -floor(d/2)..ceil(d/2).  The window DP costs about n * t * width
     operations, so no run goes past t = ceil(d/2).
     """
-    d = region.size - components(region).count
+    d = dimension(region)
     half = d // 2
     sign = -1 if d % 2 else 1
     negative = [sign * count_lattice_points(region, t, interior=True) for t in range(half, 0, -1)]

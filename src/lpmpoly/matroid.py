@@ -14,13 +14,7 @@ from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyFace, WrongCardinality
-from .paths import (
-    Region,
-    enumerate_paths,
-    intersection_vertices,
-    path_from_profile,
-    tighten_bounds,
-)
+from .paths import Region, path_from_profile, tighten_bounds, touch_count
 
 
 @dataclass(frozen=True)
@@ -108,12 +102,42 @@ def is_independent(pres: IntervalPresentation, subset: Iterable[int]) -> bool:
 
 def bases(region: Region) -> Iterator[BasisVector]:
     """Basis vectors in lexicographic coordinate order, bijective with the
-    paths: each word's bytes translated to 0/1, the support compressed out
-    of the ground set by them."""
-    ground = range(1, region.size + 1)
-    for path in enumerate_paths(region):
-        coords = tuple(path.bits())
-        yield BasisVector(coords, tuple(compress(ground, coords)))
+    paths.
+
+    The walk of ``paths.enumerate_paths``, on a bytearray of 0/1 steps and
+    a height list instead of letters: each basis costs its coordinate
+    tuple and the support compressed out of the ground set by it, with no
+    word or path built in between.
+    """
+    p = region.lower.profile
+    q = region.upper.profile
+    n = region.size
+    ground = range(1, n + 1)
+    bits = bytearray(n)
+    heights = [0] * (n + 1)
+    new = tuple.__new__
+    i = 0
+    while True:
+        while i < n:  # lowest completion: 0 wherever the lower path allows it
+            h = heights[i]
+            if h < p[i + 1]:
+                bits[i] = 1
+                h += 1
+            else:
+                bits[i] = 0
+            i += 1
+            heights[i] = h
+        coords = tuple(bits)
+        yield new(BasisVector, (coords, tuple(compress(ground, coords))))
+        # the next basis raises the last 0 whose 1 would stay under the upper path
+        i = n - 1
+        while i >= 0 and (bits[i] or heights[i] >= q[i + 1]):
+            i -= 1
+        if i < 0:
+            return
+        bits[i] = 1
+        heights[i + 1] = heights[i] + 1
+        i += 1
 
 
 def components(region: Region) -> ComponentPartition:
@@ -136,7 +160,7 @@ def components(region: Region) -> ComponentPartition:
 
 
 def is_connected(region: Region) -> bool:
-    return len(intersection_vertices(region)) == 2
+    return touch_count(region.lower.profile, region.upper.profile) == 2
 
 
 def delete(region: Region, i: int, value: int) -> Region:

@@ -14,7 +14,7 @@ never climbing above the upper one.
 from __future__ import annotations
 
 from itertools import compress
-from operator import gt, sub
+from operator import eq, gt, sub
 from typing import NamedTuple
 
 from .errors import DominanceViolation, EmptyWord, EndpointMismatch, InvalidCharacter
@@ -214,8 +214,8 @@ def tighten_bounds(
 
     Precondition: ``low`` and ``high`` are path profiles, unit steps with
     ``low <= high`` pointwise, as every caller passes them (a region's
-    bounding paths, from ``matroid.delete`` and ``polytope._face``, which
-    feed ``facets`` and ``face_region``).  Such bounds are already closed
+    bounding paths, from ``matroid.delete`` and ``polytope._certified``,
+    which feed ``facets`` and ``face_region``).  Such bounds are already closed
     under rises of 0 or 1, so only the fixed step breaks the closure: one
     pass runs forward from step i (from i + 1 when a height is pinned) and
     one backward from i - 1, each stopping at the first step where neither
@@ -257,6 +257,12 @@ def tighten_bounds(
     if any(map(gt, lo, hi)):
         return None
     return tuple(lo), tuple(hi)
+
+
+def touch_count(low: tuple[int, ...], high: tuple[int, ...]) -> int:
+    """Positions where two height profiles agree, endpoints included: for a
+    region's bounding paths, its touch points, and n + 1 less its dimension."""
+    return sum(map(eq, low, high))
 
 
 def intersection_vertices(region: Region) -> list[tuple[int, int]]:

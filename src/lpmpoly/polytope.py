@@ -1,14 +1,17 @@
 """The polytope of a region: convex hull of the 0/1 basis vectors.
 
-Facets are certified without an affine rank, by one routine that both
-``facets`` and ``face_region`` call.  A candidate inequality (a box bound,
-or a prefix bound at a corner of a bounding path) is tight on the paths of
-a region again: the deletion region for a box bound, the region pinched
-through one lattice point for a prefix bound, both read off bounds
-tightened in O(n) by ``tighten_bounds``.  The candidate is a facet exactly
-when that region's dimension (size minus touch points plus one) is
-dim - 1.  Candidates come in canonical order, and a facet is listed under
-the first candidate that cuts it.  The oracle route, in
+Facets are certified without an affine rank and without building a
+region, by one routine that both ``facets`` and ``face_region`` call.  A
+candidate inequality (a box bound, or a prefix bound at a corner of a
+bounding path) is tight on the paths between two profiles: the region's
+bounds tightened by ``tighten_bounds`` to a fixed letter at a step (box)
+or a fixed height at a position (prefix), O(n) at C speed plus the steps
+whose bounds move.  A region's dimension is n + 1 less the touch count of
+its bounding paths, so the face's dimension is read off the touch count
+of the tightened bounds: the candidate is a facet exactly when that face
+has dimension dim - 1.  Candidates come in canonical order, and a facet
+is listed under the first candidate that cuts it.  Only ``face_region``
+builds a face region, the one it returns.  The oracle route, in
 :mod:`lpmpoly.oracle`, certifies every inequality of the H-representation
 by affine rank and picks the representative from the tight vertex sets.
 
@@ -29,9 +32,16 @@ from itertools import repeat
 from operator import add, mul
 from typing import Sequence
 
-from .errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGeneralizedCatalan
-from .matroid import bases, components, delete, is_connected
-from .paths import Region, area_below, enumerate_paths, path_from_profile, tighten_bounds
+from .errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
+from .matroid import bases, delete, is_connected
+from .paths import (
+    Region,
+    area_below,
+    enumerate_paths,
+    path_from_profile,
+    tighten_bounds,
+    touch_count,
+)
 from .volume import catalan_area, catalan_number
 
 _BOX_KINDS = ("x_lower", "x_upper")
@@ -89,7 +99,10 @@ def vertices(region: Region) -> list[tuple[int, ...]]:
 
 
 def dimension(region: Region) -> int:
-    return region.size - components(region).count
+    """The ground-set size plus one, less the touch points of the bounding
+    paths (endpoints included): the size less the number of connected
+    components, loops and coloops among them."""
+    return region.size + 1 - touch_count(region.lower.profile, region.upper.profile)
 
 
 def _completions(region: Region) -> list[list[int]]:
@@ -245,18 +258,6 @@ def facet_candidates(region: Region) -> list[Candidate]:
     )
 
 
-def _face(region: Region, kind: str, position: int, rhs: int) -> Region:
-    """The paths tight on a candidate, as a region: the deletion for a box
-    bound, the region pinched through the lattice point (position, rhs) for
-    a prefix bound.  Raises EmptyFace when no path is tight."""
-    if kind in _BOX_KINDS:
-        return delete(region, position, rhs)
-    bounds = tighten_bounds(region.lower.profile, region.upper.profile, position, height=rhs)
-    if bounds is None:
-        raise EmptyFace(f"no basis has prefix sum {rhs} at {position}")
-    return Region(*(path_from_profile(b) for b in bounds))
-
-
 def _tight_on_whole_face(
     low: tuple[int, ...], high: tuple[int, ...], kind: str, position: int, rhs: int
 ) -> bool:
@@ -277,52 +278,61 @@ def _tight_on_whole_face(
 
 
 def _certified(
-    region: Region, dim: int, candidates: list[Candidate], k: int
-) -> tuple[Region, tuple[int, ...], tuple[int, ...]] | None:
-    """The face of candidate k and its min and max profiles over all n
-    steps, if the candidate is a listed facet; None otherwise.
+    region: Region, candidates: list[Candidate], k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The min and max profiles, over all n steps, of the paths tight on
+    candidate k of a connected region, if the candidate is a listed facet;
+    None otherwise.
 
-    The face must be non-empty and of dimension dim - 1, and no earlier
-    candidate may be tight on all of it: that candidate's face contains
-    the facet, so it is the facet, listed under its first candidate.  (It
+    The bounding paths touch at the two ends only, so the region has
+    dimension n - 1.  The tight paths are those between the profiles that
+    ``tighten_bounds`` returns with step i (a box bound) or the height at i
+    (a prefix bound) fixed; they must exist and span a face of dimension
+    n - 2.  A pinched face keeps n steps and touches at i.  A deletion face
+    drops step i, and since that step is fixed, its bounds touch at i
+    exactly when they touch at i - 1.  In both, the face's dimension is
+    n + 1 less the bounds' touches off position i, so the candidate passes
+    when those number 2: the deletion face is connected, or each half of
+    the pinched face is.  No earlier candidate may
+    be tight on all of the face either: that candidate's face contains the
+    facet, so it is the facet, listed under its first candidate.  (It
     cannot be the whole polytope, which no candidate cuts in a connected
     region: a box bound tight on every path is a loop or a coloop, a
-    corner prefix bound a touch point.)  O(1) per earlier candidate.
+    corner prefix bound a touch point.)  O(n) for the bounds, O(1) per
+    earlier candidate, and no region built.
     """
     kind, i, cons = candidates[k]
     rhs = cons.rhs
-    try:
-        face = _face(region, kind, i, rhs)
-    except EmptyFace:
+    p, q = region.lower.profile, region.upper.profile
+    if kind in _BOX_KINDS:
+        bounds = tighten_bounds(p, q, i, step="EN"[rhs])
+    else:
+        bounds = tighten_bounds(p, q, i, height=rhs)
+    if bounds is None:
         return None
-    if dimension(face) != dim - 1:
+    low, high = bounds
+    if touch_count(low, high) - (low[i] == high[i]) != 2:
         return None
-    low, high = face.lower.profile, face.upper.profile
-    if kind in _BOX_KINDS:  # put the deleted letter back
-        low, high = (h[:i] + tuple(x + rhs for x in h[i - 1 :]) for h in (low, high))
     earlier = candidates[:k]
     if any(_tight_on_whole_face(low, high, other, j, c.rhs) for other, j, c in earlier):
         return None
-    return face, low, high
+    return low, high
 
 
 def facets(region: Region) -> list[Facet]:
     """Minimal facet list of a connected region, in canonical candidate order.
 
-    A candidate is a facet exactly when its face, a region again, has
-    dimension dim - 1: size minus touch points plus one, O(n) per
-    candidate.  Tight vertex sets are listed for the facets only.
+    A candidate is certified off the bounds of its tight paths, by their
+    touch count (see ``_certified``): O(n) per candidate, no face built.
+    Tight vertex sets are listed for the facets only.
     """
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
-    dim = dimension(region)
-    if dim <= 0:
-        return []
     paths = enumerate_paths(region)
     candidates = facet_candidates(region)
     out = []
     for k, (kind, position, cons) in enumerate(candidates):
-        if _certified(region, dim, candidates, k) is None:
+        if _certified(region, candidates, k) is None:
             continue
         # the constraint's left side is the path's rise over its support
         start = position - 1 if kind in _BOX_KINDS else 0
@@ -380,29 +390,30 @@ def face_region(region: Region, facet: Facet):
     Box facets delete the fixed element; prefix facets pinch both paths
     through the shared lattice point, producing a direct sum.  Raises
     NotAFacet unless :func:`facets` lists ``facet``, without computing it:
-    the facet is certified alone, and ``facet.tight`` is checked against
-    the face's paths.  O(n^2) plus the face's prefixes.
+    the facet is certified alone, off the profiles ``_certified`` returns,
+    and ``facet.tight`` is checked against the paths between them.  The
+    returned face is the only region built.  O(n^2) plus the face's
+    prefixes.
     """
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
     kind, i, rhs = facet.kind, facet.position, facet.constraint.rhs
     not_a_facet = NotAFacet(f"{kind} at {i} is not a facet here")
     candidates = facet_candidates(region)
-    dim = dimension(region)
     key = (kind, i, facet.constraint)
     certified = None
-    if dim > 0 and key in candidates:
-        certified = _certified(region, dim, candidates, candidates.index(key))
+    if key in candidates:
+        certified = _certified(region, candidates, candidates.index(key))
     if certified is None:
         raise not_a_facet
-    face, low, high = certified
+    low, high = certified
     rises = [(0, 1)] * (region.size + 1)
     if kind in _BOX_KINDS:
         rises[i] = (rhs,)
     if facet.tight != _path_indices(region, low, high, rises):
         raise not_a_facet
     if kind in _BOX_KINDS:
-        return face
+        return delete(region, i, rhs)
     left = Region(path_from_profile(low[: i + 1]), path_from_profile(high[: i + 1]))
     right = Region(
         path_from_profile(tuple(h - high[i] for h in low[i:])),

@@ -27,7 +27,7 @@ from .decompose import (
     verify_good_partition,
 )
 from .errors import EmptyFace
-from .matroid import bases, delete
+from .matroid import bases, components, delete
 from .paths import (
     Box,
     PathWord,
@@ -138,9 +138,8 @@ def check_dimension(max_size: int = 7, catalan_ns: range = range(2, 7)) -> Check
         d = dimension(region)
         if d != affine_rank(vertices(region)):
             res.fail(f"dimension mismatch on {region}")
-        k = len(intersection_vertices(region))
-        if d != region.size - k + 1:
-            res.fail(f"touch-point dimension formula fails on {region}")
+        if d != region.size - components(region).count:
+            res.fail(f"component-count dimension formula fails on {region}")
     for n in catalan_ns:
         res.checked += 1
         if dimension(catalan_region(n)) != 2 * n - 3:
@@ -544,7 +543,7 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
         d = affine_rank([bv.coords for bv in basis_vectors])
         k = len(intersection_vertices(region))
         plus_one_ok &= d == region.size - k + 1
-        comp_ok &= d == dimension(region)
+        comp_ok &= d == region.size - components(region).count
         if region.r >= 2:
             bounds = eh.gamma_bounds(region)
             for bv in basis_vectors:

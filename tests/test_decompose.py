@@ -279,6 +279,42 @@ def test_decomposition_tree_children_are_the_split_halves():
             stack.extend(node.children)
 
 
+def reference_tree(region):
+    """The tree built by the public split functions alone, each node's N
+    positions read afresh: ``find_split``, then ``hyperplane_split``."""
+    preorder, stack = [], [region]
+    while stack:
+        node = stack.pop()
+        split = find_split(node)
+        preorder.append((node, split))
+        if split is not None:
+            halves = hyperplane_split(node, split.x, split.j)
+            stack += (halves.right, halves.left)
+    built = []
+    for node, split in reversed(preorder):
+        children = () if split is None else (built.pop(), built.pop())
+        built.append(DecompositionNode(node, split, children))
+    return built[0]
+
+
+def test_decomposition_tree_matches_the_public_split_route():
+    for region in all_regions(8):
+        assert decomposition_tree(region) == reference_tree(region), region
+
+
+def test_decomposition_tree_reads_each_new_path_once(monkeypatch):
+    # The root's two paths, then the one new path of each child: a split
+    # node's two children share a path each with it.
+    calls = []
+    read = PathWord.north_positions
+    monkeypatch.setattr(PathWord, "north_positions", lambda self: calls.append(self) or read(self))
+    for width in (2, 5, 40):
+        band = region_from_words("E" * width + "NN", "NN" + "E" * width)
+        calls.clear()
+        tree = decomposition_tree(band)
+        assert len(calls) == 2 + 2 * (len(tree.leaves()) - 1) == 2 * width, width
+
+
 def test_check_decomposition_reads_the_halves_from_the_tree(monkeypatch):
     assert check_decomposition(5).ok
 
@@ -367,6 +403,10 @@ def test_node_dunders_match_the_generated_dataclass_methods():
 def deep_band_tree():
     width = 1100
     return decomposition_tree(region_from_words("E" * width + "NN", "NN" + "E" * width))
+
+
+def test_deep_band_tree_matches_the_public_split_route(deep_band_tree):
+    assert deep_band_tree == reference_tree(deep_band_tree.region)
 
 
 def test_node_dunders_on_a_tree_past_the_recursion_limit(deep_band_tree):

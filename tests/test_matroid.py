@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, compress
 
 import pytest
 
@@ -6,6 +7,7 @@ from lpmpoly import (
     bases,
     catalan_region,
     components,
+    count_lattice_points,
     delete,
     enumerate_paths,
     is_independent,
@@ -13,7 +15,8 @@ from lpmpoly import (
     region_from_words,
 )
 from lpmpoly.errors import EmptyFace, WrongCardinality
-from lpmpoly.matroid import IntervalPresentation, is_basis
+from lpmpoly.matroid import BasisVector, IntervalPresentation, is_basis
+from lpmpoly.paths import PathWord, Region, path_from_profile
 from lpmpoly.oracle import all_regions, brute_components
 
 
@@ -45,6 +48,55 @@ def test_bases_examples():
     assert vecs == ["0011", "0101", "0110", "1001", "1010"]
     assert len(list(bases(region_from_words("EENN", "NNEE")))) == 6
     assert [b.coords for b in bases(region_from_words("EN", "EN"))] == [(0, 1)]
+
+
+def path_derived_bases(region):
+    """Basis vectors read off the enumerated paths: each word's 0/1 bytes,
+    the support compressed out of the ground set by them."""
+    ground = range(1, region.size + 1)
+    return [
+        BasisVector(coords, tuple(compress(ground, coords)))
+        for coords in (tuple(path.bits()) for path in enumerate_paths(region))
+    ]
+
+
+def seeded_regions(seed=20121220, count=21, cap=20000):
+    """Regions of 20-40 elements between two random paths, which may touch;
+    a draw with more than ``cap`` paths is drawn again."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = 20 + len(out)
+        r = rng.randint(1, n - 1)
+        a, b = (PathWord("".join(rng.sample("N" * r + "E" * (n - r), n))).profile for _ in range(2))
+        region = Region(path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b))))
+        if count_lattice_points(region, 1) <= cap:
+            out.append(region)
+    return out
+
+
+def _assert_same_vectors(got, want):
+    assert got == want
+    for g, w in zip(got, want):
+        assert type(g) is BasisVector and g._fields == ("coords", "support")
+        assert type(g.coords) is tuple and type(g.support) is tuple
+        assert all(type(x) is int for x in g.coords + g.support)
+        assert repr(g) == repr(w) and hash(g) == hash(w)
+
+
+def test_bases_match_the_path_derived_vectors_on_the_sweep():
+    regions = list(all_regions(8))
+    assert any(len(components(region).blocks) > 1 for region in regions)
+    for region in regions:
+        _assert_same_vectors(list(bases(region)), path_derived_bases(region))
+
+
+def test_bases_match_the_path_derived_vectors_on_seeded_regions():
+    regions = seeded_regions()
+    assert [region.size for region in regions] == list(range(20, 41))
+    assert any(len(components(region).blocks) > 1 for region in regions)
+    for region in regions:
+        _assert_same_vectors(list(bases(region)), path_derived_bases(region))
 
 
 def test_basis_iff_independent_full_rank():

@@ -1,3 +1,6 @@
+import inspect
+import random
+import sys
 from dataclasses import replace
 from itertools import product
 
@@ -7,6 +10,7 @@ from lpmpoly import (
     catalan_edge_formula,
     catalan_facet_count,
     catalan_region,
+    count_lattice_points,
     dimension,
     edge_count_by_area,
     edges,
@@ -20,9 +24,11 @@ from lpmpoly import (
     region_from_words,
     vertices,
 )
-from lpmpoly.errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
-from lpmpoly import polytope
+from lpmpoly.errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGeneralizedCatalan
+from lpmpoly import paths, polytope
+from lpmpoly.matroid import components, delete
 from lpmpoly.oracle import all_regions, brute_facets
+from lpmpoly.paths import PathWord, Region, path_from_profile, tighten_bounds
 from lpmpoly.polytope import Facet, facet_candidates
 from lpmpoly.ratlinalg import affine_rank
 from lpmpoly.verify import check_facets
@@ -45,6 +51,24 @@ def test_dimension_examples(lower, upper, dim):
 def test_dimension_equals_affine_rank():
     for region in all_regions(8):
         assert dimension(region) == affine_rank(vertices(region))
+
+
+def test_dimension_checks_compare_against_the_component_count(monkeypatch):
+    # dimension reads the touch count; the check and the errata row keep the
+    # component partition as their second route, so skewing its count fails
+    # both while dimension itself is untouched.
+    from lpmpoly import verify
+    from lpmpoly.matroid import ComponentPartition
+
+    assert verify.check_dimension(5, range(2, 4)).ok
+    real = verify.components
+    monkeypatch.setattr(
+        verify, "components", lambda region: ComponentPartition(real(region).blocks[1:])
+    )
+    res = verify.check_dimension(5, range(2, 4))
+    assert res.failures and all("component-count" in f for f in res.failures)
+    rows = {row.claim: row for row in verify.build_errata_report(4, 1)}
+    assert rows["dimension-components-formula"].verdict == "erratum"
 
 
 @pytest.mark.parametrize(
@@ -207,3 +231,176 @@ def test_check_facets_flags_duplicate_facets(monkeypatch):
     res = check_facets(max_size=5)
     assert not res.ok
     assert any("facet list mismatch" in f for f in res.failures)
+
+
+BOX = ("x_lower", "x_upper")
+
+
+def reference_certified(region, candidates, k):
+    """The face of candidate k and its profiles over all n steps, by the
+    face-region route: delete or pinch, build the face as a region, read
+    its dimension off ``components``, then put the deleted letter back."""
+    kind, i, cons = candidates[k]
+    rhs = cons.rhs
+    dim = region.size - components(region).count
+    if dim <= 0:
+        return None
+    try:
+        if kind in BOX:
+            face = delete(region, i, rhs)
+        else:
+            bounds = tighten_bounds(region.lower.profile, region.upper.profile, i, height=rhs)
+            if bounds is None:
+                raise EmptyFace
+            face = Region(*(path_from_profile(b) for b in bounds))
+    except EmptyFace:
+        return None
+    if face.size - components(face).count != dim - 1:
+        return None
+    low, high = face.lower.profile, face.upper.profile
+    if kind in BOX:
+        low, high = (h[:i] + tuple(x + rhs for x in h[i - 1 :]) for h in (low, high))
+    earlier = candidates[:k]
+    if any(polytope._tight_on_whole_face(low, high, other, j, c.rhs) for other, j, c in earlier):
+        return None
+    return face, low, high
+
+
+def certification_mismatches(region):
+    """Where ``facets`` and ``face_region`` part from the face-region route:
+    the facet list, and for every candidate with its true tight tuple the
+    face returned or NotAFacet."""
+    candidates = facet_candidates(region)
+    every_path = enumerate_paths(region)
+    want, faces = [], {}
+    for k, (kind, position, cons) in enumerate(candidates):
+        start = position - 1 if kind in BOX else 0
+        tight = tuple(
+            t for t, path in enumerate(every_path)
+            if path.profile[position] - path.profile[start] == cons.rhs
+        )
+        facet = Facet(cons, tight, kind, position)
+        certified = reference_certified(region, candidates, k)
+        if certified is None:
+            faces[facet] = None
+            continue
+        want.append(facet)
+        face, low, high = certified
+        if kind not in BOX:
+            face = tuple(
+                Region(*(path_from_profile(tuple(h - shift for h in part)) for part in halves))
+                for halves, shift in (
+                    ((low[: position + 1], high[: position + 1]), 0),
+                    ((low[position:], high[position:]), high[position]),
+                )
+            )
+        faces[facet] = face
+    out = []
+    if facets(region) != want:
+        out.append(f"facet list of {region}")
+    for facet, face in faces.items():
+        try:
+            got = face_region(region, facet)
+        except NotAFacet:
+            got = None
+        if got != face:
+            out.append(f"face_region of {facet.kind} at {facet.position} on {region}")
+    return out
+
+
+def connected_draw(seed=20121220, count=31, cap=3000):
+    """Connected regions of 10-40 elements: two random paths of n - 2 steps
+    bound the band, the upper one raised by an initial N and closed by an E,
+    the lower one opened by an E and closed by an N, so the bounding paths
+    touch at their ends only.  A draw with more than ``cap`` paths, whose
+    tight sets would cost too much to scan, is drawn again."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = 10 + len(out) * 30 // (count - 1)
+        r = rng.randint(1, n - 1)
+        a, b = (
+            PathWord("".join(rng.sample("N" * (r - 1) + "E" * (n - r - 1), n - 2))).profile
+            for _ in range(2)
+        )
+        low = (0, *map(min, a, b), r)
+        high = (0, *(h + 1 for h in map(max, a, b)), r)
+        region = Region(path_from_profile(low), path_from_profile(high))
+        if count_lattice_points(region, 1) <= cap:
+            out.append(region)
+    return out
+
+
+def test_certification_matches_the_face_region_route_on_the_sweep():
+    for region in all_regions(8, connected_only=True):
+        assert certification_mismatches(region) == [], region
+
+
+def test_connected_draw_spans_ten_to_forty_elements():
+    regions = connected_draw()
+    assert [region.size for region in regions] == list(range(10, 41))
+    assert all(polytope.is_connected(region) for region in regions)
+
+
+@pytest.mark.parametrize("region", connected_draw(), ids=repr)
+def test_certification_matches_the_face_region_route_on_seeded_regions(region):
+    assert certification_mismatches(region) == []
+
+
+# Each mutant rewrites the touch test of ``_certified``: the first forgets
+# that a deletion face drops position i, the second counts the touches of
+# the region instead of the face's bounds.
+TOUCH_TEST = "if touch_count(low, high) - (low[i] == high[i]) != 2:"
+MUTANTS = {
+    "no position-i correction": "if touch_count(low, high) != 2:",
+    "the region's touches": "if touch_count(p, q) - (low[i] == high[i]) != 2:",
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_face_region_route_catches_touch_count_mutants(monkeypatch, mutant):
+    source = inspect.getsource(polytope._certified)
+    assert source.count(TOUCH_TEST) == 1
+    namespace = dict(vars(polytope))
+    exec(source.replace(TOUCH_TEST, MUTANTS[mutant]), namespace)
+    monkeypatch.setattr(polytope, "_certified", namespace["_certified"])
+    regions = [region for region in all_regions(6, connected_only=True) if region.size > 1]
+    assert any(certification_mismatches(region) for region in regions)
+
+
+def _count_constructions(monkeypatch):
+    """Count ``Region`` constructions and ``path_from_profile`` calls, in
+    every module of the package that holds the function."""
+    counts = {"Region": 0, "path_from_profile": 0}
+    init = Region.__init__
+    build = paths.path_from_profile
+
+    def counted_init(self, *args):
+        counts["Region"] += 1
+        init(self, *args)
+
+    def counted_build(profile):
+        counts["path_from_profile"] += 1
+        return build(profile)
+
+    monkeypatch.setattr(Region, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lpmpoly") and getattr(module, "path_from_profile", None) is build:
+            monkeypatch.setattr(module, "path_from_profile", counted_build)
+    return counts
+
+
+def test_certification_builds_only_the_returned_face(monkeypatch):
+    regions = [reduced_catalan_region(5), region_from_words("EENEN", "NENEE")]
+    listed = [(region, facets(region)) for region in regions]
+    assert {f.kind for _, fs in listed for f in fs} == {*BOX, "prefix_upper", "prefix_lower"}
+    counts = _count_constructions(monkeypatch)
+    for region, fs in listed:
+        facets(region)
+        assert counts == {"Region": 0, "path_from_profile": 0}, region
+        for facet in fs:
+            face = face_region(region, facet)
+            built = 1 if facet.kind in BOX else 2
+            assert (len(face) if isinstance(face, tuple) else 1) == built
+            assert counts == {"Region": built, "path_from_profile": 2 * built}, facet
+            counts.update(Region=0, path_from_profile=0)
