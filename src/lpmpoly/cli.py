@@ -141,25 +141,15 @@ def cmd_facets(args) -> int:
 
 
 def _tree_json(root) -> str:
-    """``json.dumps`` text of the nested split/strip record, built on an explicit stack."""
-    out = []
-    stack = [root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif not item.children:
-            strip = region_to_strip(item.region)
-            out.append(json.dumps({"strip": strip.direction_word, "descents": sorted(strip.descents)}))
-        else:
-            split = json.dumps({"x": item.split.x, "j": item.split.j})
-            out.append(f'{{"split": {split}, "children": [')
-            stack.append("]}")
-            for k in range(len(item.children) - 1, -1, -1):
-                stack.append(item.children[k])
-                if k:
-                    stack.append(", ")
-    return "".join(out)
+    """``json.dumps`` text of the nested split/strip record."""
+
+    def head(node) -> str:
+        if node.children:
+            return f'{{"split": {json.dumps({"x": node.split.x, "j": node.split.j})}, "children": ['
+        strip = region_to_strip(node.region)
+        return json.dumps({"strip": strip.direction_word, "descents": sorted(strip.descents)})
+
+    return root.render(head, lambda node: "]}" if node.children else "")
 
 
 def cmd_decompose(args) -> int:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, count
-from typing import Iterator, NamedTuple
+from operator import eq
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidSplit
 from .matroid import is_independent, presentation
@@ -177,12 +178,10 @@ def strip_to_region(strip: BorderStrip, ambient: Region | None = None) -> Region
 
 
 def region_to_strip(region: Region) -> BorderStrip:
-    """Read a border-strip region's boxes as the strip itself, in path order."""
-    boxes = sorted(region_boxes(region))
-    if not boxes:
-        return BorderStrip(())
-    ordered = sorted(boxes, key=lambda b: (b.col + b.row, b.col))
-    return BorderStrip(tuple(ordered))
+    """Read a border-strip region's boxes as the strip itself: a strip's path
+    order is the (col, row) order of ``region_boxes``.  A region with a 2-by-2
+    block of boxes raises ``ValueError``."""
+    return BorderStrip(region_boxes(region))
 
 
 @dataclass(frozen=True)
@@ -267,48 +266,41 @@ def verify_good_partition(region: Region, gp: GoodPartition) -> bool:
 class DecompositionNode:
     """One node of a decomposition tree.
 
-    Equality, hashing and ``repr`` mean what the generated dataclass methods
-    mean (field by field, children included), but walk the tree on explicit
-    stacks, so they work at any depth.
+    Every walk goes through :meth:`nodes` or :meth:`render`, both on
+    explicit stacks, so they work at any depth.  Equality and ``repr`` mean
+    what the generated dataclass methods mean (field by field, children
+    included); the hash is consistent with equality but is not the
+    generated dataclass hash.
     """
 
     region: Region
     split: Split | None
     children: tuple["DecompositionNode", ...] = field(default=())
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if (
-                b.__class__ is not a.__class__
-                or a.region != b.region
-                or a.split != b.split
-                or len(a.children) != len(b.children)
-            ):
-                return False
-            stack.extend(zip(reversed(a.children), reversed(b.children)))
-        return True
-
-    def __hash__(self) -> int:
-        # Children before parents, each node hashed with its children's hashes.
-        order = []
+    def nodes(self) -> Iterator["DecompositionNode"]:
+        """Every node of the tree in preorder, left subtree first."""
         stack = [self]
         while stack:
             node = stack.pop()
-            order.append(node)
-            stack.extend(node.children)
-        hashes: dict[int, int] = {}
-        for node in reversed(order):
-            kids = tuple(hashes[id(child)] for child in node.children)
-            hashes[id(node)] = hash((node.region, node.split, kids))
-        return hashes[id(self)]
+            yield node
+            stack.extend(reversed(node.children))
 
-    def __repr__(self) -> str:
+    def _shape(self) -> Iterator[tuple]:
+        # The preorder with each node's child count determines the tree, and
+        # no such sequence is a proper prefix of another.
+        return ((n.__class__, n.region, n.split, len(n.children)) for n in self.nodes())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(eq, self._shape(), other._shape()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._shape()))
+
+    def render(self, head: Callable[..., str], tail: Callable[..., str]) -> str:
+        """The nested text of the tree: each node's ``head``, then its
+        children's texts joined by ``", "``, then its ``tail``."""
         out = []
         stack: list = [self]
         while stack:
@@ -316,29 +308,24 @@ class DecompositionNode:
             if isinstance(item, str):
                 out.append(item)
                 continue
-            out.append(
-                f"{item.__class__.__qualname__}(region={item.region!r}, "
-                f"split={item.split!r}, children=("
-            )
-            kids = item.children
-            stack.append(",))" if len(kids) == 1 else "))")
-            for k in range(len(kids) - 1, -1, -1):
-                stack.append(kids[k])
-                if k:
-                    stack.append(", ")
+            out.append(head(item))
+            stack.append(tail(item))
+            joined = [part for child in item.children for part in (", ", child)]
+            stack.extend(reversed(joined[1:]))
         return "".join(out)
+
+    def __repr__(self) -> str:
+        return self.render(
+            lambda node: (
+                f"{node.__class__.__qualname__}(region={node.region!r}, "
+                f"split={node.split!r}, children=("
+            ),
+            lambda node: ",))" if len(node.children) == 1 else "))",
+        )
 
     def leaves(self) -> list["DecompositionNode"]:
         """Leaves from left to right."""
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                stack.extend(reversed(node.children))
-            else:
-                out.append(node)
-        return out
+        return [node for node in self.nodes() if not node.children]
 
 
 def decomposition_tree(region: Region) -> DecompositionNode:

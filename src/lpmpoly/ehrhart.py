@@ -213,25 +213,29 @@ def gamma_set(region: Region) -> list[tuple[int, ...]]:
     """
     r = region.r
     n = region.size
-    if r == 0:
-        return [()]
+    if r < 2:
+        return [(n,)] if r else [()]
     bounds = gamma_bounds(region)
+    b = bounds.b
+    cap = [min(a, n - (r - i)) for i, a in enumerate(bounds.a, start=1)]
+    # Depth first on explicit stacks: sums holds s_0 = 0 .. s_{k-1} and
+    # untried[k-1] the values of s_k left to try; s_r is n.
     out: list[tuple[int, ...]] = []
-    parts: list[int] = []
-
-    def extend(i: int, total: int) -> None:
-        if i == r:
-            if n - total >= 1:
-                out.append(tuple(parts) + (n - total,))
-            return
-        lo = max(bounds.b[i - 1], total + 1)
-        hi = min(bounds.a[i - 1], n - (r - i))
-        for s in range(lo, hi + 1):
-            parts.append(s - total)
-            extend(i + 1, s)
-            parts.pop()
-
-    extend(1, 0)
+    sums = [0]
+    untried = [iter(range(max(b[0], 1), cap[0] + 1))]
+    while untried:
+        s = next(untried[-1], None)
+        k = len(untried)
+        if s is None:
+            untried.pop()
+            sums.pop()
+        elif k == r - 1:
+            if n > s:
+                chain = [*sums, s, n]
+                out.append(tuple(map(sub, chain[1:], chain)))
+        else:
+            sums.append(s)
+            untried.append(iter(range(max(b[k], s + 1), cap[k] + 1)))
     return out
 
 

@@ -109,6 +109,7 @@ def bases(region: Region) -> Iterator[BasisVector]:
     tuple and the support compressed out of the ground set by it, with no
     word or path built in between.
     """
+    # Beside enumerate_paths, not sharing its walk: sharing made enumerate_paths 1.5x slower.
     p = region.lower.profile
     q = region.upper.profile
     n = region.size

@@ -232,21 +232,12 @@ def s_set(r: int, t: int) -> list[tuple[int, ...]]:
     length = 2 * (r - 1)
     if length == 0:
         return [()]
-    out: list[tuple[int, ...]] = []
-    arr: list[int] = []
-
-    def extend(i: int) -> None:
-        if i == length:
-            out.append(tuple(arr))
-            return
-        cap = t - (arr[-1] if arr else 0)
-        for v in range(0, cap + 1):
-            arr.append(v)
-            extend(i + 1)
-            arr.pop()
-
-    extend(0)
-    return out
+    # One entry at a time, each array extended in order, so the list stays
+    # lexicographic.
+    arrays: list[tuple[int, ...]] = [(v,) for v in range(t + 1)]
+    for _ in range(length - 1):
+        arrays = [arr + (v,) for arr in arrays for v in range(t - arr[-1] + 1)]
+    return arrays
 
 
 def literal_formula_value(region: Region, t: int) -> int:

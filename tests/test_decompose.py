@@ -179,6 +179,29 @@ def test_strip_region_round_trip():
             assert is_border_strip(back)
 
 
+def two_sort_strip(region):
+    """``region_to_strip`` as first written: the boxes by antidiagonal, then column."""
+    boxes = sorted(region_boxes(region))
+    return BorderStrip(tuple(sorted(boxes, key=lambda b: (b.col + b.row, b.col))))
+
+
+def test_region_to_strip_reads_the_boxes_in_column_order():
+    leaves = [
+        leaf.region
+        for region in all_regions(8, connected_only=True)
+        for leaf in decomposition_tree(region).leaves()
+    ]
+    assert len(leaves) == 2621
+    for leaf in leaves:
+        assert region_to_strip(leaf) == two_sort_strip(leaf), leaf
+    blocks = [region for region in all_regions(6) if not is_border_strip(region)]
+    assert len(blocks) == 75
+    for region in blocks:
+        for read in (region_to_strip, two_sort_strip):
+            with pytest.raises(ValueError):
+                read(region)
+
+
 def test_strip_region_profile_matches_descents():
     # the strip region's lower profile counts the descents seen so far; the
     # triangulation module relies on this correspondence
@@ -279,9 +302,10 @@ def test_decomposition_tree_children_are_the_split_halves():
             stack.extend(node.children)
 
 
-def reference_tree(region):
-    """The tree built by the public split functions alone, each node's N
-    positions read afresh: ``find_split``, then ``hyperplane_split``."""
+def reference_preorder(region):
+    """The (region, split) of every node, left subtree first, split by the
+    public functions alone, each node's N positions read afresh:
+    ``find_split``, then ``hyperplane_split``."""
     preorder, stack = [], [region]
     while stack:
         node = stack.pop()
@@ -290,8 +314,13 @@ def reference_tree(region):
         if split is not None:
             halves = hyperplane_split(node, split.x, split.j)
             stack += (halves.right, halves.left)
+    return preorder
+
+
+def reference_tree(region):
+    """The tree built from :func:`reference_preorder`, children before parents."""
     built = []
-    for node, split in reversed(preorder):
+    for node, split in reversed(reference_preorder(region)):
         children = () if split is None else (built.pop(), built.pop())
         built.append(DecompositionNode(node, split, children))
     return built[0]
@@ -300,6 +329,14 @@ def reference_tree(region):
 def test_decomposition_tree_matches_the_public_split_route():
     for region in all_regions(8):
         assert decomposition_tree(region) == reference_tree(region), region
+
+
+def test_nodes_walk_the_tree_in_preorder():
+    for region in all_regions(8):
+        tree = decomposition_tree(region)
+        nodes = list(tree.nodes())
+        assert [(node.region, node.split) for node in nodes] == reference_preorder(region), region
+        assert tree.leaves() == [node for node in nodes if not node.children]
 
 
 def test_decomposition_tree_reads_each_new_path_once(monkeypatch):
@@ -407,6 +444,19 @@ def deep_band_tree():
 
 def test_deep_band_tree_matches_the_public_split_route(deep_band_tree):
     assert deep_band_tree == reference_tree(deep_band_tree.region)
+
+
+def test_nodes_on_a_tree_past_the_recursion_limit(deep_band_tree):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        nodes = list(deep_band_tree.nodes())
+        leaves = deep_band_tree.leaves()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(node.region, node.split) for node in nodes] == reference_preorder(deep_band_tree.region)
+    assert leaves == [node for node in nodes if not node.children]
+    assert len(leaves) == 1100
 
 
 def test_node_dunders_on_a_tree_past_the_recursion_limit(deep_band_tree):

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -245,6 +247,48 @@ def test_basis_folds_land_in_gamma_set():
             assert basis_fold(bv.coords) in allowed
 
 
+def recursive_gamma_set(region):
+    """The composition set by one recursive call per rank, as first written."""
+    r, n = region.r, region.size
+    if r == 0:
+        return [()]
+    bounds = gamma_bounds(region)
+    out, parts = [], []
+
+    def extend(i, total):
+        if i == r:
+            if n - total >= 1:
+                out.append(tuple(parts) + (n - total,))
+            return
+        for s in range(max(bounds.b[i - 1], total + 1), min(bounds.a[i - 1], n - (r - i)) + 1):
+            parts.append(s - total)
+            extend(i + 1, s)
+            parts.pop()
+
+    extend(1, 0)
+    return out
+
+
+def test_gamma_set_matches_the_recursive_enumeration():
+    for region in all_regions(8):
+        assert gamma_set(region) == recursive_gamma_set(region), region
+
+
+def test_gamma_set_on_a_rank_past_the_recursion_limit():
+    # A single path of rank 1100 has one composition.
+    path = region_from_words("EN" * 1100, "EN" * 1100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        compositions = gamma_set(path)
+        report = reconcile_ehrhart_formula(path, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert compositions == [(3,) + (2,) * 1098 + (1,)]
+    assert len(report.rows) == 3
+    assert [row.true_value for row in report.rows] == [1, 1, 1]
+
+
 def test_fold_examples():
     assert basis_fold((0, 0, 1, 1)) == (3, 1)
     assert basis_fold((1, 0, 1, 0)) == (2, 2)
@@ -264,6 +308,37 @@ def test_s_set_constraints():
                 assert len(arr) == 2 * (r - 1)
                 assert arr[0] <= t and arr[-1] <= t
                 assert all(a + b <= t for a, b in zip(arr, arr[1:]))
+
+
+def recursive_s_set(r, t):
+    """The slack arrays by one recursive call per entry, as first written."""
+    length = 2 * (r - 1)
+    out, arr = [], []
+
+    def extend(i):
+        if i == length:
+            out.append(tuple(arr))
+            return
+        for v in range(t - (arr[-1] if arr else 0) + 1):
+            arr.append(v)
+            extend(i + 1)
+            arr.pop()
+
+    extend(0)
+    return out
+
+
+def test_s_set_matches_the_recursive_enumeration():
+    for r in range(1, 5):
+        for t in range(4):
+            assert s_set(r, t) == recursive_s_set(r, t), (r, t)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        zeros = s_set(600, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert zeros == [(0,) * 1198]
 
 
 def test_multichoose():
