@@ -258,15 +258,16 @@ def cmd_verify(args) -> int:
             print(row.line())
         code = 0 if ok else 1
     elif target == "ehrhart-formula":
-        for line in ver.reconcile_sweep(max_size=min(args.max_size, 6), t_max=args.t_max):
+        size = min(args.max_size, ver.SWEEP_CAPS["errata"])
+        for line in ver.reconcile_sweep(max_size=size, t_max=args.t_max):
             print(line)
         timings[target] = time.perf_counter() - start
         code = 0
     else:
         if target == "facets":
-            res = ver.check_facets(max_size=min(args.max_size, 8))
+            res = ver.check_facets(max_size=min(args.max_size, ver.SWEEP_CAPS["facets"]))
         else:
-            res = ver.check_volume(max_size=min(args.max_size, 7))
+            res = ver.check_volume(max_size=min(args.max_size, ver.SWEEP_CAPS["volume"]))
         timings[res.name] = time.perf_counter() - start
         print(res.line())
         for failure in res.failures:

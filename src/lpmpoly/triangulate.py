@@ -18,22 +18,24 @@ the pairs still free to become one, and enters only branches that can
 still land on the target count.
 
 The pull-back is affine on each order-type simplex and sends the simplex's
-0/1 staircase vertices to 0/1 points, so cells are built in integers;
-``psi`` and its pull-back run on integer numerators over a shared
-denominator.  A cell's determinant is read off its permutation, not
-computed: differencing consecutive edge rows leaves a row permutation of
-a unit bidiagonal matrix.  ``verify.check_triangulation`` is the oracle
-side: it checks the 0/1 property on every cell, rebuilds each cell's
-vertices as ``psi_inverse_int`` of its permutation's staircase points and
-compares them with the cell's, recomputes each cell's determinant from its
-edge rows with ``ratlinalg.det_int``, and compares the generated
-permutations with the full scan in ``oracle.scan_inverse_descents``.
+0/1 staircase vertices to 0/1 points, so cells are built in integers, from
+the walk's own state: placing v fixes bumps v-1 and v, which make the
+pull-back of the origin, and adds the placed values below v to the parity
+that is the cell's determinant (differencing consecutive edge rows leaves
+a row permutation of a unit bidiagonal matrix).  ``psi`` and its pull-back
+run on integer numerators over a shared denominator.
+``verify.check_triangulation`` is the oracle side: it checks that every
+cell is 0/1, rebuilds its vertices as ``psi_inverse_int`` of the
+staircase points and its determinant from its edge rows with
+``ratlinalg.det_int``, and compares the permutations with the full scan
+in ``oracle.scan_inverse_descents``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -52,12 +54,7 @@ def _bumps(w: Perm) -> list[int]:
 
 def psi_int(x: Sequence[int], den: int) -> tuple[int, ...]:
     """``psi`` on numerators: the prefix sums of ``x`` modulo ``den``."""
-    out = []
-    acc = 0
-    for xi in x:
-        acc = (acc + xi) % den
-        out.append(acc)
-    return tuple(out)
+    return tuple(acc % den for acc in accumulate(x))
 
 
 def psi_inverse_int(w: Perm, y: Sequence[int], den: int) -> tuple[int, ...]:
@@ -88,19 +85,20 @@ def psi_inverse_on(w: Perm, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, den) for v in psi_inverse_int(w, nums, den))
 
 
-def inverse_descent_class(
-    d: int, descents: frozenset[int] | None = None, count: int | None = None
-) -> Iterator[Perm]:
-    """The permutations w of 1..d whose inverse has descent set ``descents``
-    (or, when that is None, exactly ``count`` descents), in lexicographic order.
-
-    Values are placed left to right, smallest admissible first, on an
-    explicit stack.  With a descent set, v may come next iff v+1 is already
-    placed whenever v is a descent and v-1 is already placed whenever v-1 is
-    not.  With a count, placing v before v-1 adds a descent; a branch is
-    entered only while descents-so-far <= count <= descents-so-far plus the
-    pairs (i, i+1) whose values are both unplaced, and any such branch can
-    still reach the count.
+def _walk(
+    d: int, descents: frozenset[int] | None, count: int | None
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """The walk behind ``inverse_descent_class``; each leaf yields its live
+    state (w, bumps, odd), valid until the walk resumes.  Values are placed
+    left to right, smallest admissible first, on an explicit stack.  With a
+    descent set, v may come next iff v+1 is already placed whenever v is a
+    descent and v-1 is already placed whenever v-1 is not.  With a count,
+    placing v before v-1 adds a descent; a branch is entered only while
+    descents-so-far <= count <= descents-so-far plus the pairs (i, i+1)
+    whose values are both unplaced, and any such branch can still reach the
+    count.  bumps[i] is 1 when i+1 precedes i in w, for 0 < i < d; bumps[0]
+    = 0 and bumps[d] = 1 by the sentinels.  ``odd`` is the parity of the
+    pairs i < j with w_i < w_j.
     """
     if descents is not None:
         if not descents <= set(range(1, d)):
@@ -109,6 +107,8 @@ def inverse_descent_class(
     elif not 0 <= count <= max(d - 1, 0):
         return
     placed = [True] + [False] * d + [True]  # 0 and d+1 are sentinels
+    bumps = [0] * d + [1]
+    odd = 0
     w: list[int] = []
     nxt = [1]  # next value to try at each depth
     made = 0  # descents so far
@@ -116,24 +116,26 @@ def inverse_descent_class(
     while True:
         depth = len(w)
         if depth == d:
-            yield tuple(w)
+            yield w, bumps, odd
         else:
             v = nxt[depth]
             while v <= d:
                 if not placed[v]:
+                    gain = 0 if placed[v - 1] else 1  # v placed before v-1
+                    up = 1 if placed[v + 1] else 0  # v placed after v+1
                     if descents is not None:
-                        if (placed[v + 1] or not desc[v]) and (placed[v - 1] or desc[v - 1]):
+                        if (up or not desc[v]) and (not gain or desc[v - 1]):
                             break
-                    else:
-                        gain = 0 if placed[v - 1] else 1
-                        if made + gain <= count <= made + free - (0 if placed[v + 1] else 1):
-                            break
+                    elif made + gain <= count <= made + free - 1 + up:
+                        break
                 v += 1
             if v <= d:
                 nxt[depth] = v + 1
-                gain = 0 if placed[v - 1] else 1
+                bumps[v - 1] = gain
+                bumps[v] = up
                 made += gain
-                free -= gain + (0 if placed[v + 1] else 1)
+                free -= gain + 1 - up
+                odd ^= placed[1:v].count(True) & 1
                 placed[v] = True
                 w.append(v)
                 nxt.append(1)
@@ -143,9 +145,17 @@ def inverse_descent_class(
             return
         v = w.pop()
         placed[v] = False
-        gain = 0 if placed[v - 1] else 1
-        made -= gain
-        free += gain + (0 if placed[v + 1] else 1)
+        odd ^= placed[1:v].count(True) & 1
+        made -= bumps[v - 1]  # both bumps still hold what placing v wrote
+        free += bumps[v - 1] + 1 - bumps[v]
+
+
+def inverse_descent_class(
+    d: int, descents: frozenset[int] | None = None, count: int | None = None
+) -> Iterator[Perm]:
+    """The permutations w of 1..d whose inverse has descent set ``descents``
+    (or, when that is None, exactly ``count`` descents), in lexicographic order."""
+    return (tuple(w) for w, _, _ in _walk(d, descents, count))
 
 
 @dataclass(frozen=True)
@@ -165,46 +175,36 @@ class SimplexCell:
         }
 
 
-def cell_for_permutation(w: Perm) -> SimplexCell:
-    """Pull the staircase vertices of the order-type simplex back through the map.
-
-    The staircase's next vertex sets coordinate j = w[idx] - 1 of y to 1,
-    which moves the pull-back by +1 at j and -1 at j+1.  Edge row t (vertex
-    t minus the first) is the sum of those moves for w[d-1], ..., w[d-t], so
-    differencing consecutive rows leaves the rows e_v - e_{v+1} in the order
-    v = w[d-1], ..., w[0]: the unit bidiagonal matrix with its rows permuted
-    by w reversed.  The determinant is that permutation's sign, (-1) to the
-    number of pairs i < j with w_i < w_j.
-    """
-    d = len(w)
-    bumps = _bumps(w)
-    level = sum(bumps) + 1
-    x = bumps  # the pull-back of the origin
-    verts = [tuple(x)]
-    for idx in range(d - 1, -1, -1):
-        j = w[idx] - 1
-        x[j] += 1
-        if j + 1 < d:
-            x[j + 1] -= 1
-        verts.append(tuple(x))
-    det = (-1) ** sum(a < b for i, a in enumerate(w) for b in w[i + 1 :])
-    lifted = tuple(v + (level - sum(v),) for v in verts)
-    return SimplexCell(w, tuple(verts), lifted, det)
+def _cells(d: int, descents: frozenset[int] | None = None, count: int | None = None) -> list[SimplexCell]:
+    """The walk's cells.  Step v = w[d-1], ..., w[0] of the staircase moves
+    the pull-back by +1 at v-1 and -1 at v; slot d is the dropped coordinate."""
+    cells = []
+    for w, bumps, odd in _walk(d, descents, count):
+        x = bumps[:]
+        lifted = [tuple(x)]
+        for v in reversed(w):
+            x[v - 1] += 1
+            x[v] -= 1
+            lifted.append(tuple(x))
+        verts = tuple([p[:-1] for p in lifted])
+        cells.append(SimplexCell(tuple(w), verts, tuple(lifted), -1 if odd else 1))
+    return cells
 
 
 def hypersimplex_triangulation(k: int, n: int) -> list[SimplexCell]:
-    """One cell per permutation whose inverse has k-1 descents; count is Eulerian."""
+    """One cell per permutation whose inverse has k-1 descents; count is Eulerian.
+
+    >>> [(c.perm, c.det) for c in hypersimplex_triangulation(2, 4)]
+    [((1, 3, 2), 1), ((2, 1, 3), 1), ((2, 3, 1), -1), ((3, 1, 2), -1)]
+    """
     if not 1 <= k <= n - 1:
         raise BadK(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    return [cell_for_permutation(w) for w in inverse_descent_class(n - 1, count=k - 1)]
+    return _cells(n - 1, count=k - 1)
 
 
 def strip_triangulation(strip: BorderStrip) -> list[SimplexCell]:
     """Cells whose inverse-descent set equals the strip's descent set."""
-    return [
-        cell_for_permutation(w)
-        for w in inverse_descent_class(len(strip), descents=strip.descents)
-    ]
+    return _cells(len(strip), descents=strip.descents)
 
 
 def triangulation_volume_check(cells: list[SimplexCell]) -> int:

@@ -669,27 +669,51 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
     return rows
 
 
+# The most ground elements each sweep of ``run_all`` reaches: it runs at
+# min(--max-size, cap), whatever larger size is asked.  "edges" caps the
+# adjacency oracle; the edge check's area audit follows --max-size.
+SWEEP_CAPS = {
+    "bases": 7,
+    "deletion": 6,
+    "dimension": 7,
+    "edges": 6,
+    "facets": 8,
+    "faces": 6,
+    "decomposition": 7,
+    "volume": 7,
+    "ehrhart": 6,
+    "errata": 6,
+}
+# The sizes ``run_all`` passes as they are, whatever --max-size asks.
+FIXED_SIZES = {
+    "edges": {"formula_max": 6},
+    "volume": {"rectangle_max": 7, "strip_max": 7},
+    "catalan-area": {"n_max": 12},
+    "triangulation": {"n_max": 7, "strip_max": 7, "roundtrip_n": 5},
+}
+
+
 def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50, timings: dict | None = None):
     """All checks at the given sweep cap; returns (ok, result list, errata rows).
 
-    When ``timings`` is a dict, each check's elapsed seconds go into it under
-    the check's name, and the errata report's under ``"errata"``.
+    Each check sweeps at most its ``SWEEP_CAPS`` entry and takes its
+    ``FIXED_SIZES`` as they are.  When ``timings`` is a dict, each check's
+    elapsed seconds go into it under the check's name, and the errata
+    report's under ``"errata"``.
     """
+    cap = {name: min(max_size, size) for name, size in SWEEP_CAPS.items()}
     runs = [
-        (check_bases, {"max_size": min(max_size, 7)}),
-        (check_deletion, {"max_size": min(max_size, 6)}),
-        (check_dimension, {"max_size": min(max_size, 7)}),
-        (check_edges, {"oracle_max": min(max_size, 6), "area_max": max_size, "formula_max": 6}),
-        (check_facets, {"max_size": min(max_size, 8)}),
-        (check_faces, {"max_size": min(max_size, 6)}),
-        (check_decomposition, {"max_size": min(max_size, 7)}),
-        (check_volume, {"max_size": min(max_size, 7), "rectangle_max": 7, "strip_max": 7}),
-        (check_catalan_area, {"n_max": 12}),
-        (
-            check_triangulation,
-            {"n_max": 7, "strip_max": 7, "roundtrip_n": 5, "samples": samples},
-        ),
-        (check_ehrhart, {"max_size": min(max_size, 6)}),
+        (check_bases, {"max_size": cap["bases"]}),
+        (check_deletion, {"max_size": cap["deletion"]}),
+        (check_dimension, {"max_size": cap["dimension"]}),
+        (check_edges, {"oracle_max": cap["edges"], "area_max": max_size, **FIXED_SIZES["edges"]}),
+        (check_facets, {"max_size": cap["facets"]}),
+        (check_faces, {"max_size": cap["faces"]}),
+        (check_decomposition, {"max_size": cap["decomposition"]}),
+        (check_volume, {"max_size": cap["volume"], **FIXED_SIZES["volume"]}),
+        (check_catalan_area, FIXED_SIZES["catalan-area"]),
+        (check_triangulation, {**FIXED_SIZES["triangulation"], "samples": samples}),
+        (check_ehrhart, {"max_size": cap["ehrhart"]}),
     ]
     results = []
     for check, kwargs in runs:
@@ -698,7 +722,7 @@ def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50, timings: dict 
         if timings is not None:
             timings[results[-1].name] = perf_counter() - start
     start = perf_counter()
-    errata = build_errata_report(max_size=min(max_size, 6), t_max=t_max)
+    errata = build_errata_report(max_size=cap["errata"], t_max=t_max)
     if timings is not None:
         timings["errata"] = perf_counter() - start
     ok = all(r.ok for r in results)

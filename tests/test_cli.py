@@ -309,6 +309,38 @@ def test_verify_all_output_is_byte_identical(capsys, max_size):
     assert digest == VERIFY_ALL_SHA256[max_size]
 
 
+def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
+    # with every cap at 3 and every fixed size at 2, run_all passes nothing else
+    from lpmpoly import verify
+
+    seen = {}
+    for name in [n for n in dir(verify) if n.startswith("check_")] + ["build_errata_report"]:
+        def stub(name=name, **kwargs):
+            seen[name] = kwargs
+            return [] if name == "build_errata_report" else verify.CheckResult(name)
+
+        monkeypatch.setattr(verify, name, stub)
+    monkeypatch.setattr(verify, "SWEEP_CAPS", dict.fromkeys(verify.SWEEP_CAPS, 3))
+    fixed = {check: dict.fromkeys(sizes, 2) for check, sizes in verify.FIXED_SIZES.items()}
+    monkeypatch.setattr(verify, "FIXED_SIZES", fixed)
+    assert verify.run_all(max_size=5)[0]
+    capped = {"max_size": 3}
+    assert seen == {
+        "check_bases": capped,
+        "check_deletion": capped,
+        "check_dimension": capped,
+        "check_edges": {"oracle_max": 3, "area_max": 5, "formula_max": 2},
+        "check_facets": capped,
+        "check_faces": capped,
+        "check_decomposition": capped,
+        "check_volume": {"max_size": 3, "rectangle_max": 2, "strip_max": 2},
+        "check_catalan_area": {"n_max": 2},
+        "check_triangulation": {"n_max": 2, "strip_max": 2, "roundtrip_n": 2, "samples": 50},
+        "check_ehrhart": capped,
+        "build_errata_report": {"max_size": 3, "t_max": 3},
+    }
+
+
 REGION_FILES = {
     "bad.json": '{"lower": "EENN"',
     "list.json": '["EENN", "NNEE"]',

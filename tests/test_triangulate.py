@@ -216,19 +216,24 @@ def test_volume_check_rejects_bad_cells():
     assert triangulation_volume_check([]) == 0
 
 
+def _fault_every_cell(monkeypatch, fault):
+    """Pass each cell of ``verify``'s slice and strip routes through ``fault``."""
+    for route in ("hypersimplex_triangulation", "strip_triangulation"):
+        real = getattr(verify, route)
+        monkeypatch.setattr(verify, route, lambda *args, real=real: [fault(c) for c in real(*args)])
+
+
 def test_check_triangulation_flags_a_vertex_off_the_cube(monkeypatch):
     tiny = dict(n_max=3, strip_max=1, roundtrip_n=2, samples=1)
     assert check_triangulation(**tiny).ok
-    real = triangulate.cell_for_permutation
 
-    def pushed(w):
-        cell = real(w)
-        if len(w) < 2:
+    def pushed(cell):
+        if len(cell.perm) < 2:
             return cell
         (a, b, *rest), *others = cell.vertices  # keep the coordinate sum
         return replace(cell, vertices=((a + 2, b - 2, *rest), *others))
 
-    monkeypatch.setattr(triangulate, "cell_for_permutation", pushed)
+    _fault_every_cell(monkeypatch, pushed)
     res = check_triangulation(**tiny)
     assert not res.ok
     assert res.failures and all("0/1 simplex" in f for f in res.failures)
@@ -281,15 +286,43 @@ def test_single_cell_extremes():
     assert column.perm == tuple(range(12, 0, -1)) and abs(column.det) == 1
 
 
+def test_signed_cells_beyond_the_sweep():
+    # ``lpm verify all`` checks determinants against det_int only up to d = 6
+    # and ``lpm triangulate`` prints abs(det), so a parity slip at larger d
+    # shows only here: seeded cells of the slices (k, 8) to (k, 12) with at
+    # most 5000 cells, and of seeded strips of 9 to 11 boxes
+    rng = random.Random(20121222)
+    drawn = []
+    for n in range(8, 13):
+        for k in range(1, n):
+            if eulerian(k, n - 1) <= 5000:
+                cells = hypersimplex_triangulation(k, n)
+                drawn += [(k, cell) for cell in rng.sample(cells, min(len(cells), 25))]
+    strips = 0
+    while strips < 6:
+        strip = _strip("".join(rng.choice("RU") for _ in range(rng.randint(8, 10))))
+        if strip_volume(strip) > 5000:
+            continue
+        strips += 1
+        cells = strip_triangulation(strip)
+        drawn += [(len(strip.descents) + 1, cell) for cell in rng.sample(cells, min(len(cells), 25))]
+    assert {len(cell.perm) for _, cell in drawn} == set(range(7, 12))
+    assert {cell.det for _, cell in drawn} == {-1, 1}
+    for level, cell in drawn:
+        assert cell.det == verify._edge_det(cell), cell.perm
+        assert cell.vertices == verify._pullback_vertices(cell.perm), cell.perm
+        assert cell.vertices_lifted == tuple(v + (level - sum(v),) for v in cell.vertices), cell.perm
+
+
 def test_check_triangulation_flags_a_dropped_branch(monkeypatch):
     tiny = dict(n_max=5, strip_max=1, roundtrip_n=2, samples=1)
     assert check_triangulation(**tiny).ok
-    real = triangulate.inverse_descent_class
+    real = triangulate._walk
 
-    def pruned(d, **target):  # loses the subtree that starts with d
-        return (w for w in real(d, **target) if not (d > 2 and w[0] == d))
+    def pruned(d, descents, count):  # loses the subtree that starts with d
+        return (leaf for leaf in real(d, descents, count) if not (d > 2 and leaf[0][0] == d))
 
-    monkeypatch.setattr(triangulate, "inverse_descent_class", pruned)
+    monkeypatch.setattr(triangulate, "_walk", pruned)
     res = check_triangulation(**tiny)
     assert not res.ok
     assert any("differ from the scan" in f for f in res.failures)
@@ -298,13 +331,11 @@ def test_check_triangulation_flags_a_dropped_branch(monkeypatch):
 def test_check_triangulation_flags_a_wrong_determinant(monkeypatch):
     tiny = dict(n_max=4, strip_max=1, roundtrip_n=2, samples=1)
     assert check_triangulation(**tiny).ok
-    real = triangulate.cell_for_permutation
 
-    def flipped(w):  # one cell's sign is wrong, still a unit
-        cell = real(w)
-        return replace(cell, det=-cell.det) if w == (2, 3, 1) else cell
+    def flipped(cell):  # one cell's sign is wrong, still a unit
+        return replace(cell, det=-cell.det) if cell.perm == (2, 3, 1) else cell
 
-    monkeypatch.setattr(triangulate, "cell_for_permutation", flipped)
+    _fault_every_cell(monkeypatch, flipped)
     res = check_triangulation(**tiny)
     assert not res.ok
     assert "cell (2, 3, 1) determinant differs from det_int" in res.failures
