@@ -225,8 +225,9 @@ def cmd_catalan(args) -> int:
     return 0
 
 
-def _verify_stats(timings: dict) -> None:
-    """One JSON line on stderr: each check's elapsed seconds, then the errata report's."""
+def _verify_stats(timings: dict, run: dict) -> None:
+    """One JSON line on stderr: each check's elapsed seconds, then the errata
+    report's, then ``run``'s entries (``verify all``: its workers and wall time)."""
     record = {
         "checks": [
             {"name": name, "seconds": round(secs, 6)}
@@ -236,17 +237,21 @@ def _verify_stats(timings: dict) -> None:
     }
     if "errata" in timings:
         record["errata_seconds"] = round(timings["errata"], 6)
+    record.update(run)
     print(json.dumps(record), file=sys.stderr)
 
 
 def cmd_verify(args) -> int:
     target = args.target
     timings: dict[str, float] = {}
+    run = {}
     start = time.perf_counter()
     if target == "all":
+        workers = ver.worker_count()
         ok, results, errata = ver.run_all(
             max_size=args.max_size, t_max=args.t_max, timings=timings
         )
+        run = {"workers": workers, "wall_seconds": round(time.perf_counter() - start, 6)}
         for res in results:
             print(res.line())
             for failure in res.failures:
@@ -274,7 +279,7 @@ def cmd_verify(args) -> int:
             print(f"    {failure}")
         code = 0 if res.ok else 1
     if args.stats:
-        _verify_stats(timings)
+        _verify_stats(timings, run)
     return code
 
 
@@ -338,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver_sub.add_argument(
         "--stats",
         action="store_true",
-        help="write each check's elapsed seconds to stderr as one JSON line",
+        help="write each check's elapsed seconds to stderr as one JSON line "
+        "(verify all adds its workers and wall seconds)",
     )
     ver_sub.set_defaults(func=cmd_verify)
     return parser

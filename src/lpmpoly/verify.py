@@ -9,6 +9,7 @@ report walk their region sweep once.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -502,18 +503,21 @@ class ErrataRow:
         return f"{self.claim}: {self.verdict}\n    stated:   {self.stated}\n    computed: {self.computed}"
 
 
-def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
+def build_errata_report(
+    max_size: int = 6, t_max: int = 3, formula_max: int = 6
+) -> list[ErrataRow]:
     """One row per tracked published claim.
 
-    The region rows read one walk over the regions of at most
-    ``min(max_size, 6)`` elements, listing each region's bases once; the
-    split-goodness row reads its connected regions, the double-sum and
-    affine-sum rows its regions of at most 5 elements.
+    The Catalan edge row compares the printed closed form with the edge
+    count for n = 1..formula_max.  The region rows read one walk over the
+    regions of at most ``max_size`` elements, listing each region's bases
+    once; the split-goodness row reads its connected regions, the
+    double-sum and affine-sum rows its regions of at most 5 elements.
     """
     rows = []
 
     printed_ok = True
-    for n in range(1, 7):
+    for n in range(1, formula_max + 1):
         enumerated = len(edges(catalan_region(n)))
         printed = (
             Fraction(n * n, 2) * catalan_number(n)
@@ -535,7 +539,7 @@ def build_errata_report(max_size: int = 6, t_max: int = 3) -> list[ErrataRow]:
     plus_one_ok = comp_ok = affine_ok = True
     fold_witness = count_witness = split_witness = ""
     splits = bad_splits = total = matched = 0
-    for region in oracle.all_regions(min(max_size, 6)):
+    for region in oracle.all_regions(max_size):
         basis_vectors = list(bases(region))
         d = affine_rank([bv.coords for bv in basis_vectors])
         k = len(intersection_vertices(region))
@@ -690,40 +694,99 @@ FIXED_SIZES = {
     "volume": {"rectangle_max": 7, "strip_max": 7},
     "catalan-area": {"n_max": 12},
     "triangulation": {"n_max": 7, "strip_max": 7, "roundtrip_n": 5},
+    "errata": {"formula_max": 6},
 }
+# ``run_all``'s jobs, heaviest first: the order workers take them in, by the
+# median ``--stats`` seconds of five runs at --max-size 6 (Ehrhart 0.33 s,
+# deletion 0.16, triangulation 0.15, errata 0.14, edges 0.13 of 1.21 s).
+_HEAVIEST_FIRST = (
+    "ehrhart", "deletion", "triangulation", "errata", "edges", "faces",
+    "facets", "volume", "dimension", "decomposition", "bases", "catalan-area",
+)
+
+# A forked worker's copy of ``run_all``'s job table, filled by its initializer.
+_worker_jobs: dict = {}
+
+
+def _timed(job):
+    """A job's output and its elapsed seconds."""
+    call, kwargs = job
+    start = perf_counter()
+    out = call(**kwargs)
+    return out, perf_counter() - start
+
+
+def _run_job(name: str):
+    return _timed(_worker_jobs[name])
+
+
+def worker_count() -> int:
+    """The workers ``run_all`` forks: one per usable CPU, at most one per job.
+    1 means it runs in-process, as it does where the platform cannot fork or
+    the caller has more than one thread."""
+    import multiprocessing
+    import threading
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(usable or 1, len(_HEAVIEST_FIRST))
 
 
 def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50, timings: dict | None = None):
     """All checks at the given sweep cap; returns (ok, result list, errata rows).
 
     Each check sweeps at most its ``SWEEP_CAPS`` entry and takes its
-    ``FIXED_SIZES`` as they are.  When ``timings`` is a dict, each check's
-    elapsed seconds go into it under the check's name, and the errata
-    report's under ``"errata"``.
+    ``FIXED_SIZES`` as they are.  The checks and the errata report share no
+    state, so they run on ``worker_count()`` forked workers, heaviest first
+    (``_HEAVIEST_FIRST``), or in-process when that is 1.  A worker receives
+    a job's name and runs the job table it inherited at fork, so it sees the
+    caller's modules as they are, patched or not; only the results travel
+    back.  They are gathered in report order.  When ``timings`` is a dict,
+    each check's elapsed seconds inside its worker go into it under the
+    check's name, and the errata report's under ``"errata"``.
     """
+    import concurrent.futures
+    import multiprocessing
+
     cap = {name: min(max_size, size) for name, size in SWEEP_CAPS.items()}
-    runs = [
-        (check_bases, {"max_size": cap["bases"]}),
-        (check_deletion, {"max_size": cap["deletion"]}),
-        (check_dimension, {"max_size": cap["dimension"]}),
-        (check_edges, {"oracle_max": cap["edges"], "area_max": max_size, **FIXED_SIZES["edges"]}),
-        (check_facets, {"max_size": cap["facets"]}),
-        (check_faces, {"max_size": cap["faces"]}),
-        (check_decomposition, {"max_size": cap["decomposition"]}),
-        (check_volume, {"max_size": cap["volume"], **FIXED_SIZES["volume"]}),
-        (check_catalan_area, FIXED_SIZES["catalan-area"]),
-        (check_triangulation, {**FIXED_SIZES["triangulation"], "samples": samples}),
-        (check_ehrhart, {"max_size": cap["ehrhart"]}),
-    ]
-    results = []
-    for check, kwargs in runs:
-        start = perf_counter()
-        results.append(check(**kwargs))
-        if timings is not None:
-            timings[results[-1].name] = perf_counter() - start
-    start = perf_counter()
-    errata = build_errata_report(max_size=cap["errata"], t_max=t_max)
+    jobs = {
+        "bases": (check_bases, {"max_size": cap["bases"]}),
+        "deletion": (check_deletion, {"max_size": cap["deletion"]}),
+        "dimension": (check_dimension, {"max_size": cap["dimension"]}),
+        "edges": (
+            check_edges,
+            {"oracle_max": cap["edges"], "area_max": max_size, **FIXED_SIZES["edges"]},
+        ),
+        "facets": (check_facets, {"max_size": cap["facets"]}),
+        "faces": (check_faces, {"max_size": cap["faces"]}),
+        "decomposition": (check_decomposition, {"max_size": cap["decomposition"]}),
+        "volume": (check_volume, {"max_size": cap["volume"], **FIXED_SIZES["volume"]}),
+        "catalan-area": (check_catalan_area, FIXED_SIZES["catalan-area"]),
+        "triangulation": (
+            check_triangulation, {**FIXED_SIZES["triangulation"], "samples": samples}
+        ),
+        "ehrhart": (check_ehrhart, {"max_size": cap["ehrhart"]}),
+        "errata": (
+            build_errata_report,
+            {"max_size": cap["errata"], "t_max": t_max, **FIXED_SIZES["errata"]},
+        ),
+    }
+    workers = worker_count()
+    if workers < 2:
+        outcomes = {name: _timed(job) for name, job in jobs.items()}
+    else:
+        with concurrent.futures.ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_jobs.update,
+            initargs=(jobs,),
+        ) as pool:
+            futures = {name: pool.submit(_run_job, name) for name in _HEAVIEST_FIRST}
+            outcomes = {name: futures[name].result() for name in jobs}
+    errata, errata_seconds = outcomes.pop("errata")
+    results = [result for result, _ in outcomes.values()]
     if timings is not None:
-        timings["errata"] = perf_counter() - start
-    ok = all(r.ok for r in results)
-    return ok, results, errata
+        timings.update((result.name, seconds) for result, seconds in outcomes.values())
+        timings["errata"] = errata_seconds
+    return all(r.ok for r in results), results, errata

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -310,20 +312,25 @@ def test_verify_all_output_is_byte_identical(capsys, max_size):
 
 
 def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
-    # with every cap at 3 and every fixed size at 2, run_all passes nothing else
+    # with every cap at 3 and every fixed size at 2, run_all passes nothing
+    # else; each stub hands its kwargs back in its result, since a stub run
+    # on a forked worker cannot write to this process
     from lpmpoly import verify
 
-    seen = {}
     for name in [n for n in dir(verify) if n.startswith("check_")] + ["build_errata_report"]:
         def stub(name=name, **kwargs):
-            seen[name] = kwargs
-            return [] if name == "build_errata_report" else verify.CheckResult(name)
+            if name == "build_errata_report":
+                return [verify.ErrataRow(name, kwargs, "", "confirmed")]
+            return verify.CheckResult(name, failures=[kwargs])
 
         monkeypatch.setattr(verify, name, stub)
     monkeypatch.setattr(verify, "SWEEP_CAPS", dict.fromkeys(verify.SWEEP_CAPS, 3))
     fixed = {check: dict.fromkeys(sizes, 2) for check, sizes in verify.FIXED_SIZES.items()}
     monkeypatch.setattr(verify, "FIXED_SIZES", fixed)
-    assert verify.run_all(max_size=5)[0]
+    ok, results, errata = verify.run_all(max_size=5)
+    assert ok
+    seen = {res.name: res.failures[0] for res in results}
+    seen.update((row.claim, row.stated) for row in errata)
     capped = {"max_size": 3}
     assert seen == {
         "check_bases": capped,
@@ -337,8 +344,44 @@ def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
         "check_catalan_area": {"n_max": 2},
         "check_triangulation": {"n_max": 2, "strip_max": 2, "roundtrip_n": 2, "samples": 50},
         "check_ehrhart": capped,
-        "build_errata_report": {"max_size": 3, "t_max": 3},
+        "build_errata_report": {"max_size": 3, "t_max": 3, "formula_max": 2},
     }
+
+
+def test_verify_all_gives_the_same_results_on_workers_and_in_process(monkeypatch):
+    from lpmpoly import verify
+
+    pooled = verify.run_all(4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert verify.worker_count() == 1
+    assert verify.run_all(4) == pooled
+
+
+def test_verify_all_leaves_no_worker_running():
+    from lpmpoly import verify
+
+    assert verify.run_all(2)[0]
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_all_workers_see_patched_modules(monkeypatch, capsys):
+    # the fault of test_check_ehrhart_flags_a_failed_overdetermination,
+    # injected before the workers fork
+    from lpmpoly import ehrhart
+
+    count = ehrhart.count_lattice_points
+
+    def perturbed(region, t, interior=False):
+        return count(region, t, interior) + (t >= 4 and not interior)
+
+    monkeypatch.setattr(ehrhart, "count_lattice_points", perturbed)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", "all", "--max-size", "4"])
+    assert exit_.value.code == 1
+    out = capsys.readouterr().out
+    assert "ehrhart-interpolation: FAIL (" in out
+    assert "overdetermination fails" in out
 
 
 REGION_FILES = {
@@ -457,7 +500,11 @@ def test_verify_stats_go_to_stderr_only(argv):
     if argv[1] == "all":
         assert names == [l.split(":")[0] for l in plain.stdout.splitlines() if " checks)" in l]
         assert stats["errata_seconds"] >= 0
-    elif argv[1] == "ehrhart-formula":
+        assert 1 <= stats["workers"] <= os.cpu_count()
+        assert stats["wall_seconds"] >= max(check["seconds"] for check in stats["checks"])
+        return
+    assert "workers" not in stats and "wall_seconds" not in stats
+    if argv[1] == "ehrhart-formula":
         assert names == ["ehrhart-formula"]
     else:
         assert names == [plain.stdout.split(":")[0]]

@@ -1,0 +1,39 @@
+"""Importing the package starts no process machinery: ``verify.run_all``
+imports ``multiprocessing`` and ``concurrent.futures`` when it runs, so the
+other verbs do not pay for them at start-up."""
+
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import lpmpoly
+
+SRC = Path(lpmpoly.__file__).resolve().parents[1]
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def test_importing_every_module_loads_no_pool_module():
+    names = ["lpmpoly"] + [f"lpmpoly.{m.name}" for m in pkgutil.iter_modules(lpmpoly.__path__)]
+    code = (
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module(name)\n"
+        f"print(sorted(m for m in {POOL_MODULES!r} if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_only_verify_names_the_pool_modules():
+    naming = {
+        path.name
+        for path in (SRC / "lpmpoly").glob("*.py")
+        if any(module in path.read_text() for module in POOL_MODULES)
+    }
+    assert naming == {"verify.py"}
