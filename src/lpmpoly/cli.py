@@ -114,8 +114,9 @@ def cmd_edges(args) -> int:
     _check_cap(region, args)
     verts = ["".join(map(str, v)) for v in vertices(region)]
     found = edges(region)
-    payload = {"vertices": verts, "edges": [list(e) for e in found], "count": len(found)}
-    _emit(payload, args.format, [f"{verts[i]} -- {verts[j]}" for i, j in found])
+    # json.dumps writes the edge tuples as arrays; the text lines are formatted only when printed
+    payload = {"vertices": verts, "edges": found, "count": len(found)}
+    _emit(payload, args.format, (f"{verts[i]} -- {verts[j]}" for i, j in found))
     return 0
 
 

@@ -181,6 +181,5 @@ def delete(region: Region, i: int, value: int) -> Region:
     )
     if bounds is None:
         raise EmptyFace(f"no basis has coordinate {i} equal to {value}")
-    drop = (-value).__add__
-    low, high = (prof[:i] + tuple(map(drop, prof[i + 1 :])) for prof in bounds)
+    low, high = (prof[:i] + tuple([h - value for h in prof[i + 1 :]]) for prof in bounds)
     return Region(path_from_profile(low), path_from_profile(high))

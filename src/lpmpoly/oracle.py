@@ -7,6 +7,7 @@ at desk scale.  They are the second routes to the hot paths' quantities:
 facets by affine rank, with their own choice of representative;
 descent-class counts by inclusion-exclusion rather than the box DP;
 triangulation cells by a full permutation scan rather than generation;
+border strips by a walk over the box set rather than the column ranges;
 the Ehrhart double sum term by term over every slack array rather than by
 a transfer chain.
 
@@ -29,7 +30,7 @@ from .decompose import BorderStrip
 from .ehrhart import gamma_set, multichoose
 from .errors import TooLarge
 from .matroid import components
-from .paths import PathWord, Region
+from .paths import Box, PathWord, Region, region_boxes
 from .polytope import Candidate, Facet, dimension, h_representation, vertices
 from .ratlinalg import affine_rank, in_convex_hull
 from .volume import catalan_number, descent_set, inverse_permutation
@@ -319,6 +320,39 @@ def brute_syt(strip: BorderStrip) -> int:
         return total
 
     return place(0, 0)
+
+
+def box_path_strips(region: Region) -> list[BorderStrip]:
+    """``border_strips`` by a depth-first walk over the box set: one
+    generator of successor boxes per box visited, each strip built and
+    checked by the public ``BorderStrip``."""
+    boxes = set(region_boxes(region))
+    if not boxes:
+        return [BorderStrip(())]
+    first = min(boxes)
+    last = max(boxes)
+    if first == last:
+        return [BorderStrip((first,))]
+
+    def moves(b: Box) -> Iterator[Box]:
+        for nxt in (Box(b.col + 1, b.row), Box(b.col, b.row + 1)):
+            if nxt in boxes and nxt.col <= last.col and nxt.row <= last.row:
+                yield nxt
+
+    out: list[BorderStrip] = []
+    trail: list[Box] = [first]
+    branches = [moves(first)]  # branches[k]: untried successors of trail[k]
+    while branches:
+        nxt = next(branches[-1], None)
+        if nxt is None:
+            branches.pop()
+            trail.pop()
+        elif nxt == last:
+            out.append(BorderStrip((*trail, nxt)))
+        else:
+            trail.append(nxt)
+            branches.append(moves(nxt))
+    return out
 
 
 def scan_inverse_descents(d: int, key: Callable = frozenset) -> dict:

@@ -28,7 +28,6 @@ is the oracle's route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import add, mul
 from typing import Sequence
 
@@ -139,6 +138,9 @@ def edges(region: Region) -> list[tuple[int, int]]:
     vertex.
     """
     # Its own walk: one shared with enumerate_paths and bases reads 1.3x-1.6x slower.
+    # Comprehensions, not map over a bound int.__add__ (a method-wrapper): on
+    # Python 3.11 an offset costs 65 ns against 95-100, an output pair 90-115
+    # ns against 200 through zip(repeat(k), map(index.__getitem__, ...)).
     p = region.lower.profile
     q = region.upper.profile
     n = region.size
@@ -163,7 +165,8 @@ def edges(region: Region) -> list[tuple[int, int]]:
             if rise or h < p[i + 1]:
                 rise = False
                 if first < len(opened):
-                    offsets += map((shift - row[h]).__add__, opened[first:])
+                    c = shift - row[h]
+                    offsets += [c + o for o in opened[first:]]
                 shift += row[h + 1] - row[h]
                 h += 1
                 if h == q[i + 1]:
@@ -173,7 +176,7 @@ def edges(region: Region) -> list[tuple[int, int]]:
             i += 1
             heights[i] = h
             state[i] = (shift, first, len(offsets), len(opened))
-        out.extend(zip(repeat(k), map(index.__getitem__, map(k.__add__, sorted(offsets)))))
+        out += [(k, index[k + o]) for o in sorted(offsets)]
         k += 1
         # the next path raises the last E whose N would stay under the upper path
         i = n - 1

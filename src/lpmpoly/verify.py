@@ -703,6 +703,10 @@ _HEAVIEST_FIRST = (
     "ehrhart", "deletion", "triangulation", "errata", "edges", "faces",
     "facets", "volume", "dimension", "decomposition", "bases", "catalan-area",
 )
+# The sweep size that order was ranked at.  The facet sweep alone reaches
+# past it, and outgrows every other job there: at --max-size 8 it takes
+# 1.2-1.6 s of about 2.9 s, so ``run_all`` submits it first.
+_RANKED_AT = 6
 
 # A forked worker's copy of ``run_all``'s job table, filled by its initializer.
 _worker_jobs: dict = {}
@@ -739,7 +743,8 @@ def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50, timings: dict 
     Each check sweeps at most its ``SWEEP_CAPS`` entry and takes its
     ``FIXED_SIZES`` as they are.  The checks and the errata report share no
     state, so they run on ``worker_count()`` forked workers, heaviest first
-    (``_HEAVIEST_FIRST``), or in-process when that is 1.  A worker receives
+    (``_HEAVIEST_FIRST``, with the facet sweep first once it reaches past
+    size ``_RANKED_AT``), or in-process when that is 1.  A worker receives
     a job's name and runs the job table it inherited at fork, so it sees the
     caller's modules as they are, patched or not; only the results travel
     back.  They are gathered in report order.  When ``timings`` is a dict,
@@ -782,7 +787,10 @@ def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50, timings: dict 
             initializer=_worker_jobs.update,
             initargs=(jobs,),
         ) as pool:
-            futures = {name: pool.submit(_run_job, name) for name in _HEAVIEST_FIRST}
+            order = _HEAVIEST_FIRST
+            if cap["facets"] > _RANKED_AT:
+                order = ("facets", *(name for name in order if name != "facets"))
+            futures = {name: pool.submit(_run_job, name) for name in order}
             outcomes = {name: futures[name].result() for name in jobs}
     errata, errata_seconds = outcomes.pop("errata")
     results = [result for result, _ in outcomes.values()]

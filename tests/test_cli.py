@@ -311,10 +311,10 @@ def test_verify_all_output_is_byte_identical(capsys, max_size):
     assert digest == VERIFY_ALL_SHA256[max_size]
 
 
-def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
-    # with every cap at 3 and every fixed size at 2, run_all passes nothing
-    # else; each stub hands its kwargs back in its result, since a stub run
-    # on a forked worker cannot write to this process
+def _stub_checks(monkeypatch):
+    """Replace every check and the errata report with a stub that hands its
+    kwargs back in its result, since a stub run on a forked worker cannot
+    write to this process."""
     from lpmpoly import verify
 
     for name in [n for n in dir(verify) if n.startswith("check_")] + ["build_errata_report"]:
@@ -324,6 +324,13 @@ def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
             return verify.CheckResult(name, failures=[kwargs])
 
         monkeypatch.setattr(verify, name, stub)
+
+
+def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
+    # with every cap at 3 and every fixed size at 2, run_all passes nothing else
+    from lpmpoly import verify
+
+    _stub_checks(monkeypatch)
     monkeypatch.setattr(verify, "SWEEP_CAPS", dict.fromkeys(verify.SWEEP_CAPS, 3))
     fixed = {check: dict.fromkeys(sizes, 2) for check, sizes in verify.FIXED_SIZES.items()}
     monkeypatch.setattr(verify, "FIXED_SIZES", fixed)
@@ -346,6 +353,43 @@ def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
         "check_ehrhart": capped,
         "build_errata_report": {"max_size": 3, "t_max": 3, "formula_max": 2},
     }
+
+
+@pytest.mark.parametrize("max_size", [5, 6, 7, 8, 9])
+def test_verify_all_submits_the_facet_sweep_first_past_size_six(monkeypatch, max_size):
+    # an in-process stand-in for the pool records the order jobs are submitted in
+    import concurrent.futures
+
+    from lpmpoly import verify
+
+    submitted = []
+
+    class RecordingPool:
+        def __init__(self, workers, mp_context, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, call, name):
+            submitted.append(name)
+            future = concurrent.futures.Future()
+            future.set_result(call(name))
+            return future
+
+    _stub_checks(monkeypatch)
+    monkeypatch.setattr(verify, "_worker_jobs", {})
+    monkeypatch.setattr(verify, "worker_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert verify.run_all(max_size)[0]
+    ranked = list(verify._HEAVIEST_FIRST)
+    if max_size > 6:
+        ranked.remove("facets")
+        ranked.insert(0, "facets")
+    assert submitted == ranked
 
 
 def test_verify_all_gives_the_same_results_on_workers_and_in_process(monkeypatch):

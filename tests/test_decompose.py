@@ -28,7 +28,7 @@ from lpmpoly.decompose import (
 )
 from lpmpoly.errors import InvalidSplit
 from lpmpoly.matroid import presentation
-from lpmpoly.oracle import all_regions
+from lpmpoly.oracle import all_regions, box_path_strips
 from lpmpoly.paths import PathWord, region_boxes
 from lpmpoly.polytope import h_representation
 from lpmpoly import verify
@@ -169,6 +169,29 @@ def test_border_strips_lex_order():
     for region in all_regions(7, connected_only=True):
         words = [s.direction_word for s in border_strips(region)]
         assert words == sorted(words)
+
+
+def test_border_strips_match_the_box_walk_oracle():
+    # as lists, order included, on every region of at most 9 elements,
+    # disconnected ones included; each strip passes the public check too
+    for region in all_regions(9):
+        strips = border_strips(region)
+        assert strips == box_path_strips(region), region
+        for strip in strips:
+            assert BorderStrip(strip.boxes) == strip
+
+
+@pytest.mark.parametrize("boxes", [
+    (Box(1, 1), Box(2, 2)),
+    (Box(1, 1), Box(3, 1)),
+    (Box(2, 1), Box(1, 1)),
+    (Box(1, 2), Box(1, 1)),
+    (Box(1, 1), Box(1, 1)),
+    (Box(1, 1), Box(2, 1), Box(2, 3)),
+], ids=repr)
+def test_border_strip_rejects_boxes_that_are_not_adjacent(boxes):
+    with pytest.raises(ValueError, match="not E/N adjacent"):
+        BorderStrip(boxes)
 
 
 def test_strip_region_round_trip():

@@ -20,6 +20,7 @@ from itertools import combinations, product
 import pytest
 
 from lpmpoly import (
+    BorderStrip,
     Box,
     bases,
     border_strips,
@@ -176,11 +177,14 @@ def test_enumeration_kernels_match_oracles(region):
     assert edges(region) == oracle.swap_edges(region)
     if region.size <= 12:  # the basis scan's cap
         assert {frozenset(b.support) for b in bases(region)} == oracle.brute_bases(region)
+    strips = border_strips(region)
+    assert strips == oracle.box_path_strips(region)
+    assert all(BorderStrip(strip.boxes) == strip for strip in strips)
     leaves = decomposition_tree(region).leaves()
     want = _strips_by_block(region)
     assert sorted(sorted(region_boxes(leaf.region)) for leaf in leaves) == want
     if is_connected(region):
-        assert want == sorted(list(s.boxes) for s in border_strips(region))
+        assert want == sorted(list(s.boxes) for s in strips)
 
 
 def wide_regions(seed=SEED, count=8):

@@ -91,6 +91,11 @@ def test_catalan_edge_formula_values():
     assert [catalan_edge_formula(n) for n in (1, 2, 3)] == [0, 1, 8]
     for n in range(1, 8):
         assert catalan_edge_formula(n) == len(edges(catalan_region(n)))
+    # past the sweeps: the connected core of catalan_region(n + 1) has its edges
+    for n in (7, 8):
+        found = edges(reduced_catalan_region(n))
+        assert len(found) == catalan_edge_formula(n + 1)
+        assert found == sorted(set(found))
 
 
 def test_h_representation_examples():
