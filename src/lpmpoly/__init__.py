@@ -6,6 +6,10 @@ Every closed form the library exposes is verified against brute-force
 oracles; run ``lpm verify all`` or see :mod:`lpmpoly.verify`.
 """
 
+from time import perf_counter as _clock
+
+_import_start = _clock()  # ``cli.IMPORT_SECONDS`` counts from here
+
 from .paths import (
     Box,
     PathWord,

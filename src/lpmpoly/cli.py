@@ -19,6 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
+from . import _import_start
 from . import ehrhart as eh
 from . import verify as ver
 from .decompose import border_strips, decomposition_tree, region_to_strip
@@ -227,9 +228,11 @@ def cmd_catalan(args) -> int:
 
 
 def _verify_stats(timings: dict, run: dict) -> None:
-    """One JSON line on stderr: each check's elapsed seconds, then the errata
-    report's, then ``run``'s entries (``verify all``: its workers and wall time)."""
+    """One JSON line on stderr: the package's import seconds, each check's
+    elapsed seconds, then the errata report's, then ``run``'s entries
+    (``verify all``: its workers and wall time)."""
     record = {
+        "import_seconds": IMPORT_SECONDS,
         "checks": [
             {"name": name, "seconds": round(secs, 6)}
             for name, secs in timings.items()
@@ -302,7 +305,7 @@ def _add_region_flags(sub) -> None:
     sub.add_argument(
         "--stats",
         action="store_true",
-        help="write the parse and run seconds to stderr as one JSON line",
+        help="write the import, parse and run seconds to stderr as one JSON line",
     )
 
 
@@ -344,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver_sub.add_argument(
         "--stats",
         action="store_true",
-        help="write each check's elapsed seconds to stderr as one JSON line "
-        "(verify all adds its workers and wall seconds)",
+        help="write the import seconds and each check's elapsed seconds to stderr "
+        "as one JSON line (verify all adds its workers and wall seconds)",
     )
     ver_sub.set_defaults(func=cmd_verify)
     return parser
@@ -369,12 +372,17 @@ def main(argv=None) -> None:
     if args.stats and args.verb != "verify":  # verify writes its own per-check record
         stage = {
             "verb": args.verb,
+            "import_seconds": IMPORT_SECONDS,
             "parse_seconds": round(parsed - start, 6),
             "run_seconds": round(time.perf_counter() - parsed, 6),
         }
         print(json.dumps(stage), file=sys.stderr)
     sys.exit(code)
 
+
+# Seconds from the first statement of the package to the end of this module
+# body, once per process; every ``--stats`` line reports it.
+IMPORT_SECONDS = round(time.perf_counter() - _import_start, 6)
 
 if __name__ == "__main__":
     main()

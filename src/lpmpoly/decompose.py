@@ -8,9 +8,8 @@ block of boxes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, count
-from operator import eq
+from operator import eq, ge
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidSplit
@@ -45,8 +44,7 @@ def _first_straddle(s: tuple[int, ...], t: tuple[int, ...]) -> Split | None:
     return None
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     left: Region
     right: Region
     split: Split
@@ -79,24 +77,25 @@ def _split_children(region: Region, x: int, j: int) -> tuple[Region, Region]:
     )
 
 
-@dataclass(frozen=True)
-class BorderStrip:
-    """A monotone box path; each successor is one step East or one step North."""
-
+class _Boxes(NamedTuple):
     boxes: tuple[Box, ...]
 
-    def __post_init__(self):
-        for a, b in zip(self.boxes, self.boxes[1:]):
+
+class BorderStrip(_Boxes):
+    """A monotone box path; each successor is one step East or one step North.
+
+    ``len`` is the box count, so ``_make`` and ``_replace``, which check
+    ``len`` against the one field, do not apply to a strip.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, boxes: tuple[Box, ...]):
+        for a, b in zip(boxes, boxes[1:]):
             step = (b.col - a.col, b.row - a.row)
             if step not in ((1, 0), (0, 1)):
                 raise ValueError(f"boxes {a} -> {b} are not E/N adjacent")
-
-    @classmethod
-    def _unchecked(cls, boxes: tuple[Box, ...]) -> "BorderStrip":
-        """Wrap boxes the caller built E/N adjacent, skipping the check."""
-        strip = cls.__new__(cls)
-        object.__setattr__(strip, "boxes", boxes)
-        return strip
+        return tuple.__new__(cls, (boxes,))
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -123,6 +122,11 @@ def border_strips(region: Region) -> list[BorderStrip]:
 
     Emitted in lexicographic order of direction words (R < U).  A boxless
     region yields the single empty strip; a border-strip region yields itself.
+    A region with two or more components of kind ``"block"`` yields no
+    strip, since no monotone box path crosses the touch point between two
+    blocks; loops and coloops hold no boxes and do not count.  Between two
+    blocks some column's top box has no step R (an empty column counts),
+    so one comparison per column settles it before the walk.
     Box (c, row) lies in the region exactly when lo[c] < row <= hi[c], the
     E-step heights of the bounding paths, so a step R from (c, row) stays in
     it when lo[c + 1] < row and a step U when row < hi[c].  The depth-first
@@ -143,6 +147,8 @@ def border_strips(region: Region) -> list[BorderStrip]:
     first_col, last_col = cols[0], cols[-1]
     # ahead[c]: a step R from (c, row) stays in the region iff ahead[c] < row
     ahead = (0,) + lo[2 : last_col + 1] + (hi[last_col],)
+    if any(map(ge, ahead[first_col:last_col], hi[first_col:last_col])):
+        return []
     grid = [()] * (last_col + 1)
     for c in cols:
         grid[c] = [None] * (lo[c] + 1) + [Box(c, row) for row in range(lo[c] + 1, hi[c] + 1)]
@@ -150,7 +156,7 @@ def border_strips(region: Region) -> list[BorderStrip]:
     last = grid[last_col][hi[last_col]]
     base = first_col + first.row
     trail = [first] * (last_col + last.row - base + 1)
-    unchecked = BorderStrip._unchecked
+    new = tuple.__new__
     out: list[BorderStrip] = []
     stack = [first]
     while stack:
@@ -164,7 +170,7 @@ def border_strips(region: Region) -> list[BorderStrip]:
         elif ahead[col] < row:
             stack.append(grid[col + 1][row])
         elif box is last:
-            out.append(unchecked(tuple(trail)))
+            out.append(new(BorderStrip, (tuple(trail),)))
     return out
 
 
@@ -205,8 +211,7 @@ def region_to_strip(region: Region) -> BorderStrip:
     return BorderStrip(region_boxes(region))
 
 
-@dataclass(frozen=True)
-class GoodPartition:
+class GoodPartition(NamedTuple):
     """Ground-set bipartition with threshold witnesses for a hyperplane split."""
 
     e1: tuple[int, ...]
@@ -283,20 +288,19 @@ def verify_good_partition(region: Region, gp: GoodPartition) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class DecompositionNode:
+class DecompositionNode(NamedTuple):
     """One node of a decomposition tree.
 
     Every walk goes through :meth:`nodes` or :meth:`render`, both on
-    explicit stacks, so they work at any depth.  Equality and ``repr`` mean
-    what the generated dataclass methods mean (field by field, children
-    included); the hash is consistent with equality but is not the
-    generated dataclass hash.
+    explicit stacks, so they work at any depth.  Between two nodes ``==``
+    and ``!=`` compare field by field, children included, on such a walk,
+    where tuple's own comparison would recurse down the children; ``repr``
+    prints the same fields.  The hash is consistent with equality.
     """
 
     region: Region
     split: Split | None
-    children: tuple["DecompositionNode", ...] = field(default=())
+    children: tuple["DecompositionNode", ...] = ()
 
     def nodes(self) -> Iterator["DecompositionNode"]:
         """Every node of the tree in preorder, left subtree first."""
@@ -315,6 +319,10 @@ class DecompositionNode:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(map(eq, self._shape(), other._shape()))
+
+    def __ne__(self, other):
+        same = self.__eq__(other)
+        return same if same is NotImplemented else not same
 
     def __hash__(self) -> int:
         return hash(tuple(self._shape()))
@@ -368,10 +376,11 @@ def decomposition_tree(region: Region) -> DecompositionNode:
             stack.append((right, s, right.lower.north_positions()))
             stack.append((left, left.upper.north_positions(), t))
     built: list[DecompositionNode] = []
+    new = tuple.__new__
     for node, split in reversed(preorder):
         if split is None:
-            built.append(DecompositionNode(node, None))
+            built.append(new(DecompositionNode, (node, None, ())))
         else:
             left, right = built.pop(), built.pop()
-            built.append(DecompositionNode(node, split, (left, right)))
+            built.append(new(DecompositionNode, (node, split, (left, right))))
     return built[0]

@@ -22,12 +22,12 @@ the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial, lcm
 from operator import sub
+from typing import NamedTuple
 
 from .matroid import presentation
 from .paths import Region
@@ -109,11 +109,15 @@ def count_lattice_points(region: Region, t: int, interior: bool = False) -> int:
     return counts[0]  # p_n = q_n = r pins the last range to one sum
 
 
-@dataclass(frozen=True)
-class EhrhartPolynomial:
-    """Exact rational coefficients, constant term first."""
-
+class _Coeffs(NamedTuple):
     coeffs: tuple[Fraction, ...]
+
+
+class EhrhartPolynomial(_Coeffs):
+    """Exact rational coefficients, constant term first.
+
+    No ``__slots__``: the instance ``__dict__`` holds the cached numerators.
+    """
 
     @property
     def degree(self) -> int:
@@ -189,8 +193,7 @@ def ehrhart_polynomial(region: Region) -> EhrhartPolynomial:
     return EhrhartPolynomial(_interpolate(negative + plain, -half))
 
 
-@dataclass(frozen=True)
-class GammaBounds:
+class GammaBounds(NamedTuple):
     """Windows for the partial sums of prefix-block compositions."""
 
     a: tuple[int, ...]
@@ -296,8 +299,7 @@ def _transfer_chain(r: int, t: int, compositions: list[tuple[int, ...]]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ReconcileRow:
+class ReconcileRow(NamedTuple):
     t: int
     formula_value: int
     true_value: int
@@ -307,8 +309,7 @@ class ReconcileRow:
         return self.formula_value == self.true_value
 
 
-@dataclass(frozen=True)
-class ReconcileReport:
+class ReconcileReport(NamedTuple):
     region: Region
     rows: tuple[ReconcileRow, ...]
 

@@ -8,7 +8,6 @@ exactly the N-position sets of the paths inside the region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple
@@ -17,20 +16,24 @@ from .errors import EmptyFace, WrongCardinality
 from .paths import Region, path_from_profile, tighten_bounds, touch_count
 
 
-@dataclass(frozen=True)
-class IntervalPresentation:
-    """One integer interval per rank, both endpoint lists strictly increasing."""
-
+class _Intervals(NamedTuple):
     intervals: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        for lo, hi in self.intervals:
+
+class IntervalPresentation(_Intervals):
+    """One integer interval per rank, both endpoint lists strictly increasing."""
+
+    __slots__ = ()
+
+    def __new__(cls, intervals: tuple[tuple[int, int], ...]):
+        for lo, hi in intervals:
             if lo > hi:
                 raise ValueError(f"empty interval [{lo},{hi}]")
-        lows = [lo for lo, _ in self.intervals]
-        highs = [hi for _, hi in self.intervals]
+        lows = [lo for lo, _ in intervals]
+        highs = [hi for _, hi in intervals]
         if sorted(set(lows)) != lows or sorted(set(highs)) != highs:
             raise ValueError("interval endpoints must be strictly increasing")
+        return tuple.__new__(cls, (intervals,))
 
 
 class BasisVector(NamedTuple):
@@ -48,20 +51,23 @@ class Block(NamedTuple):
     kind: str
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(NamedTuple):
     blocks: tuple[Block, ...]
 
     @property
-    def count(self) -> int:
+    def count(self) -> int:  # shadows tuple.count
         return len(self.blocks)
 
 
 def presentation(region: Region) -> IntervalPresentation:
-    """Read the intervals off the N positions of the upper and lower paths."""
+    """Read the intervals off the N positions of the upper and lower paths.
+
+    Both position lists increase strictly and each upper position is at
+    most the lower one, so the constructor's checks are skipped here.
+    """
     lows = region.upper.north_positions()
     highs = region.lower.north_positions()
-    return IntervalPresentation(tuple(zip(lows, highs)))
+    return tuple.__new__(IntervalPresentation, (tuple(zip(lows, highs)),))
 
 
 def is_basis(region: Region, subset: Iterable[int]) -> bool:

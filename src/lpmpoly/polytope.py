@@ -27,9 +27,8 @@ is the oracle's route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
 from .matroid import bases, delete, is_connected
@@ -46,8 +45,7 @@ from .volume import catalan_area, catalan_number
 _BOX_KINDS = ("x_lower", "x_upper")
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     """coeffs . x  rel  rhs with rel one of "<=", ">=", "="."""
 
     coeffs: tuple[int, ...]
@@ -72,14 +70,12 @@ class LinearConstraint:
         return d
 
 
-@dataclass(frozen=True)
-class HRepresentation:
+class HRepresentation(NamedTuple):
     equalities: tuple[LinearConstraint, ...]
     inequalities: tuple[LinearConstraint, ...]
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """A certified facet: the inequality, its tight vertices, and its provenance.
 
     ``kind`` is one of "x_lower", "x_upper", "prefix_upper", "prefix_lower";

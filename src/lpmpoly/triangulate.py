@@ -33,11 +33,10 @@ in ``oracle.scan_inverse_descents``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .decompose import BorderStrip
 from .errors import BadK, NonUnimodularCell, WrongChamber
@@ -158,8 +157,7 @@ def inverse_descent_class(
     return (tuple(w) for w, _, _ in _walk(d, descents, count))
 
 
-@dataclass(frozen=True)
-class SimplexCell:
+class SimplexCell(NamedTuple):
     """A unimodular cell, in slice coordinates and lifted by the dropped coordinate."""
 
     perm: Perm
@@ -178,6 +176,7 @@ class SimplexCell:
 def _cells(d: int, descents: frozenset[int] | None = None, count: int | None = None) -> list[SimplexCell]:
     """The walk's cells.  Step v = w[d-1], ..., w[0] of the staircase moves
     the pull-back by +1 at v-1 and -1 at v; slot d is the dropped coordinate."""
+    new = tuple.__new__
     cells = []
     for w, bumps, odd in _walk(d, descents, count):
         x = bumps[:]
@@ -187,7 +186,7 @@ def _cells(d: int, descents: frozenset[int] | None = None, count: int | None = N
             x[v] -= 1
             lifted.append(tuple(x))
         verts = tuple([p[:-1] for p in lifted])
-        cells.append(SimplexCell(tuple(w), verts, tuple(lifted), -1 if odd else 1))
+        cells.append(new(SimplexCell, (tuple(w), verts, tuple(lifted), -1 if odd else 1)))
     return cells
 
 

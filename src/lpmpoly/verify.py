@@ -10,11 +10,11 @@ report walk their region sweep once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from time import perf_counter
+from typing import NamedTuple
 
 from . import ehrhart as eh
 from . import oracle
@@ -69,12 +69,31 @@ from .volume import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool = True
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One check's outcome, filled in as the check runs."""
+
+    __slots__ = ("name", "ok", "checked", "failures")
+
+    def __init__(
+        self, name: str, ok: bool = True, checked: int = 0, failures: list[str] | None = None
+    ):
+        self.name = name
+        self.ok = ok
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.ok, self.checked, self.failures) == (
+            other.name, other.ok, other.checked, other.failures
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckResult(name={self.name!r}, ok={self.ok!r}, "
+            f"checked={self.checked!r}, failures={self.failures!r})"
+        )
 
     def fail(self, message: str) -> None:
         self.ok = False
@@ -492,8 +511,7 @@ def reconcile_sweep(max_size: int = 6, t_max: int = 3) -> list[str]:
     return lines
 
 
-@dataclass
-class ErrataRow:
+class ErrataRow(NamedTuple):
     claim: str
     stated: str
     computed: str

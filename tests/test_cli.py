@@ -531,7 +531,7 @@ def test_verify_ehrhart_formula_at_high_dilations():
     ],
     ids=lambda argv: argv[1],
 )
-def test_verify_stats_go_to_stderr_only(argv):
+def test_verify_stats_go_to_stderr_only(capsys, argv):
     plain = run_cli(*argv)
     timed = run_cli(*argv, "--stats")
     assert timed.returncode == plain.returncode == 0
@@ -539,6 +539,13 @@ def test_verify_stats_go_to_stderr_only(argv):
     assert plain.stderr == ""
     (line,) = timed.stderr.splitlines()
     stats = json.loads(line)
+    assert stats["import_seconds"] >= 0
+    in_process = []
+    for _ in range(2):  # the import is timed once per process
+        with pytest.raises(SystemExit):
+            cli.main([*argv, "--stats"])
+        in_process.append(json.loads(capsys.readouterr().err)["import_seconds"])
+    assert in_process[0] == in_process[1] >= 0
     names = [check["name"] for check in stats["checks"]]
     assert all(check["seconds"] >= 0 for check in stats["checks"])
     if argv[1] == "all":
@@ -577,8 +584,9 @@ def test_verb_stats_go_to_stderr_only(verb):
     assert plain.stderr == ""
     (line,) = timed.stderr.splitlines()
     stats = json.loads(line)
-    assert list(stats) == ["verb", "parse_seconds", "run_seconds"]
+    assert list(stats) == ["verb", "import_seconds", "parse_seconds", "run_seconds"]
     assert stats["verb"] == verb
+    assert stats["import_seconds"] >= 0
     assert stats["parse_seconds"] >= 0 and stats["run_seconds"] >= 0
 
 

@@ -15,6 +15,7 @@ from lpmpoly import (
     dimension,
     find_split,
     hyperplane_split,
+    is_connected,
     region_from_words,
     region_to_strip,
     strip_volume,
@@ -179,6 +180,18 @@ def test_border_strips_match_the_box_walk_oracle():
         assert strips == box_path_strips(region), region
         for strip in strips:
             assert BorderStrip(strip.boxes) == strip
+
+
+@pytest.mark.parametrize("lower,upper,count", [
+    ("E" * 8 + "N" * 8 + "EN", "NE" * 8 + "NE", 0),  # two blocks: no strip crosses the touch
+    ("EEENN", "ENNEE", 2),  # a loop, then one block: a loop holds no box
+])
+def test_border_strips_on_regions_of_several_components(lower, upper, count):
+    region = region_from_words(lower, upper)
+    assert not is_connected(region)
+    strips = border_strips(region)
+    assert len(strips) == count
+    assert strips == box_path_strips(region)
 
 
 @pytest.mark.parametrize("boxes", [
@@ -382,7 +395,7 @@ def test_check_decomposition_reads_the_halves_from_the_tree(monkeypatch):
         tree = decomposition_tree(region)
         if not tree.children:
             return tree
-        return dataclasses.replace(tree, children=(tree.children[1],) * 2)
+        return tree._replace(children=(tree.children[1],) * 2)
 
     monkeypatch.setattr(verify, "decomposition_tree", doubled)
     res = check_decomposition(5)
@@ -466,7 +479,19 @@ def deep_band_tree():
 
 
 def test_deep_band_tree_matches_the_public_split_route(deep_band_tree):
-    assert deep_band_tree == reference_tree(deep_band_tree.region)
+    reference = reference_tree(deep_band_tree.region)
+    assert deep_band_tree == reference
+    assert not (deep_band_tree != reference)
+
+
+def test_deep_band_trees_that_differ_at_the_bottom_compare_unequal(deep_band_tree):
+    # a tree past the recursion limit that differs only at its deepest leaf
+    node = deep_band_tree
+    while node.children:
+        node = max(node.children, key=lambda child: len(child.children))
+    changed = _rebuilt(deep_band_tree, DecompositionNode, {id(node): deep_band_tree.region})
+    assert deep_band_tree != changed
+    assert not deep_band_tree == changed
 
 
 def test_nodes_on_a_tree_past_the_recursion_limit(deep_band_tree):

@@ -1,7 +1,15 @@
-"""Importing the package starts no process machinery: ``verify.run_all``
-imports ``multiprocessing`` and ``concurrent.futures`` when it runs, so the
-other verbs do not pay for them at start-up."""
+"""Importing the package loads only what every verb needs.
 
+``verify.run_all`` imports ``multiprocessing`` and ``concurrent.futures``
+when it runs, so the other verbs do not pay for them at start-up.  The
+value types are NamedTuples and ``__slots__`` classes, not dataclasses:
+building a dataclass compiles and runs generated methods at import, and
+``dataclasses`` itself loads ``inspect``.  No ``lpmpoly`` module imports
+``inspect`` either, so it stays out as well, though only ``dataclasses``
+is asserted here.
+"""
+
+import ast
 import os
 import pkgutil
 import subprocess
@@ -12,15 +20,16 @@ import lpmpoly
 
 SRC = Path(lpmpoly.__file__).resolve().parents[1]
 POOL_MODULES = ("multiprocessing", "concurrent.futures")
+UNLOADED = POOL_MODULES + ("dataclasses",)
 
 
-def test_importing_every_module_loads_no_pool_module():
+def test_importing_every_module_loads_no_pool_module_and_no_dataclasses():
     names = ["lpmpoly"] + [f"lpmpoly.{m.name}" for m in pkgutil.iter_modules(lpmpoly.__path__)]
     code = (
         "import importlib, sys\n"
         f"for name in {names!r}:\n"
         "    importlib.import_module(name)\n"
-        f"print(sorted(m for m in {POOL_MODULES!r} if m in sys.modules))\n"
+        f"print(sorted(m for m in {UNLOADED!r} if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -37,3 +46,18 @@ def test_only_verify_names_the_pool_modules():
         if any(module in path.read_text() for module in POOL_MODULES)
     }
     assert naming == {"verify.py"}
+
+
+def test_no_module_imports_dataclasses():
+    importing = set()
+    for path in (SRC / "lpmpoly").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importing.add(path.name)
+    assert importing == set()

@@ -1,7 +1,6 @@
 import inspect
 import random
 import sys
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -215,7 +214,7 @@ def test_face_region_accepts_exactly_the_listed_facets():
             copies = [Facet(cons, tight, kind, position)]
             if copies[0] in listed:
                 copies += [
-                    replace(copies[0], tight=other)
+                    copies[0]._replace(tight=other)
                     for other in (tight[1:], tight + (len(paths),), tuple(sorted(set(tight) ^ {0})))
                 ]
             for facet in copies:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from heapq import merge
 from itertools import permutations, product
@@ -231,7 +230,7 @@ def test_check_triangulation_flags_a_vertex_off_the_cube(monkeypatch):
         if len(cell.perm) < 2:
             return cell
         (a, b, *rest), *others = cell.vertices  # keep the coordinate sum
-        return replace(cell, vertices=((a + 2, b - 2, *rest), *others))
+        return cell._replace(vertices=((a + 2, b - 2, *rest), *others))
 
     _fault_every_cell(monkeypatch, pushed)
     res = check_triangulation(**tiny)
@@ -333,7 +332,7 @@ def test_check_triangulation_flags_a_wrong_determinant(monkeypatch):
     assert check_triangulation(**tiny).ok
 
     def flipped(cell):  # one cell's sign is wrong, still a unit
-        return replace(cell, det=-cell.det) if cell.perm == (2, 3, 1) else cell
+        return cell._replace(det=-cell.det) if cell.perm == (2, 3, 1) else cell
 
     _fault_every_cell(monkeypatch, flipped)
     res = check_triangulation(**tiny)
@@ -358,7 +357,7 @@ def test_check_triangulation_flags_vertices_rotated_among_cells(monkeypatch, rou
     def rotated(*args):  # each cell takes the next cell's vertices: 0/1, in the slice
         cells = real(*args)
         moved = [cell.vertices for cell in cells[1:] + cells[:1]]
-        return [replace(cell, vertices=v) for cell, v in zip(cells, moved)]
+        return [cell._replace(vertices=v) for cell, v in zip(cells, moved)]
 
     monkeypatch.setattr(verify, route, rotated)
     res = check_triangulation(**tiny)
@@ -405,7 +404,7 @@ def test_check_triangulation_flags_strip_cells_unlike_their_verified_twins(monke
     def rotated(strip):
         cells = real(strip)
         moved = [cell.vertices for cell in cells[1:] + cells[:1]]
-        return [replace(cell, vertices=v) for cell, v in zip(cells, moved)]
+        return [cell._replace(vertices=v) for cell, v in zip(cells, moved)]
 
     monkeypatch.setattr(verify, "strip_triangulation", rotated)
     res = check_triangulation(n_max=7, strip_max=1, roundtrip_n=2, samples=1)
