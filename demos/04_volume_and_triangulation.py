@@ -4,22 +4,20 @@ The volume of a connected region's polytope counts permutations by
 descent set, one class per border strip.  The slice of the cube between
 consecutive integer coordinate-sum hyperplanes triangulates into unit
 simplices labeled by permutations, pulled back through the prefix-sum
-fractional-part map.
+fractional-part map.  That map and its inverse on each chamber live in
+the oracle module, on integer numerators over a shared denominator: the
+verify sweep rebuilds every cell's vertices with them.
 """
-
-from fractions import Fraction
 
 from lpmpoly import (
     eulerian,
     hypersimplex_region,
     hypersimplex_triangulation,
-    psi,
-    psi_inverse_on,
     strip_triangulation,
-    triangulation_volume_check,
     volume,
 )
 from lpmpoly.decompose import BorderStrip
+from lpmpoly.oracle import psi_int, psi_inverse_int
 from lpmpoly.paths import Box
 
 print("volumes of rectangle regions are Eulerian numbers:")
@@ -31,12 +29,12 @@ print("\ntriangulating the middle slice for k=2, n=4:")
 cells = hypersimplex_triangulation(2, 4)
 for cell in cells:
     print("    label", cell.perm, "vertices", cell.vertices, "det", cell.det)
-print("cells:", triangulation_volume_check(cells), "= Eulerian", eulerian(2, 3))
+print("cells:", len(cells), "= Eulerian", eulerian(2, 3))
 
-print("\nthe prefix-sum map and its chamber inverses round-trip exactly:")
-y = (Fraction(3, 4), Fraction(1, 4))
-x = psi_inverse_on((2, 1), y)
-print(f"    y = {y}  ->  x = {x}  ->  psi(x) = {psi(x)}")
+print("\nthe prefix-sum map and its chamber inverses round-trip exactly (numerators over 4):")
+y = (3, 1)
+x = psi_inverse_int((2, 1), y, 4)
+print(f"    y = {y}  ->  x = {x}  ->  psi(x) = {psi_int(x, 4)}")
 
 print("\na 3-box corner strip triangulates into its filling count of cells:")
 ell = BorderStrip((Box(1, 1), Box(2, 1), Box(2, 2)))

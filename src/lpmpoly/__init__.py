@@ -77,10 +77,7 @@ from .ehrhart import (
 from .triangulate import (
     SimplexCell,
     hypersimplex_triangulation,
-    psi,
-    psi_inverse_on,
     strip_triangulation,
-    triangulation_volume_check,
 )
 
 __all__ = [
@@ -138,8 +135,5 @@ __all__ = [
     "reconcile_ehrhart_formula",
     "SimplexCell",
     "hypersimplex_triangulation",
-    "psi",
-    "psi_inverse_on",
     "strip_triangulation",
-    "triangulation_volume_check",
 ]

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from . import _import_start
 from . import ehrhart as eh
-from . import verify as ver
 from .decompose import border_strips, decomposition_tree, region_to_strip
 from .errors import (
     BadK,
@@ -246,6 +245,8 @@ def _verify_stats(timings: dict, run: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as ver  # only this verb loads the oracles
+
     target = args.target
     timings: dict[str, float] = {}
     run = {}

@@ -29,10 +29,6 @@ class DominanceViolation(ValueError):
         super().__init__(f"lower path exceeds upper path at step {position}")
 
 
-class WrongCardinality(ValueError):
-    """A candidate basis has the wrong number of elements."""
-
-
 class EmptyFace(ValueError):
     """No basis attains the requested coordinate value."""
 
@@ -59,10 +55,6 @@ class BadK(ValueError):
 
 class WrongChamber(ValueError):
     """The point violates the order type of the requested simplex."""
-
-
-class NonUnimodularCell(ValueError):
-    """A triangulation cell has determinant other than +-1."""
 
 
 class TooLarge(ValueError):

@@ -12,7 +12,7 @@ from itertools import compress
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import EmptyFace, WrongCardinality
+from .errors import EmptyFace
 from .paths import Region, path_from_profile, tighten_bounds, touch_count
 
 
@@ -68,22 +68,6 @@ def presentation(region: Region) -> IntervalPresentation:
     lows = region.upper.north_positions()
     highs = region.lower.north_positions()
     return tuple.__new__(IntervalPresentation, (tuple(zip(lows, highs)),))
-
-
-def is_basis(region: Region, subset: Iterable[int]) -> bool:
-    """True iff the path with N steps exactly on ``subset`` stays in the region."""
-    s = set(subset)
-    if len(s) != region.r:
-        raise WrongCardinality(f"expected {region.r} elements, got {len(s)}")
-    p = region.lower.profile
-    q = region.upper.profile
-    h = 0
-    for i in range(1, region.size + 1):
-        if i in s:
-            h += 1
-        if not p[i] <= h <= q[i]:
-            return False
-    return True
 
 
 def is_independent(pres: IntervalPresentation, subset: Iterable[int]) -> bool:

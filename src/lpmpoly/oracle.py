@@ -6,7 +6,9 @@ the main modules can be checked against them.  Size caps keep every call
 at desk scale.  They are the second routes to the hot paths' quantities:
 facets by affine rank, with their own choice of representative;
 descent-class counts by inclusion-exclusion rather than the box DP;
-triangulation cells by a full permutation scan rather than generation;
+triangulation cells by a full permutation scan rather than generation,
+and their vertices by the pull-back through the prefix-sum map ``psi``
+on integer numerators rather than the generator's walk state;
 border strips by a walk over the box set rather than the column ranges;
 the Ehrhart double sum term by term over every slack array rather than by
 a transfer chain.
@@ -22,18 +24,18 @@ shares a face with is an edge without an LP.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .decompose import BorderStrip
 from .ehrhart import gamma_set, multichoose
-from .errors import TooLarge
+from .errors import TooLarge, WrongChamber
 from .matroid import components
 from .paths import Box, PathWord, Region, region_boxes
 from .polytope import Candidate, Facet, dimension, h_representation, vertices
 from .ratlinalg import affine_rank, in_convex_hull
-from .volume import catalan_number, descent_set, inverse_permutation
+from .volume import catalan_number
 
 
 def brute_bases(region: Region) -> set[frozenset[int]]:
@@ -353,6 +355,42 @@ def box_path_strips(region: Region) -> list[BorderStrip]:
             trail.append(nxt)
             branches.append(moves(nxt))
     return out
+
+
+def descent_set(perm: tuple[int, ...]) -> frozenset[int]:
+    """Positions i with perm[i-1] > perm[i], 1-based."""
+    return frozenset(i for i in range(1, len(perm)) if perm[i - 1] > perm[i])
+
+
+def inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for pos, val in enumerate(perm, start=1):
+        inv[val - 1] = pos
+    return tuple(inv)
+
+
+def _bumps(w: tuple[int, ...]) -> list[int]:
+    """1 at index i >= 1 when i is a descent of w^-1 (i+1 precedes i in w); index 0 holds 0."""
+    inv = inverse_permutation(w)
+    return [1 if i and inv[i] < inv[i - 1] else 0 for i in range(len(w))]
+
+
+def psi_int(x: Sequence[int], den: int) -> tuple[int, ...]:
+    """The prefix-sum map ``psi`` on numerators over ``den``: the fractional
+    parts of the prefix sums of ``x / den``, as numerators."""
+    return tuple(acc % den for acc in accumulate(x))
+
+
+def psi_inverse_int(w: tuple[int, ...], y: Sequence[int], den: int) -> tuple[int, ...]:
+    """The inverse of ``psi_int`` on the closed simplex of order type ``w``,
+    on numerators over ``den``: x_i = y_i - y_{i-1} + bump_i * den."""
+    if len(y) != len(w):
+        raise ValueError("point and permutation dimensions differ")
+    chain = [y[v - 1] for v in w]
+    if chain != sorted(chain) or (chain and not 0 <= chain[0] <= chain[-1] <= den):
+        raise WrongChamber(f"point violates the order type of {w}")
+    bumps = _bumps(w)
+    return tuple(y[i] - (y[i - 1] if i else 0) + b * den for i, b in enumerate(bumps))
 
 
 def scan_inverse_descents(d: int, key: Callable = frozenset) -> dict:

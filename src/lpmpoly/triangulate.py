@@ -22,66 +22,23 @@ The pull-back is affine on each order-type simplex and sends the simplex's
 the walk's own state: placing v fixes bumps v-1 and v, which make the
 pull-back of the origin, and adds the placed values below v to the parity
 that is the cell's determinant (differencing consecutive edge rows leaves
-a row permutation of a unit bidiagonal matrix).  ``psi`` and its pull-back
-run on integer numerators over a shared denominator.
-``verify.check_triangulation`` is the oracle side: it checks that every
-cell is 0/1, rebuilds its vertices as ``psi_inverse_int`` of the
-staircase points and its determinant from its edge rows with
-``ratlinalg.det_int``, and compares the permutations with the full scan
-in ``oracle.scan_inverse_descents``.
+a row permutation of a unit bidiagonal matrix).
+
+This module is the generator alone.  The oracle side lives in
+``oracle`` (the pull-back ``psi_inverse_int`` on integer numerators and
+the full permutation scan ``scan_inverse_descents``) and in
+``verify.check_triangulation``, which checks each slice cell against
+them and each strip cell against its slice twin.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import accumulate
-from math import lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .decompose import BorderStrip
-from .errors import BadK, NonUnimodularCell, WrongChamber
-from .volume import inverse_permutation
+from .errors import BadK
 
 Perm = tuple[int, ...]
-
-
-def _bumps(w: Perm) -> list[int]:
-    """1 at index i >= 1 when i is a descent of w^-1 (i+1 precedes i in w); index 0 holds 0."""
-    inv = inverse_permutation(w)
-    return [1 if i and inv[i] < inv[i - 1] else 0 for i in range(len(w))]
-
-
-def psi_int(x: Sequence[int], den: int) -> tuple[int, ...]:
-    """``psi`` on numerators: the prefix sums of ``x`` modulo ``den``."""
-    return tuple(acc % den for acc in accumulate(x))
-
-
-def psi_inverse_int(w: Perm, y: Sequence[int], den: int) -> tuple[int, ...]:
-    """``psi_inverse_on`` on numerators over ``den``: x_i = y_i - y_{i-1} + bump_i * den."""
-    if len(y) != len(w):
-        raise ValueError("point and permutation dimensions differ")
-    chain = [y[v - 1] for v in w]
-    if chain != sorted(chain) or (chain and not 0 <= chain[0] <= chain[-1] <= den):
-        raise WrongChamber(f"point violates the order type of {w}")
-    bumps = _bumps(w)
-    return tuple(y[i] - (y[i - 1] if i else 0) + b * den for i, b in enumerate(bumps))
-
-
-def _over_common_denominator(x: Sequence) -> tuple[list[int], int]:
-    den = lcm(*(v.denominator for v in x))
-    return [v.numerator * (den // v.denominator) for v in x], den
-
-
-def psi(x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Fractional parts of the prefix sums; bijective off the break set."""
-    nums, den = _over_common_denominator(x)
-    return tuple(Fraction(v, den) for v in psi_int(nums, den))
-
-
-def psi_inverse_on(w: Perm, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Invert the prefix-sum map on the closed simplex of order type ``w``."""
-    nums, den = _over_common_denominator(y)
-    return tuple(Fraction(v, den) for v in psi_inverse_int(w, nums, den))
 
 
 def _walk(
@@ -204,11 +161,3 @@ def hypersimplex_triangulation(k: int, n: int) -> list[SimplexCell]:
 def strip_triangulation(strip: BorderStrip) -> list[SimplexCell]:
     """Cells whose inverse-descent set equals the strip's descent set."""
     return _cells(len(strip), descents=strip.descents)
-
-
-def triangulation_volume_check(cells: list[SimplexCell]) -> int:
-    """Total of the per-cell determinants, each required to be a unit."""
-    for cell in cells:
-        if abs(cell.det) != 1:
-            raise NonUnimodularCell(f"cell {cell.perm} has determinant {cell.det}")
-    return len(cells)

@@ -53,13 +53,7 @@ from .polytope import (
     vertices,
 )
 from .ratlinalg import affine_rank, det_int
-from .triangulate import (
-    hypersimplex_triangulation,
-    psi_int,
-    psi_inverse_int,
-    strip_triangulation,
-    triangulation_volume_check,
-)
+from .triangulate import hypersimplex_triangulation, strip_triangulation
 from .volume import (
     catalan_area,
     catalan_number,
@@ -366,13 +360,13 @@ def _edge_det(cell) -> int:
 
 
 def _pullback_vertices(w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """``psi_inverse_int`` of the order simplex's staircase points: y = 0, then
-    y[w[idx] - 1] = 1 for idx = d-1, ..., 0."""
+    """``oracle.psi_inverse_int`` of the order simplex's staircase points:
+    y = 0, then y[w[idx] - 1] = 1 for idx = d-1, ..., 0."""
     y = [0] * len(w)
-    verts = [psi_inverse_int(w, y, 1)]
+    verts = [oracle.psi_inverse_int(w, y, 1)]
     for v in reversed(w):
         y[v - 1] = 1
-        verts.append(psi_inverse_int(w, y, 1))
+        verts.append(oracle.psi_inverse_int(w, y, 1))
     return tuple(verts)
 
 
@@ -382,56 +376,50 @@ def check_triangulation(
     """Hypersimplex slices, the prefix-sum round trip and strip triangulations.
 
     ``n_max`` bounds n for the slices (k, n): each slice's cells are checked
-    for an Eulerian count, unit determinants equal to ``det_int`` of their
-    edge rows, 0/1 vertices in the slice, vertices equal to the pull-back of
-    their permutation's staircase and permutations equal to the full scan's,
-    in order (one scan per n).
-    ``roundtrip_n`` bounds n for the round trip ``psi(psi_inverse_on(w, y)) == y``,
-    run on integer numerators at ``samples`` points of every order simplex
-    of dimension n - 1.
+    for an Eulerian count and permutations equal to the full scan's, in
+    order (one scan per n), and each cell for a unit determinant equal to
+    ``det_int`` of its edge rows, 0/1 vertices in the slice and vertices
+    equal to the pull-back of its permutation's staircase.  A cell that is
+    not 0/1 fails on that alone; the pull-back comparison runs on the 0/1
+    cells.  The slices of one n hold each permutation of 1..n-1 once, so
+    every per-cell check runs once per permutation.
+    ``roundtrip_n`` bounds n for the round trip
+    ``psi_int(psi_inverse_int(w, y)) == y``, run on integer numerators at
+    ``samples`` points of every order simplex of dimension n - 1.
     ``strip_max`` bounds the boxes of the strips whose descent class, counted
     by the scan, is compared with ``strip_volume``.  The strips actually
     triangulated are every strip of at most ``n_max - 1`` boxes: their cells
-    are checked for a ``strip_volume`` count, unit determinants equal to
-    ``det_int`` of their edge rows, 0/1 vertices equal to the pull-back and
-    permutations equal to the scan's, in order.
-    A cell that is not 0/1 fails on that alone; the pull-back comparison
-    runs on the 0/1 cells.  Every strip cell has a slice twin (the same
-    permutation builds the same cell); one equal to a twin that passed
-    every per-cell check is not checked again, the rest get the full
-    per-cell checks.
+    are checked for a ``strip_volume`` count and permutations equal to the
+    scan's, in order, and each cell for equality with its slice twin, the
+    slice cell of the same permutation.
     """
     res = CheckResult("triangulation")
-    verified = {}  # perm -> slice cell that passed its per-cell checks
+    twins = {}  # perm -> slice cell
     for n in range(2, n_max + 1):
         total = 0
         scan = oracle.scan_inverse_descents(n - 1, key=len)
         for k in range(1, n):
             cells = hypersimplex_triangulation(k, n)
             res.checked += 1
-            if triangulation_volume_check(cells) != eulerian(k, n - 1):
+            if len(cells) != eulerian(k, n - 1):
                 res.fail(f"cell count is not Eulerian at (k,n)=({k},{n})")
             if [cell.perm for cell in cells] != scan.get(k - 1, []):
                 res.fail(f"cell permutations differ from the scan at (k,n)=({k},{n})")
             total += len(cells)
             for cell in cells:
-                problems = []
+                twins[cell.perm] = cell
+                if abs(cell.det) != 1:
+                    res.fail(f"cell {cell.perm} has determinant {cell.det}, not a unit")
                 if not _zero_one(cell):
-                    problems.append(f"cell {cell.perm} is not a 0/1 simplex at (k,n)=({k},{n})")
+                    res.fail(f"cell {cell.perm} is not a 0/1 simplex at (k,n)=({k},{n})")
                 elif cell.vertices != _pullback_vertices(cell.perm):
-                    problems.append(
-                        f"cell {cell.perm} vertices differ from the pull-back at (k,n)=({k},{n})"
-                    )
+                    res.fail(f"cell {cell.perm} vertices differ from the pull-back at (k,n)=({k},{n})")
                 if _edge_det(cell) != cell.det:
-                    problems.append(f"cell {cell.perm} determinant differs from det_int")
+                    res.fail(f"cell {cell.perm} determinant differs from det_int")
                 if not {sum(v) for v in cell.vertices} <= {k - 1, k}:
-                    problems.append(f"cell {cell.perm} leaves the slice at (k,n)=({k},{n})")
+                    res.fail(f"cell {cell.perm} leaves the slice at (k,n)=({k},{n})")
                 if any(sum(v) != k for v in cell.vertices_lifted):
-                    problems.append(f"lifted cell {cell.perm} is off the hyperplane")
-                for message in problems:
-                    res.fail(message)
-                if not problems:
-                    verified[cell.perm] = cell
+                    res.fail(f"lifted cell {cell.perm} is off the hyperplane")
         res.checked += 1
         if total != factorial(n - 1):
             res.fail(f"slice cell counts do not fill the cube at n={n}")
@@ -439,7 +427,7 @@ def check_triangulation(
         for w in permutations(range(1, n)):
             res.checked += 1
             for den, y in _roundtrip_samples(w, samples):
-                if psi_int(psi_inverse_int(w, y, den), den) != y:
+                if oracle.psi_int(oracle.psi_inverse_int(w, y, den), den) != y:
                     res.fail(f"round trip fails for w={w}")
                     break
     scans = {
@@ -454,15 +442,10 @@ def check_triangulation(
     for strip in all_strips(n_max - 1):
         res.checked += 1
         cells = strip_triangulation(strip)
-        if triangulation_volume_check(cells) != strip_volume(strip):
+        if len(cells) != strip_volume(strip):
             res.fail(f"strip triangulation size mismatch on {strip.direction_word!r}")
-        fresh = [cell for cell in cells if verified.get(cell.perm) != cell]
-        if not all(map(_zero_one, fresh)):
-            res.fail(f"strip cell is not a 0/1 simplex on {strip.direction_word!r}")
-        elif any(cell.vertices != _pullback_vertices(cell.perm) for cell in fresh):
-            res.fail(f"strip cell vertices differ from the pull-back on {strip.direction_word!r}")
-        if any(_edge_det(cell) != cell.det for cell in fresh):
-            res.fail(f"strip cell determinant differs from det_int on {strip.direction_word!r}")
+        if any(twins.get(cell.perm) != cell for cell in cells):
+            res.fail(f"strip cell differs from its slice twin on {strip.direction_word!r}")
         if [cell.perm for cell in cells] != scans[len(strip)].get(strip.descents, []):
             res.fail(f"strip cell permutations differ from the scan on {strip.direction_word!r}")
     return res
@@ -711,20 +694,18 @@ FIXED_SIZES = {
     "edges": {"formula_max": 6},
     "volume": {"rectangle_max": 7, "strip_max": 7},
     "catalan-area": {"n_max": 12},
-    "triangulation": {"n_max": 7, "strip_max": 7, "roundtrip_n": 5},
+    "triangulation": {"n_max": 7, "strip_max": 7, "roundtrip_n": 5, "samples": 50},
     "errata": {"formula_max": 6},
 }
-# ``run_all``'s jobs, heaviest first: the order workers take them in, by the
-# median ``--stats`` seconds of five runs at --max-size 6 (Ehrhart 0.33 s,
+# ``run_all``'s jobs in the order workers take them, at every size: the
+# facet sweep, which outgrows every other job past --max-size 6 (1.2-1.6 s
+# of about 2.9 s at 8), then the rest heaviest first by the median
+# ``--stats`` seconds of five runs at --max-size 6 (Ehrhart 0.33 s,
 # deletion 0.16, triangulation 0.15, errata 0.14, edges 0.13 of 1.21 s).
 _HEAVIEST_FIRST = (
-    "ehrhart", "deletion", "triangulation", "errata", "edges", "faces",
-    "facets", "volume", "dimension", "decomposition", "bases", "catalan-area",
+    "facets", "ehrhart", "deletion", "triangulation", "errata", "edges",
+    "faces", "volume", "dimension", "decomposition", "bases", "catalan-area",
 )
-# The sweep size that order was ranked at.  The facet sweep alone reaches
-# past it, and outgrows every other job there: at --max-size 8 it takes
-# 1.2-1.6 s of about 2.9 s, so ``run_all`` submits it first.
-_RANKED_AT = 6
 
 # A forked worker's copy of ``run_all``'s job table, filled by its initializer.
 _worker_jobs: dict = {}
@@ -755,14 +736,13 @@ def worker_count() -> int:
     return min(usable or 1, len(_HEAVIEST_FIRST))
 
 
-def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50, timings: dict | None = None):
+def run_all(max_size: int = 6, t_max: int = 3, timings: dict | None = None):
     """All checks at the given sweep cap; returns (ok, result list, errata rows).
 
     Each check sweeps at most its ``SWEEP_CAPS`` entry and takes its
     ``FIXED_SIZES`` as they are.  The checks and the errata report share no
-    state, so they run on ``worker_count()`` forked workers, heaviest first
-    (``_HEAVIEST_FIRST``, with the facet sweep first once it reaches past
-    size ``_RANKED_AT``), or in-process when that is 1.  A worker receives
+    state, so they run on ``worker_count()`` forked workers in the order of
+    ``_HEAVIEST_FIRST``, or in-process when that is 1.  A worker receives
     a job's name and runs the job table it inherited at fork, so it sees the
     caller's modules as they are, patched or not; only the results travel
     back.  They are gathered in report order.  When ``timings`` is a dict,
@@ -786,9 +766,7 @@ def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50, timings: dict 
         "decomposition": (check_decomposition, {"max_size": cap["decomposition"]}),
         "volume": (check_volume, {"max_size": cap["volume"], **FIXED_SIZES["volume"]}),
         "catalan-area": (check_catalan_area, FIXED_SIZES["catalan-area"]),
-        "triangulation": (
-            check_triangulation, {**FIXED_SIZES["triangulation"], "samples": samples}
-        ),
+        "triangulation": (check_triangulation, FIXED_SIZES["triangulation"]),
         "ehrhart": (check_ehrhart, {"max_size": cap["ehrhart"]}),
         "errata": (
             build_errata_report,
@@ -805,10 +783,7 @@ def run_all(max_size: int = 6, t_max: int = 3, samples: int = 50, timings: dict 
             initializer=_worker_jobs.update,
             initargs=(jobs,),
         ) as pool:
-            order = _HEAVIEST_FIRST
-            if cap["facets"] > _RANKED_AT:
-                order = ("facets", *(name for name in order if name != "facets"))
-            futures = {name: pool.submit(_run_job, name) for name in order}
+            futures = {name: pool.submit(_run_job, name) for name in _HEAVIEST_FIRST}
             outcomes = {name: futures[name].result() for name in jobs}
     errata, errata_seconds = outcomes.pop("errata")
     results = [result for result, _ in outcomes.values()]

@@ -29,18 +29,6 @@ from .matroid import is_connected
 from .paths import Box, Region, region_boxes
 
 
-def descent_set(perm: tuple[int, ...]) -> frozenset[int]:
-    """Positions i with perm[i-1] > perm[i], 1-based."""
-    return frozenset(i for i in range(1, len(perm)) if perm[i - 1] > perm[i])
-
-
-def inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for pos, val in enumerate(perm, start=1):
-        inv[val - 1] = pos
-    return tuple(inv)
-
-
 @cache
 def eulerian(k: int, n: int) -> int:
     """Permutations of [n] with exactly k-1 descents.

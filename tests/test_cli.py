@@ -349,15 +349,15 @@ def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
         "check_decomposition": capped,
         "check_volume": {"max_size": 3, "rectangle_max": 2, "strip_max": 2},
         "check_catalan_area": {"n_max": 2},
-        "check_triangulation": {"n_max": 2, "strip_max": 2, "roundtrip_n": 2, "samples": 50},
+        "check_triangulation": {"n_max": 2, "strip_max": 2, "roundtrip_n": 2, "samples": 2},
         "check_ehrhart": capped,
         "build_errata_report": {"max_size": 3, "t_max": 3, "formula_max": 2},
     }
 
 
-@pytest.mark.parametrize("max_size", [5, 6, 7, 8, 9])
-def test_verify_all_submits_the_facet_sweep_first_past_size_six(monkeypatch, max_size):
-    # an in-process stand-in for the pool records the order jobs are submitted in
+def test_verify_all_submits_its_jobs_in_one_order(monkeypatch):
+    # an in-process stand-in for the pool records the order jobs are submitted
+    # in: the facet sweep first, then the rest heaviest first, at every size
     import concurrent.futures
 
     from lpmpoly import verify
@@ -384,12 +384,11 @@ def test_verify_all_submits_the_facet_sweep_first_past_size_six(monkeypatch, max
     monkeypatch.setattr(verify, "_worker_jobs", {})
     monkeypatch.setattr(verify, "worker_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert verify.run_all(max_size)[0]
-    ranked = list(verify._HEAVIEST_FIRST)
-    if max_size > 6:
-        ranked.remove("facets")
-        ranked.insert(0, "facets")
-    assert submitted == ranked
+    for max_size in (5, 8):
+        submitted.clear()
+        assert verify.run_all(max_size)[0]
+        assert submitted == list(verify._HEAVIEST_FIRST)
+        assert submitted[0] == "facets"
 
 
 def test_verify_all_gives_the_same_results_on_workers_and_in_process(monkeypatch):
@@ -426,6 +425,23 @@ def test_verify_all_workers_see_patched_modules(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "ehrhart-interpolation: FAIL (" in out
     assert "overdetermination fails" in out
+
+
+def test_verify_all_reports_a_cell_that_is_not_unimodular(monkeypatch, capsys):
+    # every generated cell's determinant doubled: a FAIL line and exit 1,
+    # not an exception out of the triangulation check
+    from lpmpoly import triangulate
+
+    cells = triangulate._cells
+    monkeypatch.setattr(
+        triangulate, "_cells", lambda *args, **kw: [c._replace(det=2 * c.det) for c in cells(*args, **kw)]
+    )
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", "all", "--max-size", "1"])
+    assert exit_.value.code == 1
+    out = capsys.readouterr().out
+    assert "triangulation: FAIL (" in out
+    assert "cell (1,) has determinant 2, not a unit" in out
 
 
 REGION_FILES = {

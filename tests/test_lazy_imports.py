@@ -6,7 +6,8 @@ value types are NamedTuples and ``__slots__`` classes, not dataclasses:
 building a dataclass compiles and runs generated methods at import, and
 ``dataclasses`` itself loads ``inspect``.  No ``lpmpoly`` module imports
 ``inspect`` either, so it stays out as well, though only ``dataclasses``
-is asserted here.
+is asserted here.  ``cli`` imports ``verify`` inside ``cmd_verify``, so
+only ``lpm verify`` loads the oracles and the rational linear algebra.
 """
 
 import ast
@@ -23,6 +24,16 @@ POOL_MODULES = ("multiprocessing", "concurrent.futures")
 UNLOADED = POOL_MODULES + ("dataclasses",)
 
 
+def _run(code: str) -> str:
+    """The stripped stdout of ``code`` run in a fresh interpreter on this ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_importing_every_module_loads_no_pool_module_and_no_dataclasses():
     names = ["lpmpoly"] + [f"lpmpoly.{m.name}" for m in pkgutil.iter_modules(lpmpoly.__path__)]
     code = (
@@ -31,12 +42,17 @@ def test_importing_every_module_loads_no_pool_module_and_no_dataclasses():
         "    importlib.import_module(name)\n"
         f"print(sorted(m for m in {UNLOADED!r} if m in sys.modules))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    assert _run(code) == "[]"
+
+
+def test_importing_cli_leaves_the_oracle_side_unloaded():
+    oracle_side = ("lpmpoly.verify", "lpmpoly.oracle", "lpmpoly.ratlinalg")
+    code = (
+        "import sys\n"
+        "import lpmpoly.cli\n"
+        f"print(sorted(m for m in {oracle_side!r} if m in sys.modules))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _run(code) == "[]"
 
 
 def test_only_verify_names_the_pool_modules():

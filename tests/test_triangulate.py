@@ -11,39 +11,42 @@ from lpmpoly import (
     Box,
     eulerian,
     hypersimplex_triangulation,
-    psi,
-    psi_inverse_on,
     strip_triangulation,
     strip_volume,
-    triangulation_volume_check,
 )
 from lpmpoly.decompose import strip_to_region
-from lpmpoly.errors import BadK, NonUnimodularCell, WrongChamber
-from lpmpoly.oracle import scan_inverse_descents
+from lpmpoly.errors import BadK, WrongChamber
+from lpmpoly.oracle import (
+    descent_set,
+    inverse_permutation,
+    psi_int,
+    psi_inverse_int,
+    scan_inverse_descents,
+)
 from lpmpoly.polytope import h_representation
 from lpmpoly import triangulate, verify
-from lpmpoly.triangulate import SimplexCell, inverse_descent_class
+from lpmpoly.triangulate import inverse_descent_class
 from lpmpoly.verify import all_strips, check_triangulation
-from lpmpoly.volume import descent_set, inverse_permutation
 
 F = Fraction
 
 
 def test_psi_examples():
-    assert psi((F(1, 2), F(1, 4))) == (F(1, 2), F(3, 4))
-    assert psi((F(3, 4), F(1, 2))) == (F(3, 4), F(1, 4))
-    assert psi((F(0), F(0), F(0))) == (F(0), F(0), F(0))
+    # numerators over 4: psi(1/2, 1/4) = (1/2, 3/4), psi(3/4, 1/2) = (3/4, 1/4)
+    assert psi_int((2, 1), 4) == (2, 3)
+    assert psi_int((3, 2), 4) == (3, 1)
+    assert psi_int((0, 0, 0), 1) == (0, 0, 0)
 
 
 def test_psi_inverse_examples():
-    assert psi_inverse_on((1, 2), (F(1, 4), F(1, 2))) == (F(1, 4), F(1, 4))
-    assert psi_inverse_on((2, 1), (F(3, 4), F(1, 4))) == (F(3, 4), F(1, 2))
+    assert psi_inverse_int((1, 2), (1, 2), 4) == (1, 1)
+    assert psi_inverse_int((2, 1), (3, 1), 4) == (3, 2)
     # at the origin the identity chamber maps back to the origin; chambers
     # with inverse descents apply their unit corrections even there
-    assert psi_inverse_on((1, 2, 3), (F(0), F(0), F(0))) == (F(0), F(0), F(0))
-    assert psi_inverse_on((2, 1), (F(0), F(0))) == (F(0), F(1))
+    assert psi_inverse_int((1, 2, 3), (0, 0, 0), 1) == (0, 0, 0)
+    assert psi_inverse_int((2, 1), (0, 0), 1) == (0, 1)
     with pytest.raises(WrongChamber):
-        psi_inverse_on((1, 2), (F(3, 4), F(1, 4)))
+        psi_inverse_int((1, 2), (3, 1), 4)
 
 
 def test_round_trip_on_interior_points():
@@ -51,11 +54,11 @@ def test_round_trip_on_interior_points():
         for w in permutations(range(1, n)):
             for s in range(20):
                 den = 7 * n + 13 + s
-                y = [F(0)] * (n - 1)
+                y = [0] * (n - 1)
                 for i in range(n - 1):
-                    y[w[i] - 1] = F(7 * i + 1 + (s % 5), den)
+                    y[w[i] - 1] = 7 * i + 1 + (s % 5)
                 y = tuple(y)
-                assert psi(psi_inverse_on(w, y)) == y
+                assert psi_int(psi_inverse_int(w, y, den), den) == y
 
 
 @pytest.mark.parametrize(
@@ -63,7 +66,8 @@ def test_round_trip_on_interior_points():
 )
 def test_hypersimplex_cell_counts(k, n, count):
     cells = hypersimplex_triangulation(k, n)
-    assert triangulation_volume_check(cells) == count
+    assert len(cells) == count
+    assert all(abs(cell.det) == 1 for cell in cells)
 
 
 def test_hypersimplex_errors():
@@ -180,7 +184,7 @@ def test_strip_triangulation_examples():
     assert len(strip_triangulation(single)) == 1
     ell = BorderStrip((Box(1, 1), Box(2, 1), Box(2, 2)))
     cells = strip_triangulation(ell)
-    assert triangulation_volume_check(cells) == 2
+    assert len(cells) == 2
     flat = BorderStrip((Box(1, 1), Box(2, 1), Box(3, 1)))
     assert len(strip_triangulation(flat)) == 1
 
@@ -203,23 +207,22 @@ def test_strip_cells_lie_in_strip_polytope():
             assert descent_set(inverse_permutation(cell.perm)) == strip.descents
 
 
-def test_volume_check_rejects_bad_cells():
-    bad = SimplexCell(
-        perm=(1, 2),
-        vertices=((0, 0), (2, 0), (0, 1)),
-        vertices_lifted=((0, 0, 1), (2, 0, -1), (0, 1, 0)),
-        det=2,
-    )
-    with pytest.raises(NonUnimodularCell):
-        triangulation_volume_check([bad])
-    assert triangulation_volume_check([]) == 0
-
-
 def _fault_every_cell(monkeypatch, fault):
     """Pass each cell of ``verify``'s slice and strip routes through ``fault``."""
     for route in ("hypersimplex_triangulation", "strip_triangulation"):
         real = getattr(verify, route)
         monkeypatch.setattr(verify, route, lambda *args, real=real: [fault(c) for c in real(*args)])
+
+
+def test_check_triangulation_fails_a_cell_that_is_not_unimodular(monkeypatch):
+    # a doubled determinant is a recorded failure, not an exception
+    tiny = dict(n_max=3, strip_max=1, roundtrip_n=2, samples=1)
+    assert check_triangulation(**tiny).ok
+    _fault_every_cell(monkeypatch, lambda cell: cell._replace(det=2 * cell.det))
+    res = check_triangulation(**tiny)
+    assert not res.ok
+    assert "cell (1, 2) has determinant -2, not a unit" in res.failures
+    assert all("determinant" in f for f in res.failures)
 
 
 def test_check_triangulation_flags_a_vertex_off_the_cube(monkeypatch):
@@ -345,7 +348,7 @@ def test_check_triangulation_flags_a_wrong_determinant(monkeypatch):
     "route,message",
     [
         ("hypersimplex_triangulation", "vertices differ from the pull-back at (k,n)"),
-        ("strip_triangulation", "strip cell vertices differ from the pull-back on"),
+        ("strip_triangulation", "strip cell differs from its slice twin on"),
     ],
     ids=("slices", "strips"),
 )
@@ -397,8 +400,8 @@ def test_check_triangulation_sizes_its_strips_from_n_max(monkeypatch):
 
 
 def test_check_triangulation_flags_strip_cells_unlike_their_verified_twins(monkeypatch):
-    # every strip permutation has a verified slice twin at n_max = 7, and
-    # rotated vertices make each cell differ from it
+    # every strip permutation has a slice twin at n_max = 7, and rotated
+    # vertices make each cell differ from it
     real = verify.strip_triangulation
 
     def rotated(strip):
@@ -409,4 +412,4 @@ def test_check_triangulation_flags_strip_cells_unlike_their_verified_twins(monke
     monkeypatch.setattr(verify, "strip_triangulation", rotated)
     res = check_triangulation(n_max=7, strip_max=1, roundtrip_n=2, samples=1)
     assert not res.ok
-    assert res.failures and all("strip cell vertices differ from the pull-back on" in f for f in res.failures)
+    assert res.failures and all("strip cell differs from its slice twin on" in f for f in res.failures)

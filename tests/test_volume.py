@@ -17,9 +17,8 @@ from lpmpoly import (
     volume,
 )
 from lpmpoly.errors import DisconnectedRegion
-from lpmpoly.oracle import all_regions, exact_descent_count, gap_area_series
+from lpmpoly.oracle import all_regions, descent_set, exact_descent_count, gap_area_series
 from lpmpoly.verify import all_strips, check_catalan_area
-from lpmpoly.volume import descent_set
 
 
 def brute_descent_count(n, target):
