@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 absent or unreadable region file), 3 invalid region, malformed region file
-or unsupported region for the verb, 4 size cap exceeded.  Errors print one
-``error:`` line on stderr.  Output is deterministic byte-for-byte for
-identical inputs.
+or unsupported region for the verb, 4 size cap exceeded, 141 stdout closed
+by its reader, as by ``| head`` (the shell's code for SIGPIPE).  Errors
+print one ``error:`` line on stderr.  Output is deterministic
+byte-for-byte for identical inputs.
 
 The argument parser is built once per process, on first use, and every
 ``main`` call reuses it: nothing is built at import time.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -45,7 +47,7 @@ from .polytope import (
 from .triangulate import hypersimplex_triangulation
 from .volume import catalan_area, catalan_number, volume
 
-USAGE_ERROR, INVALID_REGION, SIZE_CAP = 2, 3, 4
+USAGE_ERROR, INVALID_REGION, SIZE_CAP, BROKEN_PIPE = 2, 3, 4, 141
 
 
 def _error(code: int, message: str) -> SystemExit:
@@ -251,38 +253,35 @@ def cmd_verify(args) -> int:
     timings: dict[str, float] = {}
     run = {}
     start = time.perf_counter()
-    if target == "all":
-        workers = ver.worker_count()
-        ok, results, errata = ver.run_all(
-            max_size=args.max_size, t_max=args.t_max, timings=timings
-        )
-        run = {"workers": workers, "wall_seconds": round(time.perf_counter() - start, 6)}
-        for res in results:
-            print(res.line())
-            for failure in res.failures:
-                print(f"    {failure}")
-        print()
-        print("errata report")
-        print("-------------")
-        for row in errata:
-            print(row.line())
-        code = 0 if ok else 1
-    elif target == "ehrhart-formula":
-        size = min(args.max_size, ver.SWEEP_CAPS["errata"])
+    if target == "ehrhart-formula":
+        size = min(args.max_size, ver.CHECKS["errata"].capped["max_size"])
         for line in ver.reconcile_sweep(max_size=size, t_max=args.t_max):
             print(line)
         timings[target] = time.perf_counter() - start
         code = 0
+    elif target == "all" or target in ver.CHECKS:
+        names = ver.CHECKS if target == "all" else (target,)
+        workers = ver.worker_count()
+        ok, results, errata = ver.run_all(args.max_size, args.t_max, timings, names)
+        if target == "all":
+            run = {"workers": workers, "wall_seconds": round(time.perf_counter() - start, 6)}
+        for res in results:
+            print(res.line())
+            for failure in res.failures:
+                print(f"    {failure}")
+        if errata:
+            if results:
+                print()
+            print("errata report")
+            print("-------------")
+            for row in errata:
+                print(row.line())
+        code = 0 if ok else 1
     else:
-        if target == "facets":
-            res = ver.check_facets(max_size=min(args.max_size, ver.SWEEP_CAPS["facets"]))
-        else:
-            res = ver.check_volume(max_size=min(args.max_size, ver.SWEEP_CAPS["volume"]))
-        timings[res.name] = time.perf_counter() - start
-        print(res.line())
-        for failure in res.failures:
-            print(f"    {failure}")
-        code = 0 if res.ok else 1
+        raise _error(
+            USAGE_ERROR,
+            f"no verify target {target!r}; choose all, {', '.join(ver.CHECKS)} or ehrhart-formula",
+        )
     if args.stats:
         _verify_stats(timings, run)
     return code
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     cat.set_defaults(func=cmd_catalan)
     ver_sub = subs.add_parser("verify")
     ver_sub.add_argument(
-        "target", choices=("all", "facets", "volume", "ehrhart-formula")
+        "target", help="all, one row of lpmpoly.verify.CHECKS by name, or ehrhart-formula"
     )
     ver_sub.add_argument("--max-size", type=int, default=6, dest="max_size")
     ver_sub.add_argument("--t-max", type=int, default=3, dest="t_max")
@@ -366,6 +365,11 @@ def main(argv=None) -> None:
     parsed = time.perf_counter()
     try:
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's last flush goes to os.devnull, not the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(BROKEN_PIPE)
     except (InvalidCharacter, EmptyWord, EndpointMismatch, DominanceViolation) as exc:
         raise _error(INVALID_REGION, f"{type(exc).__name__}: {exc}")
     except DisconnectedRegion as exc:

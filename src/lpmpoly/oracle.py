@@ -24,6 +24,7 @@ shares a face with is an edge without an LP.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -369,10 +370,12 @@ def inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _bumps(w: tuple[int, ...]) -> list[int]:
-    """1 at index i >= 1 when i is a descent of w^-1 (i+1 precedes i in w); index 0 holds 0."""
+@lru_cache
+def _bumps(w: tuple[int, ...]) -> tuple[int, ...]:
+    """1 at index i >= 1 when i is a descent of w^-1 (i+1 precedes i in w); index 0 holds 0.
+    Cached: ``psi_inverse_int`` calls it with one w for many points in a row."""
     inv = inverse_permutation(w)
-    return [1 if i and inv[i] < inv[i - 1] else 0 for i in range(len(w))]
+    return tuple(1 if i and inv[i] < inv[i - 1] else 0 for i in range(len(w)))
 
 
 def psi_int(x: Sequence[int], den: int) -> tuple[int, ...]:

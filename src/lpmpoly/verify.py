@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from time import perf_counter
-from typing import NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from . import ehrhart as eh
 from . import oracle
@@ -674,120 +674,111 @@ def build_errata_report(
     return rows
 
 
-# The most ground elements each sweep of ``run_all`` reaches: it runs at
-# min(--max-size, cap), whatever larger size is asked.  "edges" caps the
-# adjacency oracle; the edge check's area audit follows --max-size.
-SWEEP_CAPS = {
-    "bases": 7,
-    "deletion": 6,
-    "dimension": 7,
-    "edges": 6,
-    "facets": 8,
-    "faces": 6,
-    "decomposition": 7,
-    "volume": 7,
-    "ehrhart": 6,
-    "errata": 6,
+class Check(NamedTuple):
+    """One job of ``run_all`` and its ``lpm verify`` target.  ``call`` takes
+    each ``capped`` keyword at min(--max-size, its cap), or at --max-size
+    when the cap is None, each ``fixed`` keyword as it is, and --t-max as
+    ``t_max`` when ``t_max`` is set.  Its outcome prints and times under
+    ``result``; workers take the jobs in ``rank`` order."""
+
+    call: Callable
+    result: str
+    rank: int
+    capped: dict
+    fixed: dict = {}
+    t_max: bool = False
+
+    def kwargs(self, max_size: int, t_max: int) -> dict:
+        sizes = {
+            key: max_size if cap is None else min(max_size, cap) for key, cap in self.capped.items()
+        }
+        return {**sizes, **self.fixed, **({"t_max": t_max} if self.t_max else {})}
+
+
+# ``run_all``'s jobs in report order.  The ranks put the facet sweep first,
+# since it outgrows every other job past --max-size 6 (1.2-1.6 s of about
+# 2.9 s at 8), then the rest heaviest first by the median ``--stats`` seconds
+# of five runs at --max-size 6 (Ehrhart 0.33 s, deletion 0.16, triangulation
+# 0.15, errata 0.14, edges 0.13 of 1.21 s).  The edge check's area audit
+# follows --max-size; its adjacency oracle is capped.
+CHECKS = {
+    "bases": Check(check_bases, "bases-vs-oracle", 10, {"max_size": 7}),
+    "deletion": Check(check_deletion, "deletion-vs-projection", 2, {"max_size": 6}),
+    "dimension": Check(check_dimension, "dimension-vs-affine-rank", 8, {"max_size": 7}),
+    "edges": Check(
+        check_edges, "edges-three-routes", 5, {"oracle_max": 6, "area_max": None}, {"formula_max": 6}
+    ),
+    "facets": Check(check_facets, "facets-vs-oracle", 0, {"max_size": 8}),
+    "faces": Check(check_faces, "faces-are-regions", 6, {"max_size": 6}),
+    "decomposition": Check(check_decomposition, "decomposition-to-strips", 9, {"max_size": 7}),
+    "volume": Check(
+        check_volume, "volume-three-routes", 7, {"max_size": 7}, {"rectangle_max": 7, "strip_max": 7}
+    ),
+    "catalan-area": Check(check_catalan_area, "catalan-area-two-routes", 11, {}, {"n_max": 12}),
+    "triangulation": Check(
+        check_triangulation, "triangulation", 3, {},
+        {"n_max": 7, "strip_max": 7, "roundtrip_n": 5, "samples": 50},
+    ),
+    "ehrhart": Check(check_ehrhart, "ehrhart-interpolation", 1, {"max_size": 6}),
+    "errata": Check(build_errata_report, "errata", 4, {"max_size": 6}, {"formula_max": 6}, t_max=True),
 }
-# The sizes ``run_all`` passes as they are, whatever --max-size asks.
-FIXED_SIZES = {
-    "edges": {"formula_max": 6},
-    "volume": {"rectangle_max": 7, "strip_max": 7},
-    "catalan-area": {"n_max": 12},
-    "triangulation": {"n_max": 7, "strip_max": 7, "roundtrip_n": 5, "samples": 50},
-    "errata": {"formula_max": 6},
-}
-# ``run_all``'s jobs in the order workers take them, at every size: the
-# facet sweep, which outgrows every other job past --max-size 6 (1.2-1.6 s
-# of about 2.9 s at 8), then the rest heaviest first by the median
-# ``--stats`` seconds of five runs at --max-size 6 (Ehrhart 0.33 s,
-# deletion 0.16, triangulation 0.15, errata 0.14, edges 0.13 of 1.21 s).
-_HEAVIEST_FIRST = (
-    "facets", "ehrhart", "deletion", "triangulation", "errata", "edges",
-    "faces", "volume", "dimension", "decomposition", "bases", "catalan-area",
-)
-
-# A forked worker's copy of ``run_all``'s job table, filled by its initializer.
-_worker_jobs: dict = {}
 
 
-def _timed(job):
-    """A job's output and its elapsed seconds."""
-    call, kwargs = job
+def _timed(name: str, max_size: int, t_max: int):
+    """A ``CHECKS`` row's outcome at these sizes and its elapsed seconds."""
+    row = CHECKS[name]
+    kwargs = row.kwargs(max_size, t_max)
     start = perf_counter()
-    out = call(**kwargs)
+    out = row.call(**kwargs)
     return out, perf_counter() - start
 
 
-def _run_job(name: str):
-    return _timed(_worker_jobs[name])
-
-
 def worker_count() -> int:
-    """The workers ``run_all`` forks: one per usable CPU, at most one per job.
-    1 means it runs in-process, as it does where the platform cannot fork or
-    the caller has more than one thread."""
+    """The workers ``run_all`` forks: one per usable CPU, at most one per row
+    of ``CHECKS``.  1 means it runs in-process, as it does where the platform
+    cannot fork or the caller has more than one thread."""
     import multiprocessing
     import threading
 
     if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return 1
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(usable or 1, len(_HEAVIEST_FIRST))
+    return min(usable or 1, len(CHECKS))
 
 
-def run_all(max_size: int = 6, t_max: int = 3, timings: dict | None = None):
-    """All checks at the given sweep cap; returns (ok, result list, errata rows).
+def run_all(
+    max_size: int = 6, t_max: int = 3, timings: dict | None = None, names: Collection[str] = CHECKS
+):
+    """The ``CHECKS`` rows in ``names``, all by default, at the given sweep
+    cap; returns (ok, result list, errata rows), with no errata rows unless
+    ``names`` holds "errata".
 
-    Each check sweeps at most its ``SWEEP_CAPS`` entry and takes its
-    ``FIXED_SIZES`` as they are.  The checks and the errata report share no
-    state, so they run on ``worker_count()`` forked workers in the order of
-    ``_HEAVIEST_FIRST``, or in-process when that is 1.  A worker receives
-    a job's name and runs the job table it inherited at fork, so it sees the
-    caller's modules as they are, patched or not; only the results travel
-    back.  They are gathered in report order.  When ``timings`` is a dict,
-    each check's elapsed seconds inside its worker go into it under the
-    check's name, and the errata report's under ``"errata"``.
+    The rows share no state, so they run on at most ``worker_count()``
+    forked workers, one per row, in ``rank`` order, or in-process when
+    that is 1.  A worker receives a row's name and sizes and runs the row
+    of the ``CHECKS`` it inherited at fork, so it sees the caller's modules
+    and table as they are, patched or not; only the results travel back.
+    They are gathered in report order.  When ``timings`` is a dict, each
+    row's elapsed seconds inside its worker go into it under the row's
+    ``result`` name.
     """
     import concurrent.futures
     import multiprocessing
 
-    cap = {name: min(max_size, size) for name, size in SWEEP_CAPS.items()}
-    jobs = {
-        "bases": (check_bases, {"max_size": cap["bases"]}),
-        "deletion": (check_deletion, {"max_size": cap["deletion"]}),
-        "dimension": (check_dimension, {"max_size": cap["dimension"]}),
-        "edges": (
-            check_edges,
-            {"oracle_max": cap["edges"], "area_max": max_size, **FIXED_SIZES["edges"]},
-        ),
-        "facets": (check_facets, {"max_size": cap["facets"]}),
-        "faces": (check_faces, {"max_size": cap["faces"]}),
-        "decomposition": (check_decomposition, {"max_size": cap["decomposition"]}),
-        "volume": (check_volume, {"max_size": cap["volume"], **FIXED_SIZES["volume"]}),
-        "catalan-area": (check_catalan_area, FIXED_SIZES["catalan-area"]),
-        "triangulation": (check_triangulation, FIXED_SIZES["triangulation"]),
-        "ehrhart": (check_ehrhart, {"max_size": cap["ehrhart"]}),
-        "errata": (
-            build_errata_report,
-            {"max_size": cap["errata"], "t_max": t_max, **FIXED_SIZES["errata"]},
-        ),
-    }
-    workers = worker_count()
+    workers = min(worker_count(), len(names))
     if workers < 2:
-        outcomes = {name: _timed(job) for name, job in jobs.items()}
+        outcomes = {name: _timed(name, max_size, t_max) for name in names}
     else:
         with concurrent.futures.ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_worker_jobs.update,
-            initargs=(jobs,),
+            workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            futures = {name: pool.submit(_run_job, name) for name in _HEAVIEST_FIRST}
-            outcomes = {name: futures[name].result() for name in jobs}
-    errata, errata_seconds = outcomes.pop("errata")
-    results = [result for result, _ in outcomes.values()]
+            futures = {
+                name: pool.submit(_timed, name, max_size, t_max)
+                for name in sorted(names, key=lambda name: CHECKS[name].rank)
+            }
+            outcomes = {name: futures[name].result() for name in names}
     if timings is not None:
-        timings.update((result.name, seconds) for result, seconds in outcomes.values())
-        timings["errata"] = errata_seconds
+        timings.update((CHECKS[name].result, seconds) for name, (_, seconds) in outcomes.items())
+    errata = outcomes.pop("errata", ([], 0))[0]
+    results = [result for result, _ in outcomes.values()]
     return all(r.ok for r in results), results, errata

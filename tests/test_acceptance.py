@@ -87,7 +87,8 @@ def test_criterion_06_decomposition():
         "m+r = 6, e.g. (EENENN, NNEENE) at (x=2, j=1) where {2} and {3,4} are "
         "independent but their union is not.  The splits themselves are valid "
         "(criterion 6 core above); see the errata report entry "
-        "split-goodness-certification and notes/decisions.md."
+        "split-goodness-certification and the README section "
+        "'Verification and errata'."
     ),
 )
 def test_criterion_06_literal_pairing_clause():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from lpmpoly import cli, decomposition_tree, is_connected, region_from_words
+from lpmpoly import cli, decomposition_tree, is_connected, region_from_words, verify
 from lpmpoly.decompose import region_to_strip
 from lpmpoly.oracle import all_regions
 
@@ -311,29 +311,42 @@ def test_verify_all_output_is_byte_identical(capsys, max_size):
     assert digest == VERIFY_ALL_SHA256[max_size]
 
 
+@pytest.fixture(scope="module")
+def verify_all_4():
+    return run_cli("verify", "all", "--max-size", "4")
+
+
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_verify_row_prints_its_block_of_verify_all(capsys, verify_all_4, name):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", name, "--max-size", "4"])
+    out = capsys.readouterr().out
+    assert exit_.value.code == verify_all_4.returncode
+    assert out.startswith(verify.CHECKS[name].result) and out.endswith("\n")
+    assert "\n" + out in "\n" + verify_all_4.stdout
+
+
 def _stub_checks(monkeypatch):
-    """Replace every check and the errata report with a stub that hands its
+    """Replace every ``CHECKS`` row's function with a stub that hands its
     kwargs back in its result, since a stub run on a forked worker cannot
     write to this process."""
-    from lpmpoly import verify
-
-    for name in [n for n in dir(verify) if n.startswith("check_")] + ["build_errata_report"]:
-        def stub(name=name, **kwargs):
+    for job, row in verify.CHECKS.items():
+        def stub(name=row.call.__name__, **kwargs):
             if name == "build_errata_report":
                 return [verify.ErrataRow(name, kwargs, "", "confirmed")]
             return verify.CheckResult(name, failures=[kwargs])
 
-        monkeypatch.setattr(verify, name, stub)
+        monkeypatch.setitem(verify.CHECKS, job, row._replace(call=stub))
 
 
 def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
     # with every cap at 3 and every fixed size at 2, run_all passes nothing else
-    from lpmpoly import verify
-
     _stub_checks(monkeypatch)
-    monkeypatch.setattr(verify, "SWEEP_CAPS", dict.fromkeys(verify.SWEEP_CAPS, 3))
-    fixed = {check: dict.fromkeys(sizes, 2) for check, sizes in verify.FIXED_SIZES.items()}
-    monkeypatch.setattr(verify, "FIXED_SIZES", fixed)
+    for job, row in verify.CHECKS.items():
+        capped = {key: None if cap is None else 3 for key, cap in row.capped.items()}
+        monkeypatch.setitem(
+            verify.CHECKS, job, row._replace(capped=capped, fixed=dict.fromkeys(row.fixed, 2))
+        )
     ok, results, errata = verify.run_all(max_size=5)
     assert ok
     seen = {res.name: res.failures[0] for res in results}
@@ -360,13 +373,11 @@ def test_verify_all_submits_its_jobs_in_one_order(monkeypatch):
     # in: the facet sweep first, then the rest heaviest first, at every size
     import concurrent.futures
 
-    from lpmpoly import verify
-
     submitted = []
 
     class RecordingPool:
-        def __init__(self, workers, mp_context, initializer, initargs):
-            initializer(*initargs)
+        def __init__(self, workers, mp_context):
+            pass
 
         def __enter__(self):
             return self
@@ -374,26 +385,25 @@ def test_verify_all_submits_its_jobs_in_one_order(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, call, name):
+        def submit(self, call, name, *sizes):
             submitted.append(name)
             future = concurrent.futures.Future()
-            future.set_result(call(name))
+            future.set_result(call(name, *sizes))
             return future
 
     _stub_checks(monkeypatch)
-    monkeypatch.setattr(verify, "_worker_jobs", {})
     monkeypatch.setattr(verify, "worker_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     for max_size in (5, 8):
         submitted.clear()
         assert verify.run_all(max_size)[0]
-        assert submitted == list(verify._HEAVIEST_FIRST)
-        assert submitted[0] == "facets"
+        assert submitted == [
+            "facets", "ehrhart", "deletion", "triangulation", "errata", "edges",
+            "faces", "volume", "dimension", "decomposition", "bases", "catalan-area",
+        ]
 
 
 def test_verify_all_gives_the_same_results_on_workers_and_in_process(monkeypatch):
-    from lpmpoly import verify
-
     pooled = verify.run_all(4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -402,8 +412,6 @@ def test_verify_all_gives_the_same_results_on_workers_and_in_process(monkeypatch
 
 
 def test_verify_all_leaves_no_worker_running():
-    from lpmpoly import verify
-
     assert verify.run_all(2)[0]
     assert multiprocessing.active_children() == []
 
@@ -442,6 +450,21 @@ def test_verify_all_reports_a_cell_that_is_not_unimodular(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "triangulation: FAIL (" in out
     assert "cell (1,) has determinant 2, not a unit" in out
+
+
+def test_a_closed_stdout_exits_without_a_traceback():
+    # 12 870 bases, about 220 KB of text: more than a pipe holds, so the
+    # writer is still writing when the reader closes after one line
+    proc = subprocess.Popen(
+        CLI + ["bases", "--lower", "E" * 8 + "N" * 8, "--upper", "N" * 8 + "E" * 8,
+               "--max-size", "16", "--format", "text"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == "0000000011111111\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=600), err) == (cli.BROKEN_PIPE, "")
 
 
 REGION_FILES = {
