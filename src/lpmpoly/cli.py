@@ -191,8 +191,6 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
-    if args.lower or args.upper or args.file:
-        raise _error(USAGE_ERROR, "triangulate takes --k and --n, not a region")
     if 1 <= args.k < args.n and args.n > args.max_size:
         raise _error(
             SIZE_CAP, f"n={args.n} is over the cap {args.max_size} (raise with --max-size)"
@@ -207,8 +205,6 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_catalan(args) -> int:
-    if args.lower or args.upper or args.file:
-        raise _error(USAGE_ERROR, "catalan takes --n (and optionally --r), not a region")
     n = args.n
     if n < 1:
         raise _error(USAGE_ERROR, "--n must be at least 1")
@@ -300,6 +296,10 @@ def _add_region_flags(sub) -> None:
     sub.add_argument("--lower", help="lower bounding path word (E/N letters)")
     sub.add_argument("--upper", help="upper bounding path word (E/N letters)")
     sub.add_argument("--file", help="JSON file with {\"lower\": .., \"upper\": ..}")
+    _add_shared_flags(sub)
+
+
+def _add_shared_flags(sub) -> None:
     sub.add_argument("--max-size", type=int, default=10, dest="max_size")
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument(
@@ -329,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
         _add_region_flags(sub)
         sub.set_defaults(func=fn)
     tri = subs.add_parser("triangulate")
-    _add_region_flags(tri)
+    _add_shared_flags(tri)
     tri.add_argument("--k", type=int, required=True)
     tri.add_argument("--n", type=int, required=True)
     tri.set_defaults(func=cmd_triangulate)
     cat = subs.add_parser("catalan")
-    _add_region_flags(cat)
+    _add_shared_flags(cat)
     cat.add_argument("--n", type=int, required=True)
     cat.add_argument("--r", type=int)
     cat.set_defaults(func=cmd_catalan)
@@ -355,6 +355,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> None:
+    """Run one ``lpm`` command and exit with its code.
+
+    Exact integers are the output contract, so ``str`` may print any number
+    of digits while the command runs; the interpreter's limit (3.10.7 and
+    later) is restored before ``main`` returns or raises."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return _run(argv)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> None:
     start = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)

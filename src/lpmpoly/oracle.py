@@ -7,8 +7,11 @@ at desk scale.  They are the second routes to the hot paths' quantities:
 facets by affine rank, with their own choice of representative;
 descent-class counts by inclusion-exclusion rather than the box DP;
 triangulation cells by a full permutation scan rather than generation,
-and their vertices by the pull-back through the prefix-sum map ``psi``
-on integer numerators rather than the generator's walk state;
+one scan per length bucketed by inverse descent set, and their vertices
+by the pull-back through the prefix-sum map ``psi`` on integer
+numerators rather than the generator's walk state;
+dilation counts, plain and relative-interior, by one stepwise DP that
+adds each step separately rather than by window sums;
 border strips by a walk over the box set rather than the column ranges;
 the Ehrhart double sum term by term over every slack array rather than by
 a transfer chain.
@@ -27,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .decompose import BorderStrip
 from .ehrhart import gamma_set, multichoose
@@ -172,42 +175,21 @@ def projected_face(words: Iterable[str], i: int, value: int) -> set[str]:
     return {word[: i - 1] + word[i:] for word in words if word[i - 1] == letter}
 
 
-def stepwise_lattice_count(region: Region, t: int) -> int:
-    """Points of the t-th dilation, adding each prefix sum into its t+1 successors."""
-    if t < 0:
-        raise ValueError("dilation must be nonnegative")
-    p = region.lower.profile
-    q = region.upper.profile
-    cur = {0: 1}
-    for i in range(1, region.size + 1):
-        lo, hi = t * p[i], t * q[i]
-        nxt: dict[int, int] = {}
-        for c, ways in cur.items():
-            for step in range(0, t + 1):
-                c2 = c + step
-                if c2 > hi:
-                    break
-                if c2 >= lo:
-                    nxt[c2] = nxt.get(c2, 0) + ways
-        cur = nxt
-        if not cur:
-            return 0
-    return cur.get(t * region.r, 0)
+def stepwise_count(region: Region, t: int, interior: bool = False) -> int:
+    """Points of the t-th dilation, adding each prefix sum into its successors
+    one step at a time.
 
-
-def stepwise_interior_count(region: Region, t: int) -> int:
-    """Relative-interior points of the t-th dilation, stepwise.
-
-    Inside each connected block of ``components`` every step runs over
-    1..t-1 and every prefix sum short of the block's end lies strictly
-    between its bounds; loops, coloops and the prefix sums at the block
-    ends keep their plain ranges, which pin them.
+    With ``interior`` the points are those of the relative interior: inside
+    each connected block of ``components`` every step runs over 1..t-1 and
+    every prefix sum short of the block's end lies strictly between its
+    bounds; loops, coloops and the prefix sums at the block ends keep their
+    plain ranges, which pin them.
     """
     if t < 0:
         raise ValueError("dilation must be nonnegative")
     strict_steps: set[int] = set()
     strict_sums: set[int] = set()
-    for block in components(region).blocks:
+    for block in components(region).blocks if interior else ():
         if block.kind == "block":
             strict_steps.update(range(block.start, block.stop + 1))
             strict_sums.update(range(block.start, block.stop))
@@ -396,14 +378,14 @@ def psi_inverse_int(w: tuple[int, ...], y: Sequence[int], den: int) -> tuple[int
     return tuple(y[i] - (y[i - 1] if i else 0) + b * den for i, b in enumerate(bumps))
 
 
-def scan_inverse_descents(d: int, key: Callable = frozenset) -> dict:
-    """Every permutation w of 1..d, in lexicographic order, bucketed by
-    ``key`` of the descent set of w^-1 (``len`` buckets by descent count)."""
+def scan_inverse_descents(d: int) -> dict[frozenset[int], list[tuple[int, ...]]]:
+    """Every permutation w of 1..d, in lexicographic order, bucketed by the
+    descent set of w^-1."""
     if d > 10:
         raise TooLarge("permutation scan is capped at 10 letters")
-    buckets: dict = {}
+    buckets: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for w in permutations(range(1, d + 1)):
-        buckets.setdefault(key(descent_set(inverse_permutation(w))), []).append(w)
+        buckets.setdefault(descent_set(inverse_permutation(w)), []).append(w)
     return buckets
 
 

@@ -4,10 +4,11 @@ No floating point enters any computation.  Ranks, determinants and the
 convex-hull test run on plain Python ints by fraction-free elimination and
 integer-preserving pivoting; ``fractions.Fraction`` enters only as the
 convex-hull test's target point.  Matrices are lists of row tuples.
-Fraction-free elimination keeps every entry a minor of the input, so each
-division by the previous pivot is exact; that holds only when rows with a
-zero in the pivot column are rescaled too, which ``rank_int`` and the
-simplex tableau both do.
+One fraction-free elimination gives both the rank and the determinant.
+It keeps every entry a minor of the input, so each division by the
+previous pivot is exact; that holds only when rows with a zero in the
+pivot column are rescaled too, which the elimination and the simplex
+tableau both do.
 """
 
 from __future__ import annotations
@@ -17,22 +18,22 @@ from math import lcm
 from typing import Sequence
 
 
-def rank_int(rows: Sequence[Sequence[int]], cap: int | None = None) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def _eliminate(rows: Sequence[Sequence[int]], cap: int | None) -> tuple[int, int]:
+    """(rank, signed last pivot) of an integer matrix by fraction-free elimination.
 
     Every surviving row is mapped to ``(pv * a - rv * b) // prev_pivot``,
     a row with ``rv == 0`` in the pivot column included (it becomes
     ``pv * a // prev_pivot``): its entries stay minors of the input, so
-    the next step's division is exact.  When ``cap`` is given,
-    returns early with ``cap + 1`` as soon as the rank is known to exceed
-    ``cap``.
+    the next step's division is exact.  Popping the pivot row from
+    position ``idx`` moves it past ``idx`` rows, so the sign flips when
+    ``idx`` is odd; when the rank is full no row is ever dropped, and the
+    signed last pivot is the determinant.  When ``cap`` is given, returns
+    early with rank ``cap + 1`` as soon as the rank is known to exceed ``cap``.
     """
     work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
+    ncols = len(work[0]) if work else 0
     rank = 0
-    prev_pivot = 1
+    prev_pivot = sign = 1
     col = 0
     while work and col < ncols:
         pivot_row = None
@@ -43,11 +44,13 @@ def rank_int(rows: Sequence[Sequence[int]], cap: int | None = None) -> int:
         if pivot_row is None:
             col += 1
             continue
+        if pivot_row & 1:
+            sign = -sign
         pivot = work.pop(pivot_row)
         pv = pivot[col]
         rank += 1
         if cap is not None and rank > cap:
-            return rank
+            return rank, 0
         reduced = []
         for row in work:
             rv = row[col]
@@ -60,7 +63,12 @@ def rank_int(rows: Sequence[Sequence[int]], cap: int | None = None) -> int:
         work = reduced
         prev_pivot = pv
         col += 1
-    return rank
+    return rank, sign * prev_pivot
+
+
+def rank_int(rows: Sequence[Sequence[int]], cap: int | None = None) -> int:
+    """Rank of an integer matrix; with ``cap``, ``cap + 1`` once it exceeds ``cap``."""
+    return _eliminate(rows, cap)[0]
 
 
 def affine_rank(points: Sequence[Sequence[int]], cap: int | None = None) -> int:
@@ -79,29 +87,10 @@ def affine_rank(points: Sequence[Sequence[int]], cap: int | None = None) -> int:
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    work = [list(r) for r in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            for i in range(k + 1, n):
-                if work[i][k]:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pv = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (pv * work[i][j] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = pv
-    return sign * work[n - 1][n - 1]
+    """Determinant of a square integer matrix: the signed last pivot of the
+    elimination at full rank, 0 below it, and 1 for the empty matrix."""
+    rank, last = _eliminate(matrix, None)
+    return last if rank == len(matrix) else 0
 
 
 def _phase_one_feasible(columns: list[list[int]], rhs: list[int]) -> bool:

@@ -103,7 +103,7 @@ def _support_set(region: Region) -> set[frozenset[int]]:
     return {frozenset(bv.support) for bv in bases(region)}
 
 
-def check_bases(max_size: int = 7) -> CheckResult:
+def check_bases(max_size: int) -> CheckResult:
     res = CheckResult("bases-vs-oracle")
     for region in oracle.all_regions(max_size):
         res.checked += 1
@@ -120,7 +120,7 @@ def check_bases(max_size: int = 7) -> CheckResult:
     return res
 
 
-def check_deletion(max_size: int = 6) -> CheckResult:
+def check_deletion(max_size: int) -> CheckResult:
     """The O(n) deletion against filter-and-project, for every coordinate and value."""
     res = CheckResult("deletion-vs-projection")
     for region in oracle.all_regions(max_size):
@@ -145,7 +145,7 @@ def check_deletion(max_size: int = 6) -> CheckResult:
     return res
 
 
-def check_dimension(max_size: int = 7, catalan_ns: range = range(2, 7)) -> CheckResult:
+def check_dimension(max_size: int, catalan_ns: range) -> CheckResult:
     res = CheckResult("dimension-vs-affine-rank")
     for region in oracle.all_regions(max_size):
         res.checked += 1
@@ -161,9 +161,7 @@ def check_dimension(max_size: int = 7, catalan_ns: range = range(2, 7)) -> Check
     return res
 
 
-def check_edges(
-    oracle_max: int = 6, area_max: int = 10, formula_max: int = 7
-) -> CheckResult:
+def check_edges(oracle_max: int, area_max: int, formula_max: int) -> CheckResult:
     res = CheckResult("edges-three-routes")
     for region in oracle.all_regions(oracle_max, connected_only=True):
         verts = vertices(region)
@@ -187,9 +185,9 @@ def check_edges(
     return res
 
 
-def check_facets(max_size: int = 8, catalan_ns: range = range(3, 7)) -> CheckResult:
+def check_facets(max_size: int, catalan_ns: range) -> CheckResult:
     res = CheckResult("facets-vs-oracle")
-    for region in oracle.all_regions(min(max_size, 9), connected_only=True):
+    for region in oracle.all_regions(max_size, connected_only=True):
         res.checked += 1
         if facets(region) != oracle.brute_facets(region):
             res.fail(f"facet list mismatch on {region}")
@@ -200,10 +198,11 @@ def check_facets(max_size: int = 8, catalan_ns: range = range(3, 7)) -> CheckRes
     return res
 
 
-def kcatalan_verdicts(widths=range(1, 4), ns=range(2, 5)) -> list[tuple[int, int, int, int]]:
-    """(width, n, claimed, actual) for the staircase facet-count claim."""
+def kcatalan_verdicts() -> list[tuple[int, int, int, int]]:
+    """(width, n, claimed, actual) for the staircase facet-count claim, at
+    widths 1..3 and n = 2..4."""
     out = []
-    for width, n in product(widths, ns):
+    for width, n in product(range(1, 4), range(2, 5)):
         region = kcatalan_region(width, n)
         out.append((width, n, kcatalan_facet_count(width, n), len(facets(region))))
     return out
@@ -217,7 +216,7 @@ def _lift_box_face(child_words: Region, position: int, value: int) -> set[tuple[
     return lifted
 
 
-def check_faces(max_size: int = 6) -> CheckResult:
+def check_faces(max_size: int) -> CheckResult:
     res = CheckResult("faces-are-regions")
     for region in oracle.all_regions(max_size, connected_only=True):
         verts = vertices(region)
@@ -241,7 +240,7 @@ def check_faces(max_size: int = 6) -> CheckResult:
     return res
 
 
-def check_decomposition(max_size: int = 7) -> CheckResult:
+def check_decomposition(max_size: int) -> CheckResult:
     """Split validity, termination, leaf/strip agreement, and volume additivity.
 
     The published pairing property (P2) is *not* a hard check here: the
@@ -281,9 +280,7 @@ def check_decomposition(max_size: int = 7) -> CheckResult:
     return res
 
 
-def check_volume(
-    max_size: int = 7, rectangle_max: int = 8, strip_max: int = 8
-) -> CheckResult:
+def check_volume(max_size: int, rectangle_max: int, strip_max: int) -> CheckResult:
     res = CheckResult("volume-three-routes")
     for region in oracle.all_regions(max_size, connected_only=True):
         res.checked += 1
@@ -306,7 +303,7 @@ def check_volume(
     return res
 
 
-def check_catalan_area(n_max: int = 12) -> CheckResult:
+def check_catalan_area(n_max: int) -> CheckResult:
     """Closed-form gap areas against the first-return recurrence, n = 0..n_max."""
     res = CheckResult("catalan-area-two-routes")
     for n, recurred in enumerate(oracle.catalan_area_recurrence(n_max)):
@@ -370,19 +367,18 @@ def _pullback_vertices(w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(verts)
 
 
-def check_triangulation(
-    n_max: int = 8, strip_max: int = 8, roundtrip_n: int = 6, samples: int = 1000
-) -> CheckResult:
+def check_triangulation(n_max: int, strip_max: int, roundtrip_n: int, samples: int) -> CheckResult:
     """Hypersimplex slices, the prefix-sum round trip and strip triangulations.
 
     ``n_max`` bounds n for the slices (k, n): each slice's cells are checked
-    for an Eulerian count and permutations equal to the full scan's, in
-    order (one scan per n), and each cell for a unit determinant equal to
-    ``det_int`` of its edge rows, 0/1 vertices in the slice and vertices
-    equal to the pull-back of its permutation's staircase.  A cell that is
-    not 0/1 fails on that alone; the pull-back comparison runs on the 0/1
-    cells.  The slices of one n hold each permutation of 1..n-1 once, so
-    every per-cell check runs once per permutation.
+    for an Eulerian count and permutations equal to the full scan's buckets
+    with k - 1 inverse descents, merged in lexicographic order, and each
+    cell for a unit determinant equal to ``det_int`` of its edge rows, 0/1
+    vertices in the slice and vertices equal to the pull-back of its
+    permutation's staircase.  A cell that is not 0/1 fails on that alone;
+    the pull-back comparison runs on the 0/1 cells.  The slices of one n
+    hold each permutation of 1..n-1 once, so every per-cell check runs once
+    per permutation.
     ``roundtrip_n`` bounds n for the round trip
     ``psi_int(psi_inverse_int(w, y)) == y``, run on integer numerators at
     ``samples`` points of every order simplex of dimension n - 1.
@@ -391,19 +387,24 @@ def check_triangulation(
     triangulated are every strip of at most ``n_max - 1`` boxes: their cells
     are checked for a ``strip_volume`` count and permutations equal to the
     scan's, in order, and each cell for equality with its slice twin, the
-    slice cell of the same permutation.
+    slice cell of the same permutation.  The slices and the strips share
+    one scan per permutation length.
     """
     res = CheckResult("triangulation")
+    scans = {
+        length: oracle.scan_inverse_descents(length)
+        for length in range(1, max(strip_max, n_max - 1) + 1)
+    }
     twins = {}  # perm -> slice cell
     for n in range(2, n_max + 1):
         total = 0
-        scan = oracle.scan_inverse_descents(n - 1, key=len)
         for k in range(1, n):
             cells = hypersimplex_triangulation(k, n)
             res.checked += 1
             if len(cells) != eulerian(k, n - 1):
                 res.fail(f"cell count is not Eulerian at (k,n)=({k},{n})")
-            if [cell.perm for cell in cells] != scan.get(k - 1, []):
+            scanned = sorted(w for d, ws in scans[n - 1].items() if len(d) == k - 1 for w in ws)
+            if [cell.perm for cell in cells] != scanned:
                 res.fail(f"cell permutations differ from the scan at (k,n)=({k},{n})")
             total += len(cells)
             for cell in cells:
@@ -430,10 +431,6 @@ def check_triangulation(
                 if oracle.psi_int(oracle.psi_inverse_int(w, y, den), den) != y:
                     res.fail(f"round trip fails for w={w}")
                     break
-    scans = {
-        length: oracle.scan_inverse_descents(length)
-        for length in range(1, max(strip_max, n_max - 1) + 1)
-    }
     for length in range(1, strip_max + 1):
         for strip in (s for s in all_strips(length) if len(s) == length):
             res.checked += 1
@@ -451,7 +448,7 @@ def check_triangulation(
     return res
 
 
-def check_ehrhart(max_size: int = 6) -> CheckResult:
+def check_ehrhart(max_size: int) -> CheckResult:
     """The window-sum counts against the stepwise DP and the interior counts
     against the strict stepwise DP at t = 0..3; each interpolated polynomial
     at t = 0, 1 and at every plain dilation from ceil(d/2) + 1, the first it
@@ -464,10 +461,10 @@ def check_ehrhart(max_size: int = 6) -> CheckResult:
         poly = eh.ehrhart_polynomial(region)
         plain = [eh.count_lattice_points(region, t) for t in range(max(4, poly.degree + 3))]
         for t in range(4):
-            if plain[t] != oracle.stepwise_lattice_count(region, t):
+            if plain[t] != oracle.stepwise_count(region, t):
                 res.fail(f"window sums differ from the stepwise DP at t={t} on {region}")
             interior = eh.count_lattice_points(region, t, interior=True)
-            if interior != oracle.stepwise_interior_count(region, t):
+            if interior != oracle.stepwise_count(region, t, interior=True):
                 res.fail(f"interior window sums differ from the strict stepwise DP at t={t} on {region}")
         compositions = eh.gamma_set(region)
         if region.size <= 5:
@@ -486,7 +483,7 @@ def check_ehrhart(max_size: int = 6) -> CheckResult:
     return res
 
 
-def reconcile_sweep(max_size: int = 6, t_max: int = 3) -> list[str]:
+def reconcile_sweep(max_size: int, t_max: int) -> list[str]:
     """CSV lines comparing the double-sum formula with the DP count, per region and t."""
     lines = ["lower,upper,t,formula_value,true_value,match"]
     for region in oracle.all_regions(max_size):
@@ -504,9 +501,7 @@ class ErrataRow(NamedTuple):
         return f"{self.claim}: {self.verdict}\n    stated:   {self.stated}\n    computed: {self.computed}"
 
 
-def build_errata_report(
-    max_size: int = 6, t_max: int = 3, formula_max: int = 6
-) -> list[ErrataRow]:
+def build_errata_report(max_size: int, t_max: int, formula_max: int) -> list[ErrataRow]:
     """One row per tracked published claim.
 
     The Catalan edge row compares the printed closed form with the edge
@@ -676,10 +671,10 @@ def build_errata_report(
 
 class Check(NamedTuple):
     """One job of ``run_all`` and its ``lpm verify`` target.  ``call`` takes
-    each ``capped`` keyword at min(--max-size, its cap), or at --max-size
-    when the cap is None, each ``fixed`` keyword as it is, and --t-max as
-    ``t_max`` when ``t_max`` is set.  Its outcome prints and times under
-    ``result``; workers take the jobs in ``rank`` order."""
+    each ``capped`` keyword at min(--max-size, its cap), each ``fixed``
+    keyword as it is, and --t-max as ``t_max`` when ``t_max`` is set.  Its
+    outcome prints and times under ``result``; workers take the jobs in
+    ``rank`` order."""
 
     call: Callable
     result: str
@@ -689,9 +684,7 @@ class Check(NamedTuple):
     t_max: bool = False
 
     def kwargs(self, max_size: int, t_max: int) -> dict:
-        sizes = {
-            key: max_size if cap is None else min(max_size, cap) for key, cap in self.capped.items()
-        }
+        sizes = {key: min(max_size, cap) for key, cap in self.capped.items()}
         return {**sizes, **self.fixed, **({"t_max": t_max} if self.t_max else {})}
 
 
@@ -699,16 +692,21 @@ class Check(NamedTuple):
 # since it outgrows every other job past --max-size 6 (1.2-1.6 s of about
 # 2.9 s at 8), then the rest heaviest first by the median ``--stats`` seconds
 # of five runs at --max-size 6 (Ehrhart 0.33 s, deletion 0.16, triangulation
-# 0.15, errata 0.14, edges 0.13 of 1.21 s).  The edge check's area audit
-# follows --max-size; its adjacency oracle is capped.
+# 0.15, errata 0.14, edges 0.13 of 1.21 s).  Every size a check takes is
+# here: the functions have no defaults.  The edge check's area audit grows
+# about 3.6-fold per element, so it stops at 10.
 CHECKS = {
     "bases": Check(check_bases, "bases-vs-oracle", 10, {"max_size": 7}),
     "deletion": Check(check_deletion, "deletion-vs-projection", 2, {"max_size": 6}),
-    "dimension": Check(check_dimension, "dimension-vs-affine-rank", 8, {"max_size": 7}),
-    "edges": Check(
-        check_edges, "edges-three-routes", 5, {"oracle_max": 6, "area_max": None}, {"formula_max": 6}
+    "dimension": Check(
+        check_dimension, "dimension-vs-affine-rank", 8, {"max_size": 7}, {"catalan_ns": range(2, 7)}
     ),
-    "facets": Check(check_facets, "facets-vs-oracle", 0, {"max_size": 8}),
+    "edges": Check(
+        check_edges, "edges-three-routes", 5, {"oracle_max": 6, "area_max": 10}, {"formula_max": 6}
+    ),
+    "facets": Check(
+        check_facets, "facets-vs-oracle", 0, {"max_size": 8}, {"catalan_ns": range(3, 7)}
+    ),
     "faces": Check(check_faces, "faces-are-regions", 6, {"max_size": 6}),
     "decomposition": Check(check_decomposition, "decomposition-to-strips", 9, {"max_size": 7}),
     "volume": Check(
@@ -746,9 +744,7 @@ def worker_count() -> int:
     return min(usable or 1, len(CHECKS))
 
 
-def run_all(
-    max_size: int = 6, t_max: int = 3, timings: dict | None = None, names: Collection[str] = CHECKS
-):
+def run_all(max_size: int, t_max: int, timings: dict | None = None, names: Collection[str] = CHECKS):
     """The ``CHECKS`` rows in ``names``, all by default, at the given sweep
     cap; returns (ok, result list, errata rows), with no errata rows unless
     ``names`` holds "errata".

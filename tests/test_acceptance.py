@@ -36,7 +36,7 @@ def test_criterion_01_bases():
 
 def test_criterion_02_dimension():
     t0 = time.time()
-    _report(2, "dimension (m+r <= 7, staircases n=2..6)", V.check_dimension(7), t0)
+    _report(2, "dimension (m+r <= 7, staircases n=2..6)", V.check_dimension(7, range(2, 7)), t0)
     assert time.time() - t0 < 10
 
 

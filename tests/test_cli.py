@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -127,6 +128,24 @@ def test_catalan_verb():
     assert out["edge_count"] == "8"
     assert out["facet_count_claim"] == 10
     assert out["gap_area_total"] == "29/2"
+
+
+def test_catalan_verb_prints_integers_past_the_digit_limit():
+    # C_8000 has 4811 digits; str() of an int past 4300 digits raises by default
+    out = run_cli("catalan", "--n", "8000")
+    assert (out.returncode, out.stderr) == (0, "")
+    digits = json.loads(out.stdout)["catalan_number"]
+    assert len(digits) > 4300
+    # int() has the same limit, so read the digits in two pieces
+    assert int(digits[:-4000]) * 10**4000 + int(digits[-4000:]) == comb(16000, 8000) // 8001
+
+
+def test_main_restores_the_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["catalan", "--n", "8000"])
+    assert exit_.value.code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_region_file_input(tmp_path):
@@ -343,11 +362,12 @@ def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
     # with every cap at 3 and every fixed size at 2, run_all passes nothing else
     _stub_checks(monkeypatch)
     for job, row in verify.CHECKS.items():
-        capped = {key: None if cap is None else 3 for key, cap in row.capped.items()}
         monkeypatch.setitem(
-            verify.CHECKS, job, row._replace(capped=capped, fixed=dict.fromkeys(row.fixed, 2))
+            verify.CHECKS,
+            job,
+            row._replace(capped=dict.fromkeys(row.capped, 3), fixed=dict.fromkeys(row.fixed, 2)),
         )
-    ok, results, errata = verify.run_all(max_size=5)
+    ok, results, errata = verify.run_all(max_size=5, t_max=3)
     assert ok
     seen = {res.name: res.failures[0] for res in results}
     seen.update((row.claim, row.stated) for row in errata)
@@ -355,9 +375,9 @@ def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
     assert seen == {
         "check_bases": capped,
         "check_deletion": capped,
-        "check_dimension": capped,
-        "check_edges": {"oracle_max": 3, "area_max": 5, "formula_max": 2},
-        "check_facets": capped,
+        "check_dimension": {"max_size": 3, "catalan_ns": 2},
+        "check_edges": {"oracle_max": 3, "area_max": 3, "formula_max": 2},
+        "check_facets": {"max_size": 3, "catalan_ns": 2},
         "check_faces": capped,
         "check_decomposition": capped,
         "check_volume": {"max_size": 3, "rectangle_max": 2, "strip_max": 2},
@@ -396,7 +416,7 @@ def test_verify_all_submits_its_jobs_in_one_order(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     for max_size in (5, 8):
         submitted.clear()
-        assert verify.run_all(max_size)[0]
+        assert verify.run_all(max_size, 3)[0]
         assert submitted == [
             "facets", "ehrhart", "deletion", "triangulation", "errata", "edges",
             "faces", "volume", "dimension", "decomposition", "bases", "catalan-area",
@@ -404,15 +424,15 @@ def test_verify_all_submits_its_jobs_in_one_order(monkeypatch):
 
 
 def test_verify_all_gives_the_same_results_on_workers_and_in_process(monkeypatch):
-    pooled = verify.run_all(4)
+    pooled = verify.run_all(4, 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert verify.worker_count() == 1
-    assert verify.run_all(4) == pooled
+    assert verify.run_all(4, 3) == pooled
 
 
 def test_verify_all_leaves_no_worker_running():
-    assert verify.run_all(2)[0]
+    assert verify.run_all(2, 3)[0]
     assert multiprocessing.active_children() == []
 
 

@@ -108,13 +108,13 @@ def test_fast_routes_match_oracles(region):
 @pytest.mark.parametrize("region", REGIONS, ids=repr)
 def test_window_counts_match_stepwise_dp(region):
     for t in range(7):
-        assert count_lattice_points(region, t) == oracle.stepwise_lattice_count(region, t), t
+        assert count_lattice_points(region, t) == oracle.stepwise_count(region, t), t
 
 
 def test_window_counts_match_stepwise_dp_on_sweep():
     for region in oracle.all_regions(6):
         for t in range(6):
-            assert count_lattice_points(region, t) == oracle.stepwise_lattice_count(region, t), (region, t)
+            assert count_lattice_points(region, t) == oracle.stepwise_count(region, t), (region, t)
 
 
 def _between_two_random_paths(rng, n, r):
@@ -217,7 +217,7 @@ def test_wide_draw_covers_the_window_zones():
 @pytest.mark.parametrize("region", WIDE, ids=repr)
 def test_window_counts_match_stepwise_dp_on_wide_regions(region):
     for t in (0, 1, 2, 7, 19):
-        assert count_lattice_points(region, t) == oracle.stepwise_lattice_count(region, t), t
+        assert count_lattice_points(region, t) == oracle.stepwise_count(region, t), t
 
 
 def direct_sums(seed=SEED, count=6):
@@ -250,7 +250,7 @@ def test_direct_sums_have_loops_coloops_and_blocks():
 @pytest.mark.parametrize("region", WIDE + SUMS, ids=repr)
 def test_interior_counts_match_strict_stepwise_dp(region):
     for t in (0, 1, 2, 3, 7):
-        want = oracle.stepwise_interior_count(region, t)
+        want = oracle.stepwise_count(region, t, interior=True)
         assert count_lattice_points(region, t, interior=True) == want, t
 
 

@@ -121,7 +121,7 @@ def test_interior_counts_examples():
 def test_interior_counts_match_the_strict_oracle_on_sweep():
     for region in all_regions(6):
         for t in range(6):
-            want = oracle.stepwise_interior_count(region, t)
+            want = oracle.stepwise_count(region, t, interior=True)
             assert count_lattice_points(region, t, interior=True) == want, (region, t)
 
 
@@ -208,12 +208,12 @@ def test_check_ehrhart_flags_an_interior_count_off_by_one(monkeypatch):
 
 def test_check_ehrhart_flags_a_disagreeing_strict_oracle(monkeypatch):
     clean = check_ehrhart(4)
-    strict = oracle.stepwise_interior_count
+    stepwise = oracle.stepwise_count
 
-    def disagreeing(region, t):
-        return strict(region, t) + (t == 3)
+    def disagreeing(region, t, interior=False):
+        return stepwise(region, t, interior) + (interior and t == 3)
 
-    monkeypatch.setattr(oracle, "stepwise_interior_count", disagreeing)
+    monkeypatch.setattr(oracle, "stepwise_count", disagreeing)
     res = check_ehrhart(4)
     assert not res.ok
     assert res.checked == clean.checked
@@ -368,7 +368,7 @@ def test_errata_report_walks_the_regions_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "all_regions", counted)
-    build_errata_report(6, 3)
+    build_errata_report(6, 3, 6)
     assert len(calls) == 1
 
 

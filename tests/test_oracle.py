@@ -193,6 +193,44 @@ def test_rank_int_matches_fraction_reference():
         assert rank_int(rows, cap=cap) == (want if want <= cap else cap + 1), (rows, cap)
 
 
+def _fraction_det(rows):
+    """Gaussian elimination over ``Fraction``: the reference for ``det_int``."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(work)):
+        pivot = next((k for k in range(col, len(work)) if work[k][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        top = work[col]
+        det *= top[col]
+        for k in range(col + 1, len(work)):
+            f = work[k][col] / top[col]
+            work[k] = [a - f * b for a, b in zip(work[k], top)]
+    return det
+
+
+def test_det_int_matches_fraction_reference():
+    rng = random.Random(20121223)
+    singular = zero_rows = swapped = 0
+    for trial in range(3000):
+        n = rng.randint(0, 6)
+        rows = [[rng.choice((-3, -1, 0, 0, 0, 1, 2, 5)) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and trial % 5 == 0:  # a repeated row
+            i, j = rng.sample(range(n), 2)
+            rows[i] = list(rows[j])
+        if n and trial % 7 == 0:
+            rows[rng.randrange(n)] = [0] * n
+            zero_rows += 1
+        want = _fraction_det(rows)
+        assert det_int(rows) == want, rows
+        singular += want == 0
+        swapped += n > 0 and rows[0][0] == 0 and want != 0  # the first pivot needs a row swap
+    assert singular > 500 and zero_rows > 300 and swapped > 200
+
+
 def test_affine_rank_matches_fraction_reference():
     rng = random.Random(20121221)
     for trial in range(2000):

@@ -66,7 +66,7 @@ def test_dimension_checks_compare_against_the_component_count(monkeypatch):
     )
     res = verify.check_dimension(5, range(2, 4))
     assert res.failures and all("component-count" in f for f in res.failures)
-    rows = {row.claim: row for row in verify.build_errata_report(4, 1)}
+    rows = {row.claim: row for row in verify.build_errata_report(4, 1, 6)}
     assert rows["dimension-components-formula"].verdict == "erratum"
 
 
@@ -230,9 +230,9 @@ def test_face_region_accepts_exactly_the_listed_facets():
 
 def test_check_facets_flags_duplicate_facets(monkeypatch):
     # without the dominance test every candidate cutting a facet is listed
-    assert check_facets(max_size=5).ok
+    assert check_facets(max_size=5, catalan_ns=range(3, 7)).ok
     monkeypatch.setattr(polytope, "_tight_on_whole_face", lambda *args: False)
-    res = check_facets(max_size=5)
+    res = check_facets(max_size=5, catalan_ns=range(3, 7))
     assert not res.ok
     assert any("facet list mismatch" in f for f in res.failures)
 

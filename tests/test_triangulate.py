@@ -24,7 +24,7 @@ from lpmpoly.oracle import (
     scan_inverse_descents,
 )
 from lpmpoly.polytope import h_representation
-from lpmpoly import triangulate, verify
+from lpmpoly import oracle, triangulate, verify
 from lpmpoly.triangulate import inverse_descent_class
 from lpmpoly.verify import all_strips, check_triangulation
 
@@ -382,6 +382,20 @@ def test_check_triangulation_checks_each_permutation_once(monkeypatch):
     monkeypatch.setattr(verify, "_pullback_vertices", counted)
     assert check_triangulation(n_max=7, strip_max=1, roundtrip_n=2, samples=1).ok
     assert len(calls) == len(set(calls)) == 873
+
+
+def test_check_triangulation_scans_each_length_once(monkeypatch):
+    # the slices (k, n) for n <= 7 read lengths 1..6, the strip counts 1..4
+    calls = []
+    real = oracle.scan_inverse_descents
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(oracle, "scan_inverse_descents", counted)
+    assert check_triangulation(n_max=7, strip_max=4, roundtrip_n=2, samples=1).ok
+    assert sorted(calls) == [1, 2, 3, 4, 5, 6]
 
 
 def test_check_triangulation_sizes_its_strips_from_n_max(monkeypatch):
