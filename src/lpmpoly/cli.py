@@ -3,9 +3,15 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 absent or unreadable region file), 3 invalid region, malformed region file
 or unsupported region for the verb, 4 size cap exceeded, 141 stdout closed
-by its reader, as by ``| head`` (the shell's code for SIGPIPE).  Errors
-print one ``error:`` line on stderr.  Output is deterministic
-byte-for-byte for identical inputs.
+by its reader, as by ``| head`` (the shell's code for SIGPIPE).  Every
+error, argparse's usage errors included, prints one ``error:`` line on
+stderr and no usage block.  Output is deterministic byte-for-byte for
+identical inputs.
+
+A region verb is added as one row of ``REGION_VERBS``: whether
+``--max-size`` caps it, and the function that makes its JSON and text
+lines; ``cmd_region`` reads the region, applies the cap and prints one
+format.  The records printed are built here, not on the value types.
 
 The argument parser is built once per process, on first use, and every
 ``main`` call reuses it: nothing is built at import time.
@@ -72,8 +78,9 @@ def _region_from_file(path: str) -> Region:
     except OSError as exc:
         raise _error(USAGE_ERROR, f"cannot read {path}: {exc.strerror}")
     try:
-        data = json.loads(raw)
-    except ValueError as exc:
+        # numbers are read as floats: a long integer would cost quadratic time in int()
+        data = json.loads(raw, parse_int=float)
+    except (ValueError, RecursionError) as exc:
         raise _error(INVALID_REGION, f"{path} is not JSON: {exc}")
     if not (
         isinstance(data, dict)
@@ -81,66 +88,51 @@ def _region_from_file(path: str) -> Region:
         and isinstance(data.get("upper"), str)
     ):
         raise _error(INVALID_REGION, f'{path} needs string fields "lower" and "upper"')
-    return Region.from_json_dict(data)
-
-
-def _emit(payload, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
+    return Region(PathWord(data["lower"]), PathWord(data["upper"]))
 
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def cmd_bases(args) -> int:
-    region = _region_from_args(args)
-    _check_cap(region, args)
+def _json(payload):
+    """The one ``--format json`` line of ``payload``, dumped only when read."""
+    return map(json.dumps, [payload])
+
+
+def _constraint(cons, tight) -> dict:
+    return {"coeffs": list(cons.coeffs), "rel": cons.rel, "rhs": cons.rhs, "tight_vertices": list(tight)}
+
+
+def _bases(region: Region):
     words = ["".join(map(str, bv.coords)) for bv in bases(region)]
-    _emit(words, args.format, words)
-    return 0
+    return _json(words), words
 
 
-def cmd_dim(args) -> int:
-    region = _region_from_args(args)
-    payload = {"dimension": dimension(region)}
-    _emit(payload, args.format, [str(payload["dimension"])])
-    return 0
+def _dim(region: Region):
+    d = dimension(region)
+    return _json({"dimension": d}), [str(d)]
 
 
-def cmd_edges(args) -> int:
-    region = _region_from_args(args)
-    _check_cap(region, args)
+def _edges(region: Region):
     verts = ["".join(map(str, v)) for v in vertices(region)]
     found = edges(region)
     # json.dumps writes the edge tuples as arrays; the text lines are formatted only when printed
     payload = {"vertices": verts, "edges": found, "count": len(found)}
-    _emit(payload, args.format, (f"{verts[i]} -- {verts[j]}" for i, j in found))
-    return 0
+    return _json(payload), (f"{verts[i]} -- {verts[j]}" for i, j in found)
 
 
-def cmd_hrep(args) -> int:
-    region = _region_from_args(args)
-    _check_cap(region, args)
+def _hrep(region: Region):
     verts = vertices(region)
     rep = h_representation(region)
-    records = []
-    for cons in rep.equalities + rep.inequalities:
-        tight = tuple(k for k, v in enumerate(verts) if cons.tight(v))
-        records.append(cons.to_json_dict(tight))
-    _emit(records, args.format, [json.dumps(r) for r in records])
-    return 0
+    cons = rep.equalities + rep.inequalities
+    records = [_constraint(c, [k for k, v in enumerate(verts) if c.tight(v)]) for c in cons]
+    return _json(records), map(json.dumps, records)
 
 
-def cmd_facets(args) -> int:
-    region = _region_from_args(args)
-    _check_cap(region, args)
-    records = [f.constraint.to_json_dict(f.tight) for f in facets(region)]
-    _emit(records, args.format, [json.dumps(r) for r in records])
-    return 0
+def _facets(region: Region):
+    records = [_constraint(f.constraint, f.tight) for f in facets(region)]
+    return _json(records), map(json.dumps, records)
 
 
 def _tree_json(root) -> str:
@@ -155,38 +147,52 @@ def _tree_json(root) -> str:
     return root.render(head, lambda node: "]}" if node.children else "")
 
 
-def cmd_decompose(args) -> int:
-    region = _region_from_args(args)
-    _check_cap(region, args)
+def _decompose(region: Region):
     if not is_connected(region):
         raise _error(INVALID_REGION, "region is disconnected; decompose each block")
-    if args.format == "json":
-        print(_tree_json(decomposition_tree(region)))
-    else:
-        for strip in border_strips(region):
-            print(strip.direction_word)
-    return 0
+    # generators over [region]: the tree and the strips are built only for the format printed
+    tree = (_tree_json(decomposition_tree(r)) for r in [region])
+    return tree, (strip.direction_word for r in [region] for strip in border_strips(r))
 
 
-def cmd_volume(args) -> int:
-    region = _region_from_args(args)
-    _check_cap(region, args)
-    payload = {"volume_normalized": str(volume(region))}
-    _emit(payload, args.format, [payload["volume_normalized"]])
-    return 0
+def _volume(region: Region):
+    normalized = str(volume(region))
+    return _json({"volume_normalized": normalized}), [normalized]
 
 
-def cmd_ehrhart(args) -> int:
-    region = _region_from_args(args)
-    _check_cap(region, args)
+def _ehrhart(region: Region):
     poly = eh.ehrhart_polynomial(region)
-    values = {str(t): str(poly(t)) for t in range(poly.degree + 3)}
-    payload = {
+    line = _json({
         "coeffs": [_frac(c) for c in poly.coeffs],
         "volume_normalized": str(poly.normalized_volume),
-        "values": values,
-    }
-    _emit(payload, args.format, [json.dumps(payload)])
+        "values": {str(t): str(poly(t)) for t in range(poly.degree + 3)},
+    })
+    return line, line
+
+
+# verb -> (whether --max-size caps it, region -> (json lines, text lines))
+REGION_VERBS = {
+    "bases": (True, _bases),
+    "dim": (False, _dim),
+    "edges": (True, _edges),
+    "hrep": (True, _hrep),
+    "facets": (True, _facets),
+    "decompose": (True, _decompose),
+    "volume": (True, _volume),
+    "ehrhart": (True, _ehrhart),
+}
+
+
+def cmd_region(args) -> int:
+    capped, render = REGION_VERBS[args.verb]
+    region = _region_from_args(args)
+    if capped and region.size > args.max_size:
+        raise _error(
+            SIZE_CAP, f"region has {region.size} elements, over the cap {args.max_size} (raise with --max-size)"
+        )
+    json_lines, text_lines = render(region)
+    for line in json_lines if args.format == "json" else text_lines:
+        print(line)
     return 0
 
 
@@ -199,8 +205,12 @@ def cmd_triangulate(args) -> int:
         cells = hypersimplex_triangulation(args.k, args.n)
     except BadK as exc:
         raise _error(USAGE_ERROR, str(exc))
-    records = [c.to_json_dict() for c in cells]
-    _emit(records, args.format, [json.dumps(r) for r in records])
+    records = [
+        {"perm": list(c.perm), "vertices": [[f"{x}/1" for x in v] for v in c.vertices], "det": abs(c.det)}
+        for c in cells
+    ]
+    for line in _json(records) if args.format == "json" else map(json.dumps, records):
+        print(line)
     return 0
 
 
@@ -220,7 +230,7 @@ def cmd_catalan(args) -> int:
         payload["facet_count_claim"] = catalan_facet_count(n)
     if args.r is not None:
         payload["kcatalan_facet_count_claim"] = kcatalan_facet_count(args.r, n)
-    _emit(payload, args.format, [json.dumps(payload)])
+    print(json.dumps(payload))
     return 0
 
 
@@ -283,15 +293,6 @@ def cmd_verify(args) -> int:
     return code
 
 
-def _check_cap(region: Region, args) -> None:
-    if region.size > args.max_size:
-        raise _error(
-            SIZE_CAP,
-            f"region has {region.size} elements, over the cap {args.max_size} "
-            "(raise with --max-size)",
-        )
-
-
 def _add_region_flags(sub) -> None:
     sub.add_argument("--lower", help="lower bounding path word (E/N letters)")
     sub.add_argument("--upper", help="upper bounding path word (E/N letters)")
@@ -309,25 +310,23 @@ def _add_shared_flags(sub) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error:`` line; ``add_subparsers`` makes its parsers of this class."""
+
+    def error(self, message: str):
+        raise _error(USAGE_ERROR, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpm", description="lattice path matroid polytopes, exactly"
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-    for verb, fn in (
-        ("bases", cmd_bases),
-        ("dim", cmd_dim),
-        ("edges", cmd_edges),
-        ("hrep", cmd_hrep),
-        ("facets", cmd_facets),
-        ("decompose", cmd_decompose),
-        ("volume", cmd_volume),
-        ("ehrhart", cmd_ehrhart),
-    ):
+    for verb in REGION_VERBS:
         sub = subs.add_parser(verb)
         _add_region_flags(sub)
-        sub.set_defaults(func=fn)
+        sub.set_defaults(func=cmd_region)
     tri = subs.add_parser("triangulate")
     _add_shared_flags(tri)
     tri.add_argument("--k", type=int, required=True)

@@ -10,14 +10,13 @@ L(-t) = (-1)^d L°(t): the plain counts at t = 0..ceil(d/2) and the
 interior counts at t = 1..floor(d/2) are its values at the d+1 consecutive
 points -floor(d/2)..ceil(d/2), and the Newton form through them is expanded
 in integer forward differences over the common denominator d!.
-``verify.check_ehrhart`` compares both counts with the stepwise DPs in
-:mod:`lpmpoly.oracle` and the polynomial with every plain dilation it does
-not read, up to two past its degree.  The prefix-block composition sets and
-the double-sum formula exist to be *compared* against the ground truth,
-never trusted.  The double sum is evaluated per composition by a transfer
-chain over its slack variables; ``oracle.literal_formula_value`` sums it
-term by term over every slack array, and ``verify.check_ehrhart`` compares
-the two.
+``verify.check_ehrhart`` compares both counts with ``oracle.stepwise_count``
+and the polynomial with every plain dilation it does not read, up to two
+past its degree.  The prefix-block composition sets and the double-sum
+formula exist to be *compared* against the ground truth, never trusted.
+The double sum is evaluated per composition by a transfer chain over its
+slack variables; ``oracle.literal_formula_value`` sums it term by term
+over every slack array, and ``verify.check_ehrhart`` compares the two.
 """
 
 from __future__ import annotations

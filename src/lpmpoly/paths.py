@@ -151,13 +151,6 @@ class Region:
     def __repr__(self) -> str:
         return f"Region({self.lower.word!r}, {self.upper.word!r})"
 
-    def to_json_dict(self) -> dict:
-        return {"lower": self.lower.word, "upper": self.upper.word}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Region":
-        return cls(PathWord(data["lower"]), PathWord(data["upper"]))
-
 
 def region_from_words(lower: str, upper: str) -> Region:
     return Region(PathWord(lower), PathWord(upper))

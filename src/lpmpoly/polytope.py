@@ -63,12 +63,6 @@ class LinearConstraint(NamedTuple):
     def tight(self, point: Sequence[int]) -> bool:
         return sum(map(mul, self.coeffs, point)) == self.rhs
 
-    def to_json_dict(self, tight_vertices: tuple[int, ...] | None = None) -> dict:
-        d = {"coeffs": list(self.coeffs), "rel": self.rel, "rhs": self.rhs}
-        if tight_vertices is not None:
-            d["tight_vertices"] = list(tight_vertices)
-        return d
-
 
 class HRepresentation(NamedTuple):
     equalities: tuple[LinearConstraint, ...]

@@ -122,13 +122,6 @@ class SimplexCell(NamedTuple):
     vertices_lifted: tuple[tuple[int, ...], ...]
     det: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "perm": list(self.perm),
-            "vertices": [[f"{c}/1" for c in v] for v in self.vertices],
-            "det": abs(self.det),
-        }
-
 
 def _cells(d: int, descents: frozenset[int] | None = None, count: int | None = None) -> list[SimplexCell]:
     """The walk's cells.  Step v = w[d-1], ..., w[0] of the staircase moves

@@ -208,14 +208,6 @@ def kcatalan_verdicts() -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _lift_box_face(child_words: Region, position: int, value: int) -> set[tuple[int, ...]]:
-    lifted = set()
-    for path in enumerate_paths(child_words):
-        coords = tuple(1 if s == "N" else 0 for s in path.word)
-        lifted.add(coords[: position - 1] + (value,) + coords[position - 1 :])
-    return lifted
-
-
 def check_faces(max_size: int) -> CheckResult:
     res = CheckResult("faces-are-regions")
     for region in oracle.all_regions(max_size, connected_only=True):
@@ -234,8 +226,9 @@ def check_faces(max_size: int) -> CheckResult:
                 if prod != tight:
                     res.fail(f"pinched face mismatch on {region} {facet.kind}@{facet.position}")
             else:
-                value = 1 if facet.kind == "x_upper" else 0
-                if _lift_box_face(face, facet.position, value) != tight:
+                value = (1 if facet.kind == "x_upper" else 0,)
+                i = facet.position - 1
+                if {bv.coords[:i] + value + bv.coords[i:] for bv in bases(face)} != tight:
                     res.fail(f"deleted face mismatch on {region} {facet.kind}@{facet.position}")
     return res
 

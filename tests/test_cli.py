@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -493,6 +494,7 @@ REGION_FILES = {
     "missing.json": '{"lower": "EENN"}',
     "number.json": '{"lower": 5, "upper": "NNEE"}',
     "good.json": '{"lower": "EENN", "upper": "NNEE"}',
+    "nested.json": "[" * 1000 + "]" * 1000,
 }
 
 
@@ -506,12 +508,20 @@ BAD_INPUTS = [
     (["volume", "--file", "{dir}/list.json"], 3),
     (["volume", "--file", "{dir}/missing.json"], 3),
     (["volume", "--file", "{dir}/number.json"], 3),
+    (["volume", "--file", "{dir}/nested.json"], 3),
     (["volume", "--file", "{dir}/good.json", "--lower", "EENN"], 2),
     (["bases", "--lower", "EN", "--upper", "NE", "--max-size", "0"], 2),
     (["verify", "all", "--max-size", "0"], 2),
     (["verify", "ehrhart-formula", "--t-max", "-1"], 2),
     (["triangulate", "--k", "1", "--n", "11"], 4),
     (["triangulate", "--k", "2", "--n", "5", "--max-size", "4"], 4),
+    # argparse's own usage errors
+    (["frobnicate"], 2),
+    (["catalan", "--n", "3", "--upper", "NENE"], 2),
+    (["triangulate", "--k", "2", "--n", "4", "--lower", "EENN"], 2),
+    (["bases", "--lower", "EN", "--upper", "NE", "--format", "xml"], 2),
+    (["volume", "--lower", "EN", "--upper", "NE", "--max-size", "x"], 2),
+    (["triangulate", "--k", "2"], 2),
 ]
 
 
@@ -525,8 +535,25 @@ def test_bad_input_exit_codes(tmp_path, argv, code):
     _write_region_files(tmp_path)
     out = run_cli(*(arg.format(dir=tmp_path) for arg in argv))
     assert out.returncode == code, out.stderr
-    assert "error:" in out.stderr
-    assert "Traceback" not in out.stderr
+    (line,) = out.stderr.splitlines()  # no usage block, no traceback
+    assert line.startswith("error:")
+
+
+def test_region_file_numbers_are_not_converted(tmp_path, capsys):
+    # int() of a long digit string takes time quadratic in its length
+    path = tmp_path / "region.json"
+    path.write_text('{"lower": "EN", "upper": "NE", "extra": ' + "7" * 1_000_000 + "}")
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["volume", "--file", str(path)])
+    assert time.perf_counter() - start < 2
+    assert (exit_.value.code, capsys.readouterr().out) == (0, '{"volume_normalized": "1"}\n')
+    path.write_text('{"lower": 5, "upper": "NE"}')
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["volume", "--file", str(path)])
+    assert (exit_.value.code, capsys.readouterr().err) == (
+        3, f'error: {path} needs string fields "lower" and "upper"\n'
+    )
 
 
 def test_parser_is_built_once_and_not_at_import():
@@ -632,6 +659,10 @@ VERB_ARGV = {
     "triangulate": ["--k", "2", "--n", "4"],
     "catalan": ["--n", "3"],
 }
+
+
+def test_every_verb_has_a_stats_argv():
+    assert list(VERB_ARGV) == [*cli.REGION_VERBS, "triangulate", "catalan"]
 
 
 @pytest.mark.parametrize("verb", VERB_ARGV)

@@ -167,11 +167,6 @@ def test_region_boxes_monotone_under_widening():
                 assert set(region_boxes(region)) <= set(region_boxes(wider))
 
 
-def test_region_json_round_trip():
-    region = region_from_words("EENN", "NENE")
-    assert Region.from_json_dict(region.to_json_dict()) == region
-
-
 def _two_pass_tighten(low, high, i, step=None, height=None):
     """The reference closure: one full forward and one full backward pass."""
     n = len(low) - 1
