@@ -4,9 +4,11 @@ The volume of a connected region's polytope counts permutations by
 descent set, one class per border strip.  The slice of the cube between
 consecutive integer coordinate-sum hyperplanes triangulates into unit
 simplices labeled by permutations, pulled back through the prefix-sum
-fractional-part map.  That map and its inverse on each chamber live in
-the oracle module, on integer numerators over a shared denominator: the
-verify sweep rebuilds every cell's vertices with them.
+fractional-part map.  A slice's cells are the cells of the border strips
+of its rectangle region, merged by permutation.  That map and its inverse
+on each chamber live in the oracle module, on integer numerators over a
+shared denominator: the verify sweep rebuilds every cell's vertices with
+them.
 """
 
 from lpmpoly import (

@@ -1,11 +1,13 @@
-"""Piecewise-linear unimodular triangulations of hypersimplex slices and strips.
+"""Piecewise-linear unimodular triangulations of border strips and hypersimplex slices.
 
 The cube self-map ``psi`` sending a point to the fractional parts of its
 prefix sums is volume preserving.  Pulling the order-type simplices back
 through it tiles the slice between consecutive integer coordinate-sum
-hyperplanes, one cell per permutation w with the matching statistics of
-w^-1: exactly k-1 descents for the k-th hypersimplex slice, exactly the
-strip's descent set for a border strip.
+hyperplanes; a border strip's polytope gets one cell per permutation w
+whose inverse has the strip's descent set.  The slice Delta(k, n) is the
+polytope of ``hypersimplex_region(k, n)``, a rectangle whose border strips
+have the descent sets of size k-1 in 1..n-2, so its cells are its
+rectangle's strip cells, merged by permutation.
 
 Those permutations are generated, not filtered.  i is a descent of w^-1
 iff i+1 comes before i in w, so a descent set fixes the relative order of
@@ -13,9 +15,7 @@ every pair (i, i+1): the cells of a strip are the linear extensions of a
 zigzag poset on 1..d, and ``inverse_descent_class`` lists them by a
 depth-first walk that places values left to right.  Every branch of the
 walk ends in a cell, so the cost is proportional to the cells emitted,
-not to d!.  For a descent count the walk keeps the descents so far and
-the pairs still free to become one, and enters only branches that can
-still land on the target count.
+not to d!.
 
 The pull-back is affine on each order-type simplex and sends the simplex's
 0/1 staircase vertices to 0/1 points, so cells are built in integers, from
@@ -33,42 +33,33 @@ them and each strip cell against its slice twin.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
-from .decompose import BorderStrip
+from .decompose import BorderStrip, border_strips
 from .errors import BadK
+from .paths import hypersimplex_region
 
 Perm = tuple[int, ...]
 
 
-def _walk(
-    d: int, descents: frozenset[int] | None, count: int | None
-) -> Iterator[tuple[list[int], list[int], int]]:
+def _walk(d: int, descents: frozenset[int]) -> Iterator[tuple[list[int], list[int], int]]:
     """The walk behind ``inverse_descent_class``; each leaf yields its live
     state (w, bumps, odd), valid until the walk resumes.  Values are placed
-    left to right, smallest admissible first, on an explicit stack.  With a
-    descent set, v may come next iff v+1 is already placed whenever v is a
-    descent and v-1 is already placed whenever v-1 is not.  With a count,
-    placing v before v-1 adds a descent; a branch is entered only while
-    descents-so-far <= count <= descents-so-far plus the pairs (i, i+1)
-    whose values are both unplaced, and any such branch can still reach the
-    count.  bumps[i] is 1 when i+1 precedes i in w, for 0 < i < d; bumps[0]
-    = 0 and bumps[d] = 1 by the sentinels.  ``odd`` is the parity of the
-    pairs i < j with w_i < w_j.
+    left to right, smallest admissible first, on an explicit stack: v may
+    come next iff v+1 is already placed whenever v is a descent and v-1 is
+    already placed whenever v-1 is not.  bumps[i] is 1 when i+1 precedes i
+    in w, for 0 < i < d; bumps[0] = 0 and bumps[d] = 1 by the sentinels.
+    ``odd`` is the parity of the pairs i < j with w_i < w_j.
     """
-    if descents is not None:
-        if not descents <= set(range(1, d)):
-            return
-        desc = [i in descents for i in range(d + 1)]
-    elif not 0 <= count <= max(d - 1, 0):
+    if not descents <= set(range(1, d)):
         return
+    desc = [i in descents for i in range(d + 1)]
     placed = [True] + [False] * d + [True]  # 0 and d+1 are sentinels
     bumps = [0] * d + [1]
     odd = 0
     w: list[int] = []
     nxt = [1]  # next value to try at each depth
-    made = 0  # descents so far
-    free = max(d - 1, 0)  # pairs (i, i+1) with both values unplaced
     while True:
         depth = len(w)
         if depth == d:
@@ -79,18 +70,13 @@ def _walk(
                 if not placed[v]:
                     gain = 0 if placed[v - 1] else 1  # v placed before v-1
                     up = 1 if placed[v + 1] else 0  # v placed after v+1
-                    if descents is not None:
-                        if (up or not desc[v]) and (not gain or desc[v - 1]):
-                            break
-                    elif made + gain <= count <= made + free - 1 + up:
+                    if (up or not desc[v]) and (not gain or desc[v - 1]):
                         break
                 v += 1
             if v <= d:
                 nxt[depth] = v + 1
                 bumps[v - 1] = gain
                 bumps[v] = up
-                made += gain
-                free -= gain + 1 - up
                 odd ^= placed[1:v].count(True) & 1
                 placed[v] = True
                 w.append(v)
@@ -102,16 +88,12 @@ def _walk(
         v = w.pop()
         placed[v] = False
         odd ^= placed[1:v].count(True) & 1
-        made -= bumps[v - 1]  # both bumps still hold what placing v wrote
-        free += bumps[v - 1] + 1 - bumps[v]
 
 
-def inverse_descent_class(
-    d: int, descents: frozenset[int] | None = None, count: int | None = None
-) -> Iterator[Perm]:
-    """The permutations w of 1..d whose inverse has descent set ``descents``
-    (or, when that is None, exactly ``count`` descents), in lexicographic order."""
-    return (tuple(w) for w, _, _ in _walk(d, descents, count))
+def inverse_descent_class(d: int, descents: frozenset[int]) -> Iterator[Perm]:
+    """The permutations w of 1..d whose inverse has descent set ``descents``,
+    in lexicographic order."""
+    return (tuple(w) for w, _, _ in _walk(d, descents))
 
 
 class SimplexCell(NamedTuple):
@@ -123,12 +105,27 @@ class SimplexCell(NamedTuple):
     det: int
 
 
-def _cells(d: int, descents: frozenset[int] | None = None, count: int | None = None) -> list[SimplexCell]:
-    """The walk's cells.  Step v = w[d-1], ..., w[0] of the staircase moves
-    the pull-back by +1 at v-1 and -1 at v; slot d is the dropped coordinate."""
+def hypersimplex_triangulation(k: int, n: int) -> list[SimplexCell]:
+    """The cells of the border strips of ``hypersimplex_region(k, n)``, by
+    permutation: one per permutation whose inverse has k-1 descents, so the
+    count is Eulerian.
+
+    >>> [(c.perm, c.det) for c in hypersimplex_triangulation(2, 4)]
+    [((1, 3, 2), 1), ((2, 1, 3), 1), ((2, 3, 1), -1), ((3, 1, 2), -1)]
+    """
+    if not 1 <= k <= n - 1:
+        raise BadK(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    strips = border_strips(hypersimplex_region(k, n))
+    return sorted((cell for s in strips for cell in strip_triangulation(s)), key=attrgetter("perm"))
+
+
+def strip_triangulation(strip: BorderStrip) -> list[SimplexCell]:
+    """Cells whose inverse-descent set equals the strip's descent set.  Step
+    v = w[d-1], ..., w[0] of the staircase moves the pull-back by +1 at v-1
+    and -1 at v; slot d is the dropped coordinate."""
     new = tuple.__new__
     cells = []
-    for w, bumps, odd in _walk(d, descents, count):
+    for w, bumps, odd in _walk(len(strip), strip.descents):
         x = bumps[:]
         lifted = [tuple(x)]
         for v in reversed(w):
@@ -138,19 +135,3 @@ def _cells(d: int, descents: frozenset[int] | None = None, count: int | None = N
         verts = tuple([p[:-1] for p in lifted])
         cells.append(new(SimplexCell, (tuple(w), verts, tuple(lifted), -1 if odd else 1)))
     return cells
-
-
-def hypersimplex_triangulation(k: int, n: int) -> list[SimplexCell]:
-    """One cell per permutation whose inverse has k-1 descents; count is Eulerian.
-
-    >>> [(c.perm, c.det) for c in hypersimplex_triangulation(2, 4)]
-    [((1, 3, 2), 1), ((2, 1, 3), 1), ((2, 3, 1), -1), ((3, 1, 2), -1)]
-    """
-    if not 1 <= k <= n - 1:
-        raise BadK(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    return _cells(n - 1, count=k - 1)
-
-
-def strip_triangulation(strip: BorderStrip) -> list[SimplexCell]:
-    """Cells whose inverse-descent set equals the strip's descent set."""
-    return _cells(len(strip), descents=strip.descents)

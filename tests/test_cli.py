@@ -461,9 +461,9 @@ def test_verify_all_reports_a_cell_that_is_not_unimodular(monkeypatch, capsys):
     # not an exception out of the triangulation check
     from lpmpoly import triangulate
 
-    cells = triangulate._cells
+    cells = triangulate.strip_triangulation
     monkeypatch.setattr(
-        triangulate, "_cells", lambda *args, **kw: [c._replace(det=2 * c.det) for c in cells(*args, **kw)]
+        triangulate, "strip_triangulation", lambda strip: [c._replace(det=2 * c.det) for c in cells(strip)]
     )
     with pytest.raises(SystemExit) as exit_:
         cli.main(["verify", "all", "--max-size", "1"])

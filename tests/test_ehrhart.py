@@ -5,8 +5,6 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-import pytest
-
 from lpmpoly import (
     EhrhartPolynomial,
     bases,
