@@ -5,11 +5,17 @@ prefix sum c is the window sum of the previous counts over [c - t, c], read
 off one prefix-sum pass per step as the difference of two slices of it.
 The same kernel counts the relative-interior points, with strict steps in
 a window of width t - 2 and the bounds moved in by one between the touch
-points.  The polynomial comes from Ehrhart-Macdonald reciprocity,
-L(-t) = (-1)^d L°(t): the plain counts at t = 0..ceil(d/2) and the
-interior counts at t = 1..floor(d/2) are its values at the d+1 consecutive
-points -floor(d/2)..ceil(d/2), and the Newton form through them is expanded
-in integer forward differences over the common denominator d!.
+points.  A region mapped onto itself by the 180-degree rotation
+x_i -> x_{n+1-i} (rectangles) or by rotation then duality
+x_i -> 1 - x_{n+1-i} (Catalan staircases) folds the DP at its middle: the
+second half of the steps repeats the first, so the kernel stops after
+n - floor(n/2) of the n steps and one dot product of the counts at steps
+floor(n/2) and n - floor(n/2) gives the total.  The polynomial comes from
+Ehrhart-Macdonald reciprocity, L(-t) = (-1)^d L°(t): the plain counts at
+t = 0..ceil(d/2) and the interior counts at t = 1..floor(d/2) are its
+values at the d+1 consecutive points -floor(d/2)..ceil(d/2), and the
+Newton form through them is expanded in integer forward differences over
+the common denominator d!.
 ``verify.check_ehrhart`` compares both counts with ``oracle.stepwise_count``
 and the polynomial with every plain dilation it does not read, up to two
 past its degree.  The prefix-block composition sets and the double-sum
@@ -25,7 +31,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial, lcm
-from operator import sub
+from operator import mul, sub
 from typing import NamedTuple
 
 from .matroid import presentation
@@ -56,6 +62,19 @@ def count_lattice_points(region: Region, t: int, interior: bool = False) -> int:
     the same kernel runs on the prefix sums less the strict steps so far,
     with the bounds moved in by one between the touch points.
 
+    A region that ``_symmetry`` finds to be its own image under the 180-degree
+    rotation x_i -> x_{n+1-i}, or under rotation then duality
+    x_i -> 1 - x_{n+1-i}, costs n - floor(n/2) steps instead of n.  With
+    k = floor(n/2) the kernel stops at step n - k, keeping the counts F at
+    step k and G at step n - k, both by true prefix sum.  The symmetry maps
+    the last n - k steps of a point onto the first n - k steps of another,
+    so the completions from prefix sum c at step k number G(t*r - c) under
+    rotation and G(c + t*(n - k - r)) under rotation then duality, and the
+    count is one dot product of F with G.  Rotation then duality forces
+    m = r, so there n = 2r, k = n - k = r and the count is the sum of F(c)^2.
+    Both halves apply the bound at step k; it is the same bound, so applying
+    it twice changes nothing.
+
     >>> from lpmpoly.paths import region_from_words
     >>> octahedron = region_from_words("EENN", "NNEE")
     >>> [count_lattice_points(octahedron, t) for t in range(4)]
@@ -82,15 +101,64 @@ def count_lattice_points(region: Region, t: int, interior: bool = False) -> int:
             inset = int(p[i + 1] < q[i + 1])  # strict bounds between the touch points
             floors[i] += inset - shift
             ceilings[i] -= inset + shift
-    lo = hi = 0
-    counts = [1]  # counts[c - lo] for c in [lo, hi]
+    symmetry = _symmetry(region)
+    if not symmetry:
+        last = _steps(widths, floors, ceilings, 0, [1])
+        return last[1][0] if last else 0  # p_n = q_n = r pins the last range to one sum
+    k = n // 2
+    half = _steps(widths[:k], floors[:k], ceilings[:k], 0, [1])
+    if not half:
+        return 0
+    rest = _steps(widths[k : n - k], floors[k : n - k], ceilings[k : n - k], *half)
+    if not rest:
+        return 0
+    # back to true prefix sums: a width of t - 2 marks a strict step (never t)
+    f_lo = half[0] + widths[:k].count(t - 2)
+    g_lo = rest[0] + widths[: n - k].count(t - 2)
+    f, g = half[1], rest[1]
+    if symmetry == _ROTATION:  # G(t*r - c), listed from its lowest c
+        g = g[::-1]
+        g_lo = t * region.r - (g_lo + len(g) - 1)
+    return _dot(f, f_lo, g, g_lo)  # under _DUAL, G(c + t*(n - k - r)) is G(c)
+
+
+_SWAP = str.maketrans("EN", "NE")
+_ROTATION, _DUAL = 1, 2
+
+
+def _symmetry(region: Region) -> int:
+    """Which symmetry maps the region onto itself, so that its DP can stop
+    halfway: ``_ROTATION`` when the upper word is the lower one reversed (the
+    rotation x_i -> x_{n+1-i}), ``_DUAL`` when each word is its own E<->N swap
+    reversed (rotation then duality, x_i -> 1 - x_{n+1-i}, which forces
+    m = r), else 0.  Rectangles are rotation-symmetric, Catalan staircases
+    rotation-dual-symmetric.
+    """
+    lower, upper = region.lower.word, region.upper.word
+    if lower == upper[::-1]:
+        return _ROTATION
+    if (
+        2 * region.lower.r == region.size  # else the swap changes the endpoint
+        and lower == lower.translate(_SWAP)[::-1]
+        and upper == upper.translate(_SWAP)[::-1]
+    ):
+        return _DUAL
+    return 0
+
+
+def _steps(
+    widths: list[int], floors: list[int], ceilings: list[int], lo: int, counts: list[int]
+) -> tuple[int, list[int]] | None:
+    """The window kernel from ``counts[c - lo]`` over the given steps:
+    (lo, counts) after the last, or None once a range is empty."""
+    hi = lo + len(counts) - 1
     for w, bottom, top in zip(widths, floors, ceilings):
         # Conditional expressions rather than max/min: on small regions a
         # builtin call per bound costs a third of the step.
         new_lo = bottom if bottom > lo else lo
         new_hi = top if top < hi + w else hi + w
         if new_lo > new_hi:
-            return 0
+            return None
         below = list(accumulate(counts, initial=0))  # below[k]: sum of counts[:k]
         # top index min(c, hi) - lo + 1: sliding up to hi, then pinned to below[-1]
         tops = below[new_lo - lo + 1 : (new_hi if new_hi < hi else hi) - lo + 2]
@@ -105,7 +173,14 @@ def count_lattice_points(region: Region, t: int, interior: bool = False) -> int:
         counts = tops[:pinned]
         counts += map(sub, tops[pinned:], below[start if start > 1 else 1 : new_hi - w - lo + 1])
         lo, hi = new_lo, new_hi
-    return counts[0]  # p_n = q_n = r pins the last range to one sum
+    return lo, counts
+
+
+def _dot(f: list[int], f_lo: int, g: list[int], g_lo: int) -> int:
+    """The sum of f(c) * g(c) over c, each vector listed from its lowest c:
+    both read from the higher start, and ``map`` stops at the shorter."""
+    lo = max(f_lo, g_lo)
+    return sum(map(mul, f[lo - f_lo :], g[lo - g_lo :]))
 
 
 class _Coeffs(NamedTuple):
@@ -182,7 +257,9 @@ def ehrhart_polynomial(region: Region) -> EhrhartPolynomial:
     relative-interior points.  So the plain counts at t = 0..ceil(d/2) and
     the interior counts at t = 1..floor(d/2) are the values at
     t = -floor(d/2)..ceil(d/2).  The window DP costs about n * t * width
-    operations, so no run goes past t = ceil(d/2).
+    operations, n/2 * t * width on a rotation- or rotation-dual-symmetric
+    region such as a rectangle or a Catalan staircase, so no run goes past
+    t = ceil(d/2).
     """
     d = dimension(region)
     half = d // 2

@@ -6,8 +6,9 @@ through it tiles the slice between consecutive integer coordinate-sum
 hyperplanes; a border strip's polytope gets one cell per permutation w
 whose inverse has the strip's descent set.  The slice Delta(k, n) is the
 polytope of ``hypersimplex_region(k, n)``, a rectangle whose border strips
-have the descent sets of size k-1 in 1..n-2, so its cells are its
-rectangle's strip cells, merged by permutation.
+have the descent sets of size k-1 in 1..n-2, so its cells are the cells of
+those descent sets, merged by permutation; the sets are walked directly,
+without building the rectangle or its strips.
 
 Those permutations are generated, not filtered.  i is a descent of w^-1
 iff i+1 comes before i in w, so a descent set fixes the relative order of
@@ -33,12 +34,12 @@ them and each strip cell against its slice twin.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
-from .decompose import BorderStrip, border_strips
+from .decompose import BorderStrip
 from .errors import BadK
-from .paths import hypersimplex_region
 
 Perm = tuple[int, ...]
 
@@ -107,25 +108,31 @@ class SimplexCell(NamedTuple):
 
 def hypersimplex_triangulation(k: int, n: int) -> list[SimplexCell]:
     """The cells of the border strips of ``hypersimplex_region(k, n)``, by
-    permutation: one per permutation whose inverse has k-1 descents, so the
-    count is Eulerian.
+    permutation: one per permutation of 1..n-1 whose inverse has k-1
+    descents, so the count is Eulerian.  The strips' descent sets are the
+    (k-1)-subsets of 1..n-2, walked as such.
 
     >>> [(c.perm, c.det) for c in hypersimplex_triangulation(2, 4)]
     [((1, 3, 2), 1), ((2, 1, 3), 1), ((2, 3, 1), -1), ((3, 1, 2), -1)]
     """
     if not 1 <= k <= n - 1:
         raise BadK(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    strips = border_strips(hypersimplex_region(k, n))
-    return sorted((cell for s in strips for cell in strip_triangulation(s)), key=attrgetter("perm"))
+    classes = combinations(range(1, n - 1), k - 1)
+    return sorted((cell for ds in classes for cell in _cells(n - 1, frozenset(ds))), key=attrgetter("perm"))
 
 
 def strip_triangulation(strip: BorderStrip) -> list[SimplexCell]:
-    """Cells whose inverse-descent set equals the strip's descent set.  Step
-    v = w[d-1], ..., w[0] of the staircase moves the pull-back by +1 at v-1
-    and -1 at v; slot d is the dropped coordinate."""
+    """Cells whose inverse-descent set equals the strip's descent set."""
+    return _cells(len(strip), strip.descents)
+
+
+def _cells(d: int, descents: frozenset[int]) -> list[SimplexCell]:
+    """The cells of the permutations of 1..d whose inverse has descent set
+    ``descents``.  Step v = w[d-1], ..., w[0] of the staircase moves the
+    pull-back by +1 at v-1 and -1 at v; slot d is the dropped coordinate."""
     new = tuple.__new__
     cells = []
-    for w, bumps, odd in _walk(len(strip), strip.descents):
+    for w, bumps, odd in _walk(d, descents):
         x = bumps[:]
         lifted = [tuple(x)]
         for v in reversed(w):

@@ -461,9 +461,9 @@ def test_verify_all_reports_a_cell_that_is_not_unimodular(monkeypatch, capsys):
     # not an exception out of the triangulation check
     from lpmpoly import triangulate
 
-    cells = triangulate.strip_triangulation
+    cells = triangulate._cells  # the one cell builder behind the slice and strip routes
     monkeypatch.setattr(
-        triangulate, "strip_triangulation", lambda strip: [c._replace(det=2 * c.det) for c in cells(strip)]
+        triangulate, "_cells", lambda d, descents: [c._replace(det=2 * c.det) for c in cells(d, descents)]
     )
     with pytest.raises(SystemExit) as exit_:
         cli.main(["verify", "all", "--max-size", "1"])

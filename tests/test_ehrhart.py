@@ -5,20 +5,28 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
+import pytest
+
 from lpmpoly import (
     EhrhartPolynomial,
+    PathWord,
+    Region,
     bases,
+    catalan_region,
     count_lattice_points,
     dimension,
     ehrhart_polynomial,
     gamma_set,
+    rectangle_region,
     reconcile_ehrhart_formula,
+    reduced_catalan_region,
     region_from_words,
 )
 from lpmpoly import ehrhart as eh
 from lpmpoly import oracle
 from lpmpoly.ehrhart import GammaBounds, basis_fold, formula_value, gamma_bounds, multichoose
 from lpmpoly.oracle import all_regions, s_set
+from lpmpoly.paths import path_from_profile
 from lpmpoly.verify import build_errata_report, check_ehrhart
 
 
@@ -123,6 +131,77 @@ def test_interior_counts_match_the_strict_oracle_on_sweep():
             assert count_lattice_points(region, t, interior=True) == want, (region, t)
 
 
+SWAP = str.maketrans("EN", "NE")
+
+
+def rotated(region):
+    """The region's image under x_i -> x_{n+1-i}."""
+    return region_from_words(region.upper.word[::-1], region.lower.word[::-1])
+
+
+def rotated_dual(region):
+    """The region's image under x_i -> 1 - x_{n+1-i}: rotation, then duality."""
+    return region_from_words(region.lower.word.translate(SWAP)[::-1], region.upper.word.translate(SWAP)[::-1])
+
+
+def direct_sum(a, b):
+    return region_from_words(a.lower.word + b.lower.word, a.upper.word + b.upper.word)
+
+
+def test_symmetry_classes_on_the_sweep():
+    # rectangles fold by rotation, Catalan staircases by rotation then duality
+    assert eh._symmetry(rectangle_region(4, 3)) == eh._ROTATION
+    assert eh._symmetry(reduced_catalan_region(3)) == eh._DUAL
+    assert eh._symmetry(region_from_words("EEEN", "ENEE")) == 0
+    found = {eh._ROTATION: 0, eh._DUAL: 0}
+    for region in all_regions(7):
+        symmetry = eh._symmetry(region)
+        if symmetry:
+            found[symmetry] += 1
+        assert (symmetry == eh._ROTATION) == (rotated(region) == region)
+        assert (symmetry == eh._DUAL) == (rotated(region) != region == rotated_dual(region))
+    assert found == {eh._ROTATION: 146, eh._DUAL: 42}
+
+
+def test_folded_counts_match_the_stepwise_oracle_on_sweep():
+    for region in all_regions(7):
+        if eh._symmetry(region):
+            for t in range(6):
+                for interior in (False, True):
+                    want = oracle.stepwise_count(region, t, interior)
+                    assert count_lattice_points(region, t, interior) == want, (region, t, interior)
+
+
+def seeded_region(seed, n):
+    rng = random.Random(seed)
+    r = rng.randint(1, n - 1)
+    a, b = (PathWord("".join(rng.sample("N" * r + "E" * (n - r), n))).profile for _ in range(2))
+    return Region(path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b))))
+
+
+SEEDED = seeded_region(20121220, 8)
+
+
+@pytest.mark.parametrize(
+    "region,symmetry",
+    [
+        (rectangle_region(13, 11), eh._ROTATION),
+        (rectangle_region(4, 3), eh._ROTATION),  # odd size: G is one step past F
+        (catalan_region(9), eh._DUAL),  # a loop and a coloop
+        (reduced_catalan_region(18), eh._DUAL),
+        (direct_sum(SEEDED, rotated(SEEDED)), eh._ROTATION),  # the fold meets at the touch point
+        (direct_sum(SEEDED, rotated_dual(SEEDED)), eh._DUAL),
+    ],
+    ids=repr,
+)
+def test_folded_counts_match_the_stepwise_oracle(region, symmetry):
+    assert eh._symmetry(region) == symmetry
+    for t in (0, 1, 2, 3, 7):
+        for interior in (False, True):
+            want = oracle.stepwise_count(region, t, interior)
+            assert count_lattice_points(region, t, interior) == want, (t, interior)
+
+
 def test_check_ehrhart_flags_a_failed_overdetermination(monkeypatch):
     clean = check_ehrhart(4)
     assert clean.ok
@@ -148,6 +227,25 @@ def test_check_ehrhart_flags_a_shifted_window(monkeypatch):
     assert not res.ok
     assert res.checked == clean.checked
     assert any("window sums differ from the stepwise DP" in f for f in res.failures)
+
+
+def test_check_ehrhart_flags_a_fold_met_one_sum_off(monkeypatch):
+    # the sweep reaches both folds: EENN/NNEE is rotation-symmetric and
+    # EENN/ENEN rotation-dual-symmetric
+    clean = check_ehrhart(4)
+    dot = eh._dot
+
+    def one_off(f, f_lo, g, g_lo):  # G read one prefix sum too high
+        return dot(f, f_lo, g, g_lo - 1)
+
+    monkeypatch.setattr(eh, "_dot", one_off)
+    res = check_ehrhart(4)
+    assert not res.ok
+    assert res.checked == clean.checked
+    assert any("window sums differ from the stepwise DP" in f for f in res.failures)
+    for lower, upper in (("EENN", "NNEE"), ("EENN", "ENEN")):
+        region = region_from_words(lower, upper)
+        assert count_lattice_points(region, 2) != oracle.stepwise_count(region, 2), region
 
 
 def test_check_ehrhart_flags_a_window_one_step_high(monkeypatch):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from heapq import merge
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -9,7 +9,9 @@ import pytest
 from lpmpoly import (
     BorderStrip,
     Box,
+    border_strips,
     eulerian,
+    hypersimplex_region,
     hypersimplex_triangulation,
     strip_triangulation,
     strip_volume,
@@ -75,6 +77,21 @@ def test_hypersimplex_errors():
         hypersimplex_triangulation(0, 4)
     with pytest.raises(BadK):
         hypersimplex_triangulation(4, 4)
+
+
+def test_slice_walks_the_descent_sets_of_its_rectangles_strips():
+    # hypersimplex_triangulation walks the (k-1)-subsets of 1..n-2 without
+    # building hypersimplex_region(k, n); they are its strips' descent sets,
+    # and the slice's cells are its strips' cells merged by permutation
+    for n in range(2, 9):
+        for k in range(1, n):
+            strips = border_strips(hypersimplex_region(k, n))
+            assert {len(strip) for strip in strips} == {n - 1}
+            walked = [list(ds) for ds in combinations(range(1, n - 1), k - 1)]
+            assert walked == sorted(sorted(strip.descents) for strip in strips)
+            if n <= 7:
+                cells = [c for strip in strips for c in strip_triangulation(strip)]
+                assert hypersimplex_triangulation(k, n) == sorted(cells, key=lambda c: c.perm)
 
 
 def test_cells_partition_by_descents():
