@@ -35,10 +35,6 @@ for facet in facets(region):
     print(f"    {facet.constraint.coeffs} {facet.constraint.rel} "
           f"{facet.constraint.rhs}   tight on {tight}")
 
-print("\nevery facet is again a path region (or a pinched pair):")
+print("\nevery facet is again a path region (a prefix facet's is pinched at a point):")
 for facet in facets(region):
-    face = face_region(region, facet)
-    if isinstance(face, tuple):
-        print(f"    {facet.kind}@{facet.position}: pinched pair {face[0]} + {face[1]}")
-    else:
-        print(f"    {facet.kind}@{facet.position}: {face}")
+    print(f"    {facet.kind}@{facet.position}: {face_region(region, facet)}")

@@ -303,6 +303,10 @@ def _add_region_flags(sub) -> None:
 def _add_shared_flags(sub) -> None:
     sub.add_argument("--max-size", type=int, default=10, dest="max_size")
     sub.add_argument("--format", choices=("json", "text"), default="json")
+    _add_stats_flag(sub)
+
+
+def _add_stats_flag(sub) -> None:
     sub.add_argument(
         "--stats",
         action="store_true",
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--n", type=int, required=True)
     tri.set_defaults(func=cmd_triangulate)
     cat = subs.add_parser("catalan")
-    _add_shared_flags(cat)
+    _add_stats_flag(cat)
     cat.add_argument("--n", type=int, required=True)
     cat.add_argument("--r", type=int)
     cat.set_defaults(func=cmd_catalan)
@@ -374,7 +378,7 @@ def _run(argv) -> None:
     start = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_size < 1:
+    if getattr(args, "max_size", 1) < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
     if getattr(args, "t_max", 0) < 0:
         parser.error(f"--t-max must be at least 0, got {args.t_max}")

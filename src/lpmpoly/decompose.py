@@ -8,13 +8,12 @@ block of boxes).
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import count
 from operator import eq, ge
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidSplit
-from .matroid import is_independent, presentation
-from .paths import Box, PathWord, Region, path_from_profile, region_boxes
+from .paths import Box, Region, path_from_profile, region_boxes
 
 
 class Split(NamedTuple):
@@ -174,118 +173,11 @@ def border_strips(region: Region) -> list[BorderStrip]:
     return out
 
 
-def strip_to_region(strip: BorderStrip, ambient: Region | None = None) -> Region:
-    """The region whose box set is exactly the strip (the ambient itself when empty)."""
-    if not strip.boxes:
-        if ambient is None:
-            raise ValueError("an empty strip needs its ambient region")
-        return ambient
-    cols: dict[int, list[int]] = {}
-    for b in strip.boxes:
-        cols.setdefault(b.col, []).append(b.row)
-    m = max(cols)
-    r = max(b.row for b in strip.boxes)
-    lower_heights = [min(cols[c]) - 1 for c in range(1, m + 1)]
-    upper_heights = [max(cols[c]) for c in range(1, m + 1)]
-
-    def from_heights(heights: list[int]) -> PathWord:
-        profile = [0]
-        h = 0
-        for target in heights:
-            while h < target:
-                h += 1
-                profile.append(h)
-            profile.append(h)
-        while h < r:
-            h += 1
-            profile.append(h)
-        return path_from_profile(tuple(profile))
-
-    return Region(from_heights(lower_heights), from_heights(upper_heights))
-
-
 def region_to_strip(region: Region) -> BorderStrip:
     """Read a border-strip region's boxes as the strip itself: a strip's path
     order is the (col, row) order of ``region_boxes``.  A region with a 2-by-2
     block of boxes raises ``ValueError``."""
     return BorderStrip(region_boxes(region))
-
-
-class GoodPartition(NamedTuple):
-    """Ground-set bipartition with threshold witnesses for a hyperplane split."""
-
-    e1: tuple[int, ...]
-    e2: tuple[int, ...]
-    r1: int
-    r2: int
-    a1: int
-    a2: int
-
-
-def good_partition_of_split(region: Region, x: int, j: int) -> GoodPartition:
-    p = region.lower.profile
-    q = region.upper.profile
-    n = region.size
-    r1 = q[x]
-    r2 = region.r - p[x]
-    return GoodPartition(
-        e1=tuple(range(1, x + 1)),
-        e2=tuple(range(x + 1, n + 1)),
-        r1=r1,
-        r2=r2,
-        a1=r1 - j,
-        a2=j - p[x],
-    )
-
-
-def _restriction_rank(region: Region, ground: tuple[int, ...]) -> int:
-    pres = presentation(region)
-    best = 0
-    for size in range(len(ground), 0, -1):
-        if size <= best:
-            break
-        for sub in combinations(ground, size):
-            if is_independent(pres, sub):
-                best = size
-                break
-    return best
-
-
-def partition_arithmetic_ok(region: Region, gp: GoodPartition) -> bool:
-    """The always-true half of goodness: partition, thresholds, ranks."""
-    return (
-        set(gp.e1) | set(gp.e2) == set(range(1, region.size + 1))
-        and not set(gp.e1) & set(gp.e2)
-        and gp.r1 + gp.r2 == region.r + gp.a1 + gp.a2
-        and 0 < gp.a1 < gp.r1
-        and 0 < gp.a2 < gp.r2
-    )
-
-
-def verify_good_partition(region: Region, gp: GoodPartition) -> bool:
-    """Exhaustively check the partition arithmetic and the pairing property."""
-    if not partition_arithmetic_ok(region, gp):
-        return False
-    if gp.r1 != _restriction_rank(region, gp.e1):
-        return False
-    if gp.r2 != _restriction_rank(region, gp.e2):
-        return False
-    pres = presentation(region)
-    ind1 = [
-        x
-        for size in range(gp.r1 - gp.a1 + 1)
-        for x in combinations(gp.e1, size)
-        if is_independent(pres, x)
-    ]
-    ind2 = [
-        y
-        for size in range(gp.r2 - gp.a2 + 1)
-        for y in combinations(gp.e2, size)
-        if is_independent(pres, y)
-    ]
-    return all(
-        is_independent(pres, x + y) for x in ind1 for y in ind2
-    )
 
 
 class DecompositionNode(NamedTuple):

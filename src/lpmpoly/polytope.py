@@ -379,16 +379,17 @@ def _path_indices(
     return tuple(sorted(partial.get(q[n], ())))
 
 
-def face_region(region: Region, facet: Facet):
-    """Recover the face cut by a facet as one region or a pinched pair.
+def face_region(region: Region, facet: Facet) -> Region:
+    """Recover the face cut by a facet as a region.
 
-    Box facets delete the fixed element; prefix facets pinch both paths
-    through the shared lattice point, producing a direct sum.  Raises
-    NotAFacet unless :func:`facets` lists ``facet``, without computing it:
-    the facet is certified alone, off the profiles ``_certified`` returns,
-    and ``facet.tight`` is checked against the paths between them.  The
-    returned face is the only region built.  O(n^2) plus the face's
-    prefixes.
+    Box facets delete the fixed element.  A prefix facet's face is the
+    region pinched at the shared point: both paths pass through the lattice
+    point the facet fixes, so the face is a direct sum and its polytope the
+    product of the two halves'.  Raises NotAFacet unless :func:`facets`
+    lists ``facet``, without computing it: the facet is certified alone,
+    off the profiles ``_certified`` returns, and ``facet.tight`` is checked
+    against the paths between them.  The returned face is the only region
+    built.  O(n^2) plus the face's prefixes.
     """
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
@@ -409,9 +410,4 @@ def face_region(region: Region, facet: Facet):
         raise not_a_facet
     if kind in _BOX_KINDS:
         return delete(region, i, rhs)
-    left = Region(path_from_profile(low[: i + 1]), path_from_profile(high[: i + 1]))
-    right = Region(
-        path_from_profile(tuple(h - high[i] for h in low[i:])),
-        path_from_profile(tuple(h - high[i] for h in high[i:])),
-    )
-    return left, right
+    return Region(path_from_profile(low), path_from_profile(high))

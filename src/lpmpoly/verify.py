@@ -18,15 +18,7 @@ from typing import Callable, Collection, NamedTuple
 
 from . import ehrhart as eh
 from . import oracle
-from .decompose import (
-    BorderStrip,
-    border_strips,
-    decomposition_tree,
-    good_partition_of_split,
-    partition_arithmetic_ok,
-    region_to_strip,
-    verify_good_partition,
-)
+from .decompose import BorderStrip, border_strips, decomposition_tree, region_to_strip
 from .errors import EmptyFace
 from .matroid import bases, components, delete
 from .paths import (
@@ -209,28 +201,78 @@ def kcatalan_verdicts() -> list[tuple[int, int, int, int]]:
 
 
 def check_faces(max_size: int) -> CheckResult:
+    """Each facet's face region against its tight vertices: a pinched face's
+    bases are those vertices, a deletion face's once the deleted letter is
+    put back."""
     res = CheckResult("faces-are-regions")
     for region in oracle.all_regions(max_size, connected_only=True):
         verts = vertices(region)
         for facet in facets(region):
             res.checked += 1
-            tight = {verts[t] for t in facet.tight}
-            face = face_region(region, facet)
-            if isinstance(face, tuple):
-                left, right = face
-                prod = {
-                    lv.coords + rv.coords
-                    for lv in bases(left)
-                    for rv in bases(right)
-                }
-                if prod != tight:
-                    res.fail(f"pinched face mismatch on {region} {facet.kind}@{facet.position}")
-            else:
+            face = {bv.coords for bv in bases(face_region(region, facet))}
+            if facet.kind in ("x_lower", "x_upper"):
                 value = (1 if facet.kind == "x_upper" else 0,)
                 i = facet.position - 1
-                if {bv.coords[:i] + value + bv.coords[i:] for bv in bases(face)} != tight:
-                    res.fail(f"deleted face mismatch on {region} {facet.kind}@{facet.position}")
+                face = {v[:i] + value + v[i:] for v in face}
+            if face != {verts[t] for t in facet.tight}:
+                res.fail(f"face mismatch on {region} {facet.kind}@{facet.position}")
     return res
+
+
+class GoodPartition(NamedTuple):
+    """Ground-set bipartition with threshold witnesses for a hyperplane split."""
+
+    e1: tuple[int, ...]
+    e2: tuple[int, ...]
+    r1: int
+    r2: int
+    a1: int
+    a2: int
+
+
+def good_partition_of_split(region: Region, x: int, j: int) -> GoodPartition:
+    p = region.lower.profile
+    q = region.upper.profile
+    r1 = q[x]
+    r2 = region.r - p[x]
+    return GoodPartition(
+        e1=tuple(range(1, x + 1)),
+        e2=tuple(range(x + 1, region.size + 1)),
+        r1=r1,
+        r2=r2,
+        a1=r1 - j,
+        a2=j - p[x],
+    )
+
+
+def partition_arithmetic_ok(region: Region, gp: GoodPartition) -> bool:
+    """The always-true half of goodness: partition, thresholds, ranks."""
+    return (
+        set(gp.e1) | set(gp.e2) == set(range(1, region.size + 1))
+        and not set(gp.e1) & set(gp.e2)
+        and gp.r1 + gp.r2 == region.r + gp.a1 + gp.a2
+        and 0 < gp.a1 < gp.r1
+        and 0 < gp.a2 < gp.r2
+    )
+
+
+def verify_good_partition(region: Region, gp: GoodPartition) -> bool:
+    """Exhaustively check the partition arithmetic, the ranks of E1 and E2
+    and the pairing property, off ``oracle.brute_bases``: a set's rank is its
+    largest intersection with a basis, and a set is independent when some
+    basis contains it."""
+    if not partition_arithmetic_ok(region, gp):
+        return False
+    found = oracle.brute_bases(region)
+    e1, e2 = set(gp.e1), set(gp.e2)
+    if gp.r1 != max(len(b & e1) for b in found) or gp.r2 != max(len(b & e2) for b in found):
+        return False
+    independent = {
+        frozenset(sub) for b in found for size in range(len(b) + 1) for sub in combinations(b, size)
+    }
+    ind1 = [x for x in independent if x <= e1 and len(x) <= gp.r1 - gp.a1]
+    ind2 = [y for y in independent if y <= e2 and len(y) <= gp.r2 - gp.a2]
+    return all(x | y in independent for x in ind1 for y in ind2)
 
 
 def check_decomposition(max_size: int) -> CheckResult:

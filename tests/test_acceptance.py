@@ -14,7 +14,7 @@ import pytest
 
 from lpmpoly import verify as V
 from lpmpoly import bases, decomposition_tree
-from lpmpoly.decompose import good_partition_of_split, verify_good_partition
+from lpmpoly.verify import good_partition_of_split, verify_good_partition
 from lpmpoly.oracle import all_regions
 
 

@@ -518,6 +518,8 @@ BAD_INPUTS = [
     # argparse's own usage errors
     (["frobnicate"], 2),
     (["catalan", "--n", "3", "--upper", "NENE"], 2),
+    (["catalan", "--n", "3", "--format", "text"], 2),
+    (["catalan", "--n", "3", "--max-size", "1"], 2),
     (["triangulate", "--k", "2", "--n", "4", "--lower", "EENN"], 2),
     (["bases", "--lower", "EN", "--upper", "NE", "--format", "xml"], 2),
     (["volume", "--lower", "EN", "--upper", "NE", "--max-size", "x"], 2),

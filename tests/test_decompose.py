@@ -21,19 +21,18 @@ from lpmpoly import (
     strip_volume,
     volume,
 )
-from lpmpoly.decompose import (
-    GoodPartition,
-    good_partition_of_split,
-    strip_to_region,
-    verify_good_partition,
-)
 from lpmpoly.errors import InvalidSplit
 from lpmpoly.matroid import presentation
 from lpmpoly.oracle import all_regions, box_path_strips
 from lpmpoly.paths import PathWord, region_boxes
 from lpmpoly.polytope import h_representation
 from lpmpoly import verify
-from lpmpoly.verify import check_decomposition
+from lpmpoly.verify import (
+    GoodPartition,
+    check_decomposition,
+    good_partition_of_split,
+    verify_good_partition,
+)
 
 
 def is_border_strip(region):
@@ -207,14 +206,6 @@ def test_border_strip_rejects_boxes_that_are_not_adjacent(boxes):
         BorderStrip(boxes)
 
 
-def test_strip_region_round_trip():
-    for region in all_regions(7, connected_only=True):
-        for strip in border_strips(region):
-            back = strip_to_region(strip, region)
-            assert region_to_strip(back).boxes == strip.boxes
-            assert is_border_strip(back)
-
-
 def two_sort_strip(region):
     """``region_to_strip`` as first written: the boxes by antidiagonal, then column."""
     boxes = sorted(region_boxes(region))
@@ -236,21 +227,6 @@ def test_region_to_strip_reads_the_boxes_in_column_order():
         for read in (region_to_strip, two_sort_strip):
             with pytest.raises(ValueError):
                 read(region)
-
-
-def test_strip_region_profile_matches_descents():
-    # the strip region's lower profile counts the descents seen so far; the
-    # triangulation module relies on this correspondence
-    for strip in (
-        BorderStrip((Box(1, 1), Box(2, 1), Box(2, 2))),
-        BorderStrip((Box(1, 1), Box(1, 2), Box(2, 2), Box(3, 2))),
-    ):
-        region = strip_to_region(strip)
-        size = len(strip) + 1
-        p = region.lower.profile
-        for i in range(1, size):
-            assert p[i] == len([d for d in strip.descents if d <= i - 1])
-            assert region.upper.profile[i] == p[i] + 1
 
 
 def test_good_partition_examples():

@@ -173,9 +173,9 @@ def test_kcatalan_facet_claims():
 def test_face_region_examples():
     region = region_from_words("EENN", "NENE")
     by_kind = {(f.kind, f.position): f for f in facets(region)}
-    left, right = face_region(region, by_kind[("prefix_upper", 2)])
-    assert (left.lower.word, left.upper.word) == ("EN", "NE")
-    assert (right.lower.word, right.upper.word) == ("EN", "NE")
+    pinched = face_region(region, by_kind[("prefix_upper", 2)])
+    assert pinched == region_from_words("ENEN", "NENE")
+    assert components(pinched).count == 2
     child = face_region(region, by_kind[("x_upper", 4)])
     assert len(enumerate_paths(child)) == 3
     seg = region_from_words("EN", "NE")
@@ -241,9 +241,9 @@ BOX = ("x_lower", "x_upper")
 
 
 def reference_certified(region, candidates, k):
-    """The face of candidate k and its profiles over all n steps, by the
-    face-region route: delete or pinch, build the face as a region, read
-    its dimension off ``components``, then put the deleted letter back."""
+    """The face of candidate k, by the face-region route: delete or pinch,
+    build the face as a region, read its dimension off ``components``, then
+    put the deleted letter back to test the earlier candidates."""
     kind, i, cons = candidates[k]
     rhs = cons.rhs
     dim = region.size - components(region).count
@@ -267,7 +267,7 @@ def reference_certified(region, candidates, k):
     earlier = candidates[:k]
     if any(polytope._tight_on_whole_face(low, high, other, j, c.rhs) for other, j, c in earlier):
         return None
-    return face, low, high
+    return face
 
 
 def certification_mismatches(region):
@@ -284,21 +284,9 @@ def certification_mismatches(region):
             if path.profile[position] - path.profile[start] == cons.rhs
         )
         facet = Facet(cons, tight, kind, position)
-        certified = reference_certified(region, candidates, k)
-        if certified is None:
-            faces[facet] = None
-            continue
-        want.append(facet)
-        face, low, high = certified
-        if kind not in BOX:
-            face = tuple(
-                Region(*(path_from_profile(tuple(h - shift for h in part)) for part in halves))
-                for halves, shift in (
-                    ((low[: position + 1], high[: position + 1]), 0),
-                    ((low[position:], high[position:]), high[position]),
-                )
-            )
-        faces[facet] = face
+        faces[facet] = reference_certified(region, candidates, k)
+        if faces[facet] is not None:
+            want.append(facet)
     out = []
     if facets(region) != want:
         out.append(f"facet list of {region}")
@@ -403,8 +391,6 @@ def test_certification_builds_only_the_returned_face(monkeypatch):
         facets(region)
         assert counts == {"Region": 0, "path_from_profile": 0}, region
         for facet in fs:
-            face = face_region(region, facet)
-            built = 1 if facet.kind in BOX else 2
-            assert (len(face) if isinstance(face, tuple) else 1) == built
-            assert counts == {"Region": built, "path_from_profile": 2 * built}, facet
+            assert isinstance(face_region(region, facet), Region)
+            assert counts == {"Region": 1, "path_from_profile": 2}, facet
             counts.update(Region=0, path_from_profile=0)

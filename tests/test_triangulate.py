@@ -11,14 +11,16 @@ from lpmpoly import (
     Box,
     border_strips,
     eulerian,
+    find_split,
     hypersimplex_region,
     hypersimplex_triangulation,
+    region_to_strip,
     strip_triangulation,
     strip_volume,
 )
-from lpmpoly.decompose import strip_to_region
 from lpmpoly.errors import BadK, WrongChamber
 from lpmpoly.oracle import (
+    all_regions,
     descent_set,
     inverse_permutation,
     psi_int,
@@ -207,14 +209,19 @@ def test_strip_triangulation_examples():
 
 
 def test_strip_cells_lie_in_strip_polytope():
-    from lpmpoly.verify import all_strips
-
-    for strip in all_strips(5):
-        region = strip_to_region(strip) if strip.boxes else None
+    # every strip of at most 5 boxes is the border-strip region it fills
+    regions = [
+        region
+        for region in all_regions(6, connected_only=True)
+        if region.size > 1 and find_split(region) is None
+    ]
+    strips = [region_to_strip(region) for region in regions]
+    assert sorted(s.direction_word for s in strips) == sorted(
+        s.direction_word for s in all_strips(5)
+    )
+    for region, strip in zip(regions, strips):
         cells = strip_triangulation(strip)
         assert len(cells) == strip_volume(strip)
-        if region is None:
-            continue
         rep = h_representation(region)
         for cell in cells:
             assert abs(cell.det) == 1

@@ -26,10 +26,10 @@ from lpmpoly import (
     presentation,
     region_from_words,
 )
-from lpmpoly.decompose import GoodPartition, SplitResult
+from lpmpoly.decompose import SplitResult
 from lpmpoly.ehrhart import GammaBounds, ReconcileReport, ReconcileRow
 from lpmpoly.oracle import all_regions
-from lpmpoly.verify import CheckResult, ErrataRow, build_errata_report
+from lpmpoly.verify import CheckResult, ErrataRow, GoodPartition, build_errata_report
 
 # The field order each type had as a dataclass: the benchmark's answer
 # digest and the ``lpm`` JSON read the fields in this order.
