@@ -236,18 +236,14 @@ def cmd_catalan(args) -> int:
 
 def _verify_stats(timings: dict, run: dict) -> None:
     """One JSON line on stderr: the package's import seconds, each check's
-    elapsed seconds, then the errata report's, then ``run``'s entries
-    (``verify all``: its workers and wall time)."""
-    record = {
-        "import_seconds": IMPORT_SECONDS,
-        "checks": [
-            {"name": name, "seconds": round(secs, 6)}
-            for name, secs in timings.items()
-            if name != "errata"
-        ]
-    }
-    if "errata" in timings:
-        record["errata_seconds"] = round(timings["errata"], 6)
+    elapsed seconds and the sizes it took from --max-size, then the errata
+    report's, then ``run``'s entries (``verify all``: its workers and wall time)."""
+    record = {"import_seconds": IMPORT_SECONDS, "checks": []}
+    for name, (secs, sizes) in timings.items():
+        if name == "errata":
+            record.update(errata_seconds=round(secs, 6), errata_sizes=sizes)
+        else:
+            record["checks"].append({"name": name, "seconds": round(secs, 6), "sizes": sizes})
     record.update(run)
     print(json.dumps(record), file=sys.stderr)
 
@@ -256,19 +252,28 @@ def cmd_verify(args) -> int:
     from . import verify as ver  # only this verb loads the oracles
 
     target = args.target
-    timings: dict[str, float] = {}
+    if target not in ("all", *ver.CHECKS, "ehrhart-formula"):
+        raise _error(
+            USAGE_ERROR,
+            f"no verify target {target!r}; choose all, {', '.join(ver.CHECKS)} or ehrhart-formula",
+        )
+    readers = ["all", *(name for name, row in ver.CHECKS.items() if row.t_max), "ehrhart-formula"]
+    if args.t_max is not None and target not in readers:
+        raise _error(USAGE_ERROR, f"--t-max applies only to {', '.join(readers)}, not {target}")
+    t_max = 3 if args.t_max is None else args.t_max
+    timings: dict[str, tuple] = {}
     run = {}
     start = time.perf_counter()
     if target == "ehrhart-formula":
-        size = min(args.max_size, ver.CHECKS["errata"].capped["max_size"])
-        for line in ver.reconcile_sweep(max_size=size, t_max=args.t_max):
+        size = min(args.max_size, ver.oracle.SWEEP_CAP)
+        for line in ver.reconcile_sweep(max_size=size, t_max=t_max):
             print(line)
-        timings[target] = time.perf_counter() - start
+        timings[target] = (time.perf_counter() - start, {"max_size": size})
         code = 0
-    elif target == "all" or target in ver.CHECKS:
+    else:
         names = ver.CHECKS if target == "all" else (target,)
         workers = ver.worker_count()
-        ok, results, errata = ver.run_all(args.max_size, args.t_max, timings, names)
+        ok, results, errata = ver.run_all(args.max_size, t_max, timings, names)
         if target == "all":
             run = {"workers": workers, "wall_seconds": round(time.perf_counter() - start, 6)}
         for res in results:
@@ -283,11 +288,6 @@ def cmd_verify(args) -> int:
             for row in errata:
                 print(row.line())
         code = 0 if ok else 1
-    else:
-        raise _error(
-            USAGE_ERROR,
-            f"no verify target {target!r}; choose all, {', '.join(ver.CHECKS)} or ehrhart-formula",
-        )
     if args.stats:
         _verify_stats(timings, run)
     return code
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         "target", help="all, one row of lpmpoly.verify.CHECKS by name, or ehrhart-formula"
     )
     ver_sub.add_argument("--max-size", type=int, default=6, dest="max_size")
-    ver_sub.add_argument("--t-max", type=int, default=3, dest="t_max")
+    ver_sub.add_argument("--t-max", type=int, dest="t_max")
     ver_sub.add_argument(
         "--stats",
         action="store_true",
@@ -380,7 +380,7 @@ def _run(argv) -> None:
     args = parser.parse_args(argv)
     if getattr(args, "max_size", 1) < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
-    if getattr(args, "t_max", 0) < 0:
+    if (getattr(args, "t_max", None) or 0) < 0:
         parser.error(f"--t-max must be at least 0, got {args.t_max}")
     parsed = time.perf_counter()
     try:

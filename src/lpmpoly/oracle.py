@@ -22,6 +22,16 @@ combination of 0/1 points that hits a point of a face of the cube uses
 only points of that face, so the vertices that disagree with the pair
 where the pair agrees cannot take part, and a pair that no other vertex
 shares a face with is an edge without an LP.
+
+Each oracle's size cap is one module constant, and the oracle's guard
+reads it and raises ``TooLarge`` above it: ``BASES_CAP`` ground elements
+for ``brute_bases``, ``ADJACENT_CAP`` vertices for ``brute_adjacent``,
+``FACETS_CAP`` ground elements for ``brute_facets``, ``SYT_CAP`` boxes for
+``brute_syt``, ``SCAN_CAP`` letters for ``scan_inverse_descents``,
+``COMPONENTS_CAP`` ground elements for ``brute_components`` and
+``SWEEP_CAP`` ground elements for ``all_regions``, the sweep every region
+check walks.  ``verify.CHECKS`` clamps each size that follows
+``--max-size`` at the cap of the oracle the size feeds.
 """
 
 from __future__ import annotations
@@ -41,12 +51,20 @@ from .polytope import Candidate, Facet, dimension, h_representation, vertices
 from .ratlinalg import affine_rank, in_convex_hull
 from .volume import catalan_number
 
+BASES_CAP = 12
+ADJACENT_CAP = 40
+FACETS_CAP = 9
+SYT_CAP = 9
+SCAN_CAP = 10
+COMPONENTS_CAP = 8
+SWEEP_CAP = 9
+
 
 def brute_bases(region: Region) -> set[frozenset[int]]:
     """Every r-subset whose N-step path stays inside the region."""
     n = region.size
-    if n > 12:
-        raise TooLarge("brute basis scan is capped at 12 ground elements")
+    if n > BASES_CAP:
+        raise TooLarge(f"brute basis scan is capped at {BASES_CAP} ground elements")
     p = region.lower.profile
     q = region.upper.profile
     found = set()
@@ -77,8 +95,8 @@ def brute_adjacent(verts: list[tuple[int, ...]], i: int, j: int) -> bool:
     coordinates where the pair differs, with the midpoint all halves; a
     pair with no such vertex is an edge without an LP.
     """
-    if len(verts) > 40:
-        raise TooLarge("adjacency oracle is capped at 40 vertices")
+    if len(verts) > ADJACENT_CAP:
+        raise TooLarge(f"adjacency oracle is capped at {ADJACENT_CAP} vertices")
     u, v = verts[i], verts[j]
     free = [c for c, (a, b) in enumerate(zip(u, v)) if a != b]
     fixed = [(c, a) for c, (a, b) in enumerate(zip(u, v)) if a == b]
@@ -131,8 +149,8 @@ def certify_facet_candidates(region: Region, candidates: list[Candidate]) -> lis
 
 def brute_facets(region: Region) -> list[Facet]:
     """Rank-certify every inequality of the full prefix/box description."""
-    if region.size > 9:
-        raise TooLarge("facet oracle is capped at 9 ground elements")
+    if region.size > FACETS_CAP:
+        raise TooLarge(f"facet oracle is capped at {FACETS_CAP} ground elements")
     n = region.size
     candidates = []
     for cons in h_representation(region).inequalities:
@@ -282,8 +300,8 @@ def exact_descent_count(n: int, descents: Iterable[int]) -> int:
 def brute_syt(strip: BorderStrip) -> int:
     """Count standard fillings directly: increase East, decrease North."""
     size = len(strip)
-    if size > 9:
-        raise TooLarge("filling oracle is capped at 9 boxes")
+    if size > SYT_CAP:
+        raise TooLarge(f"filling oracle is capped at {SYT_CAP} boxes")
     dirs = strip.direction_word
     used = [False] * (size + 1)
 
@@ -381,8 +399,8 @@ def psi_inverse_int(w: tuple[int, ...], y: Sequence[int], den: int) -> tuple[int
 def scan_inverse_descents(d: int) -> dict[frozenset[int], list[tuple[int, ...]]]:
     """Every permutation w of 1..d, in lexicographic order, bucketed by the
     descent set of w^-1."""
-    if d > 10:
-        raise TooLarge("permutation scan is capped at 10 letters")
+    if d > SCAN_CAP:
+        raise TooLarge(f"permutation scan is capped at {SCAN_CAP} letters")
     buckets: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for w in permutations(range(1, d + 1)):
         buckets.setdefault(descent_set(inverse_permutation(w)), []).append(w)
@@ -392,8 +410,8 @@ def scan_inverse_descents(d: int) -> dict[frozenset[int], list[tuple[int, ...]]]
 def brute_components(region: Region) -> list[frozenset[int]]:
     """Classes of the relation "lies on a common circuit", circuits enumerated raw."""
     n = region.size
-    if n > 8:
-        raise TooLarge("component oracle is capped at 8 ground elements")
+    if n > COMPONENTS_CAP:
+        raise TooLarge(f"component oracle is capped at {COMPONENTS_CAP} ground elements")
     bases_sets = brute_bases(region)
     ground = list(range(1, n + 1))
 
@@ -441,6 +459,8 @@ def all_paths(m: int, r: int) -> list[PathWord]:
 
 def all_regions(max_size: int, connected_only: bool = False) -> Iterator[Region]:
     """Exhaustive deterministic sweep of regions with at most ``max_size`` elements."""
+    if max_size > SWEEP_CAP:
+        raise TooLarge(f"region sweep is capped at {SWEEP_CAP} ground elements")
     for n in range(1, max_size + 1):
         for r in range(0, n + 1):
             paths = all_paths(n - r, r)

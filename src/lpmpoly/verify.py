@@ -707,64 +707,62 @@ def build_errata_report(max_size: int, t_max: int, formula_max: int) -> list[Err
 
 class Check(NamedTuple):
     """One job of ``run_all`` and its ``lpm verify`` target.  ``call`` takes
-    each ``capped`` keyword at min(--max-size, its cap), each ``fixed``
-    keyword as it is, and --t-max as ``t_max`` when ``t_max`` is set.  Its
-    outcome prints and times under ``result``; workers take the jobs in
-    ``rank`` order."""
+    each ``capped`` keyword at min(--max-size, its cap), a function that
+    reads the cap off ``oracle`` when the row runs, each ``fixed`` keyword as
+    it is, and --t-max as ``t_max`` when ``t_max`` is set.  Workers take the
+    jobs in ``rank`` order."""
 
     call: Callable
-    result: str
     rank: int
     capped: dict
     fixed: dict = {}
     t_max: bool = False
 
-    def kwargs(self, max_size: int, t_max: int) -> dict:
-        sizes = {key: min(max_size, cap) for key, cap in self.capped.items()}
-        return {**sizes, **self.fixed, **({"t_max": t_max} if self.t_max else {})}
 
+def _adjacency_cap() -> int:
+    """The largest sweep size whose regions all fit ``brute_adjacent``: a
+    region of n elements has at most C(n, n // 2) bases, its rectangle's."""
+    return max(n for n in range(1, oracle.SWEEP_CAP + 1) if comb(n, n // 2) <= oracle.ADJACENT_CAP)
+
+
+# A check that walks ``oracle.all_regions`` once: its size is clamped at the sweep's cap.
+_SWEPT = {"max_size": lambda: oracle.SWEEP_CAP}
 
 # ``run_all``'s jobs in report order.  The ranks put the facet sweep first,
-# since it outgrows every other job past --max-size 6 (1.2-1.6 s of about
-# 2.9 s at 8), then the rest heaviest first by the median ``--stats`` seconds
-# of five runs at --max-size 6 (Ehrhart 0.33 s, deletion 0.16, triangulation
-# 0.15, errata 0.14, edges 0.13 of 1.21 s).  Every size a check takes is
-# here: the functions have no defaults.  The edge check's area audit grows
-# about 3.6-fold per element, so it stops at 10.
+# then the rest heaviest first by their seconds at --max-size 6.  Every size
+# a check takes is here or behind a cap of ``oracle``: the functions have no
+# defaults.
 CHECKS = {
-    "bases": Check(check_bases, "bases-vs-oracle", 10, {"max_size": 7}),
-    "deletion": Check(check_deletion, "deletion-vs-projection", 2, {"max_size": 6}),
-    "dimension": Check(
-        check_dimension, "dimension-vs-affine-rank", 8, {"max_size": 7}, {"catalan_ns": range(2, 7)}
-    ),
+    "bases": Check(check_bases, 10, _SWEPT),
+    "deletion": Check(check_deletion, 2, _SWEPT),
+    "dimension": Check(check_dimension, 8, _SWEPT, {"catalan_ns": range(2, 7)}),
     "edges": Check(
-        check_edges, "edges-three-routes", 5, {"oracle_max": 6, "area_max": 10}, {"formula_max": 6}
+        check_edges, 5, {"oracle_max": _adjacency_cap, "area_max": lambda: oracle.SWEEP_CAP},
+        {"formula_max": 6},
     ),
     "facets": Check(
-        check_facets, "facets-vs-oracle", 0, {"max_size": 8}, {"catalan_ns": range(3, 7)}
+        check_facets, 0, {"max_size": lambda: oracle.FACETS_CAP}, {"catalan_ns": range(3, 7)}
     ),
-    "faces": Check(check_faces, "faces-are-regions", 6, {"max_size": 6}),
-    "decomposition": Check(check_decomposition, "decomposition-to-strips", 9, {"max_size": 7}),
-    "volume": Check(
-        check_volume, "volume-three-routes", 7, {"max_size": 7}, {"rectangle_max": 7, "strip_max": 7}
-    ),
-    "catalan-area": Check(check_catalan_area, "catalan-area-two-routes", 11, {}, {"n_max": 12}),
+    "faces": Check(check_faces, 6, _SWEPT),
+    "decomposition": Check(check_decomposition, 9, _SWEPT),
+    "volume": Check(check_volume, 7, _SWEPT, {"rectangle_max": 7, "strip_max": 7}),
+    "catalan-area": Check(check_catalan_area, 11, {}, {"n_max": 12}),
     "triangulation": Check(
-        check_triangulation, "triangulation", 3, {},
-        {"n_max": 7, "strip_max": 7, "roundtrip_n": 5, "samples": 50},
+        check_triangulation, 3, {}, {"n_max": 7, "strip_max": 7, "roundtrip_n": 5, "samples": 50}
     ),
-    "ehrhart": Check(check_ehrhart, "ehrhart-interpolation", 1, {"max_size": 6}),
-    "errata": Check(build_errata_report, "errata", 4, {"max_size": 6}, {"formula_max": 6}, t_max=True),
+    "ehrhart": Check(check_ehrhart, 1, _SWEPT),
+    "errata": Check(build_errata_report, 4, _SWEPT, {"formula_max": 6}, t_max=True),
 }
 
 
 def _timed(name: str, max_size: int, t_max: int):
-    """A ``CHECKS`` row's outcome at these sizes and its elapsed seconds."""
+    """A ``CHECKS`` row's outcome at these sizes, its elapsed seconds and the
+    sizes it took from --max-size."""
     row = CHECKS[name]
-    kwargs = row.kwargs(max_size, t_max)
+    sizes = {key: min(max_size, cap()) for key, cap in row.capped.items()}
     start = perf_counter()
-    out = row.call(**kwargs)
-    return out, perf_counter() - start
+    out = row.call(**sizes, **row.fixed, **({"t_max": t_max} if row.t_max else {}))
+    return out, perf_counter() - start, sizes
 
 
 def worker_count() -> int:
@@ -791,8 +789,8 @@ def run_all(max_size: int, t_max: int, timings: dict | None = None, names: Colle
     of the ``CHECKS`` it inherited at fork, so it sees the caller's modules
     and table as they are, patched or not; only the results travel back.
     They are gathered in report order.  When ``timings`` is a dict, each
-    row's elapsed seconds inside its worker go into it under the row's
-    ``result`` name.
+    row's (elapsed seconds inside its worker, sizes taken from --max-size)
+    go into it under the name its outcome prints, "errata" for the report.
     """
     import concurrent.futures
     import multiprocessing
@@ -810,7 +808,7 @@ def run_all(max_size: int, t_max: int, timings: dict | None = None, names: Colle
             }
             outcomes = {name: futures[name].result() for name in names}
     if timings is not None:
-        timings.update((CHECKS[name].result, seconds) for name, (_, seconds) in outcomes.items())
-    errata = outcomes.pop("errata", ([], 0))[0]
-    results = [result for result, _ in outcomes.values()]
+        timings.update((getattr(out, "name", "errata"), rest) for out, *rest in outcomes.values())
+    errata = outcomes.pop("errata", ([],))[0]
+    results = [result for result, *_ in outcomes.values()]
     return all(r.ok for r in results), results, errata

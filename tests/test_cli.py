@@ -9,8 +9,9 @@ from math import comb
 
 import pytest
 
-from lpmpoly import cli, decomposition_tree, is_connected, region_from_words, verify
+from lpmpoly import cli, decomposition_tree, is_connected, oracle, region_from_words, verify, vertices
 from lpmpoly.decompose import region_to_strip
+from lpmpoly.errors import TooLarge
 from lpmpoly.oracle import all_regions
 
 CLI = [sys.executable, "-m", "lpmpoly.cli"]
@@ -341,8 +342,10 @@ def test_verify_row_prints_its_block_of_verify_all(capsys, verify_all_4, name):
     with pytest.raises(SystemExit) as exit_:
         cli.main(["verify", name, "--max-size", "4"])
     out = capsys.readouterr().out
+    _, results, _ = verify.run_all(4, 3, names=[name])
+    head = results[0].line() if results else "errata report"
     assert exit_.value.code == verify_all_4.returncode
-    assert out.startswith(verify.CHECKS[name].result) and out.endswith("\n")
+    assert out.startswith(head + "\n") and out.endswith("\n")
     assert "\n" + out in "\n" + verify_all_4.stdout
 
 
@@ -366,7 +369,7 @@ def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
         monkeypatch.setitem(
             verify.CHECKS,
             job,
-            row._replace(capped=dict.fromkeys(row.capped, 3), fixed=dict.fromkeys(row.fixed, 2)),
+            row._replace(capped=dict.fromkeys(row.capped, lambda: 3), fixed=dict.fromkeys(row.fixed, 2)),
         )
     ok, results, errata = verify.run_all(max_size=5, t_max=3)
     assert ok
@@ -387,6 +390,59 @@ def test_verify_all_takes_its_sizes_from_the_tables(monkeypatch):
         "check_ehrhart": capped,
         "build_errata_report": {"max_size": 3, "t_max": 3, "formula_max": 2},
     }
+
+
+def test_verify_all_clamps_each_size_at_its_oracles_cap(monkeypatch):
+    # far above every cap: each --max-size kwarg stops at the cap of the
+    # oracle it feeds, 7 for the adjacency oracle since C(8, 4) = 70 > 40
+    _stub_checks(monkeypatch)
+    ok, results, errata = verify.run_all(max_size=50, t_max=3)
+    seen = {res.name: res.failures[0] for res in results}
+    seen.update((row.claim, row.stated) for row in errata)
+    sweep = {"max_size": oracle.SWEEP_CAP}
+    assert seen == {
+        "check_bases": sweep,
+        "check_deletion": sweep,
+        "check_dimension": {**sweep, "catalan_ns": range(2, 7)},
+        "check_edges": {"oracle_max": 7, "area_max": oracle.SWEEP_CAP, "formula_max": 6},
+        "check_facets": {"max_size": 9, "catalan_ns": range(3, 7)},
+        "check_faces": sweep,
+        "check_decomposition": sweep,
+        "check_volume": {**sweep, "rectangle_max": 7, "strip_max": 7},
+        "check_catalan_area": {"n_max": 12},
+        "check_triangulation": {"n_max": 7, "strip_max": 7, "roundtrip_n": 5, "samples": 50},
+        "check_ehrhart": sweep,
+        "build_errata_report": {**sweep, "t_max": 3, "formula_max": 6},
+    }
+
+
+def test_an_oracle_cap_moves_its_rows_clamp_and_its_guard(monkeypatch):
+    _stub_checks(monkeypatch)
+    monkeypatch.setattr(oracle, "SWEEP_CAP", 8)
+    monkeypatch.setattr(oracle, "FACETS_CAP", 5)
+    monkeypatch.setattr(oracle, "ADJACENT_CAP", 20)  # C(6, 3) = 20 < 35 = C(7, 3)
+    seen = {res.name: res.failures[0] for res in verify.run_all(50, 3)[1]}
+    assert seen["check_bases"] == {"max_size": 8}
+    assert seen["check_facets"] == {"max_size": 5, "catalan_ns": range(3, 7)}
+    assert seen["check_edges"] == {"oracle_max": 6, "area_max": 8, "formula_max": 6}
+    with pytest.raises(TooLarge, match="capped at 8 "):
+        next(oracle.all_regions(9))
+    with pytest.raises(TooLarge, match="capped at 5 "):
+        oracle.brute_facets(region_from_words("EEENNN", "NNNEEE"))
+    square = vertices(region_from_words("EEENNN", "NNNEEE"))
+    assert oracle.brute_adjacent(square, 0, 1)  # 20 vertices, at the cap
+    with pytest.raises(TooLarge, match="capped at 20 "):
+        oracle.brute_adjacent(square + [(0,) * 6], 0, 1)
+
+
+@pytest.mark.parametrize("target", ["all", *verify.CHECKS, "ehrhart-formula"])
+def test_verify_takes_t_max_only_where_it_is_read(capsys, target):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", target, "--max-size", "1", "--t-max", "1"])
+    reads = target in ("all", "errata", "ehrhart-formula")
+    assert exit_.value.code == (0 if reads else 2)
+    refusal = f"error: --t-max applies only to all, errata, ehrhart-formula, not {target}\n"
+    assert capsys.readouterr().err == ("" if reads else refusal)
 
 
 def test_verify_all_submits_its_jobs_in_one_order(monkeypatch):
@@ -513,6 +569,7 @@ BAD_INPUTS = [
     (["bases", "--lower", "EN", "--upper", "NE", "--max-size", "0"], 2),
     (["verify", "all", "--max-size", "0"], 2),
     (["verify", "ehrhart-formula", "--t-max", "-1"], 2),
+    (["verify", "bases", "--t-max", "5"], 2),
     (["triangulate", "--k", "1", "--n", "11"], 4),
     (["triangulate", "--k", "2", "--n", "5", "--max-size", "4"], 4),
     # argparse's own usage errors
@@ -635,14 +692,19 @@ def test_verify_stats_go_to_stderr_only(capsys, argv):
         in_process.append(json.loads(capsys.readouterr().err)["import_seconds"])
     assert in_process[0] == in_process[1] >= 0
     names = [check["name"] for check in stats["checks"]]
+    sizes = [check["sizes"] for check in stats["checks"]]
     assert all(check["seconds"] >= 0 for check in stats["checks"])
     if argv[1] == "all":
+        # every check at --max-size 2, below every cap; the fixed sizes are not listed
         assert names == [l.split(":")[0] for l in plain.stdout.splitlines() if " checks)" in l]
+        assert sizes == [dict.fromkeys(row.capped, 2) for name, row in verify.CHECKS.items() if name != "errata"]
         assert stats["errata_seconds"] >= 0
+        assert stats["errata_sizes"] == {"max_size": 2}
         assert 1 <= stats["workers"] <= os.cpu_count()
         assert stats["wall_seconds"] >= max(check["seconds"] for check in stats["checks"])
         return
     assert "workers" not in stats and "wall_seconds" not in stats
+    assert sizes == [{"max_size": int(argv[3])}]
     if argv[1] == "ehrhart-formula":
         assert names == ["ehrhart-formula"]
     else:

@@ -7,6 +7,7 @@ import pytest
 from lpmpoly import BorderStrip, Box, region_from_words, vertices
 from lpmpoly.errors import TooLarge
 from lpmpoly.oracle import (
+    SWEEP_CAP,
     all_paths,
     all_regions,
     brute_adjacent,
@@ -69,6 +70,9 @@ def test_all_paths_and_regions():
     regions = list(all_regions(2))
     assert len(regions) == 2 + 5  # sizes 1 and 2
     assert len(list(all_regions(2, connected_only=True))) < len(regions)
+    assert next(all_regions(SWEEP_CAP)).size == 1
+    with pytest.raises(TooLarge, match=f"region sweep is capped at {SWEEP_CAP} ground elements"):
+        next(all_regions(SWEEP_CAP + 1))
 
 
 def test_gap_area_series_values():
