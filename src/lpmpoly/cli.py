@@ -104,8 +104,11 @@ def _constraint(cons, tight) -> dict:
     return {"coeffs": list(cons.coeffs), "rel": cons.rel, "rhs": cons.rhs, "tight_vertices": list(tight)}
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # a 0/1 vertex as its digit string
+
+
 def _bases(region: Region):
-    words = ["".join(map(str, bv.coords)) for bv in bases(region)]
+    words = [bytes(bv.coords).translate(_DIGITS).decode() for bv in bases(region)]
     return _json(words), words
 
 
@@ -115,7 +118,7 @@ def _dim(region: Region):
 
 
 def _edges(region: Region):
-    verts = ["".join(map(str, v)) for v in vertices(region)]
+    verts = [bytes(v).translate(_DIGITS).decode() for v in vertices(region)]
     found = edges(region)
     # json.dumps writes the edge tuples as arrays; the text lines are formatted only when printed
     payload = {"vertices": verts, "edges": found, "count": len(found)}

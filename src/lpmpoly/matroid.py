@@ -13,7 +13,7 @@ from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyFace
-from .paths import Region, path_from_profile, tighten_bounds, touch_count
+from .paths import Region, path_from_profile, path_halves, tighten_bounds, touch_count
 
 
 class _Intervals(NamedTuple):
@@ -94,41 +94,28 @@ def bases(region: Region) -> Iterator[BasisVector]:
     """Basis vectors in lexicographic coordinate order, bijective with the
     paths.
 
-    The walk of ``paths.enumerate_paths``, on a bytearray of 0/1 steps and
-    a height list instead of letters: each basis costs its coordinate
-    tuple and the support compressed out of the ground set by it, with no
-    word or path built in between.
+    Read off :func:`paths.path_halves` on 0/1 steps: each head and each
+    tail becomes its coordinate tuple and its support once, and a basis
+    costs one concatenation of each.  Below the cut rule's size the one
+    walk's paths are the bases, each converted as it comes.
     """
-    # Beside enumerate_paths, not sharing its walk: sharing made enumerate_paths 1.5x slower.
-    p = region.lower.profile
-    q = region.upper.profile
-    n = region.size
-    ground = range(1, n + 1)
-    bits = bytearray(n)
-    heights = [0] * (n + 1)
+    cut, heads, tails = path_halves(region)
+    tail_ground = range(cut + 1, region.size + 1)
     new = tuple.__new__
-    i = 0
-    while True:
-        while i < n:  # lowest completion: 0 wherever the lower path allows it
-            h = heights[i]
-            if h < p[i + 1]:
-                bits[i] = 1
-                h += 1
-            else:
-                bits[i] = 0
-            i += 1
-            heights[i] = h
-        coords = tuple(bits)
-        yield new(BasisVector, (coords, tuple(compress(ground, coords))))
-        # the next basis raises the last 0 whose 1 would stay under the upper path
-        i = n - 1
-        while i >= 0 and (bits[i] or heights[i] >= q[i + 1]):
-            i -= 1
-        if i < 0:
-            return
-        bits[i] = 1
-        heights[i + 1] = heights[i] + 1
-        i += 1
+    if not cut:
+        for s, _ in tails[0]:
+            coords = tuple(s)
+            yield new(BasisVector, (coords, tuple(compress(tail_ground, coords))))
+        return
+    ends = {
+        y: [(tuple(s), tuple(compress(tail_ground, s))) for s, _ in walk]
+        for y, walk in tails.items()
+    }
+    head_ground = range(1, cut + 1)
+    for s, h in heads:
+        coords = tuple(s)
+        support = tuple(compress(head_ground, s))
+        yield from [new(BasisVector, (coords + c, support + t)) for c, t in ends[h[-1]]]
 
 
 def components(region: Region) -> ComponentPartition:

@@ -10,12 +10,16 @@ whose bounds move.  A region's dimension is n + 1 less the touch count of
 its bounding paths, so the face's dimension is read off the touch count
 of the tightened bounds: the candidate is a facet exactly when that face
 has dimension dim - 1.  Candidates come in canonical order, and a facet
-is listed under the first candidate that cuts it.  Only ``face_region``
-builds a face region, the one it returns.  The oracle route, in
+is listed under the first candidate that cuts it.  Its tight vertex set
+is read off the prefix x suffix blocks of ``paths.path_halves``, not a
+scan of every path: whole blocks for a candidate on the steps before the
+cut, and after it one selection of tails per height, shifted into each
+block.  Only ``face_region`` builds a face region, the one it returns.
+The oracle route, in
 :mod:`lpmpoly.oracle`, certifies every inequality of the H-representation
 by affine rank and picks the representative from the tight vertex sets.
 
-Edges are single N/E swaps between two paths.  They come from the walk
+Edges are single N/E swaps between two paths.  They come from a walk
 that lists the paths in lexicographic order, read off rank offsets: a
 path's index is a sum of completion counts over its N steps, so the swap
 of an E at b with the N at a moves the index by an offset that depends on
@@ -27,16 +31,16 @@ is the oracle's route.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
-from .matroid import bases, delete, is_connected
+from .matroid import delete, is_connected
 from .paths import (
     Region,
-    area_below,
-    enumerate_paths,
     path_from_profile,
+    path_halves,
     tighten_bounds,
     touch_count,
 )
@@ -83,8 +87,18 @@ class Facet(NamedTuple):
 
 
 def vertices(region: Region) -> list[tuple[int, ...]]:
-    """The basis vectors; every one is a vertex of the 0/1 polytope."""
-    return [bv.coords for bv in bases(region)]
+    """The basis vectors' coordinates; every one is a vertex of the 0/1
+    polytope.  Each joins a head's coordinates to a tail's, as in
+    :func:`matroid.bases`, with no support built."""
+    cut, heads, tails = path_halves(region)
+    if not cut:
+        return [tuple(s) for s, _ in tails[0]]
+    ends = {y: [tuple(s) for s, _ in walk] for y, walk in tails.items()}
+    out: list[tuple[int, ...]] = []
+    for s, h in heads:
+        coords = tuple(s)
+        out += [coords + c for c in ends[h[-1]]]
+    return out
 
 
 def dimension(region: Region) -> int:
@@ -120,14 +134,17 @@ def edges(region: Region) -> list[tuple[int, int]]:
         A_b(h_{b-1}) + sum over N steps i in (b, a) of
         [A_i(h_{i-1} + 1) - A_i(h_{i-1})] - A_a(h_{a-1})
 
-    to the index.  That offset depends on the prefix up to a only, so the
-    walk of :func:`enumerate_paths` carries the open E steps (no touch with
-    the upper path since) with their running offsets, and each path
+    to the index.  That offset depends on the prefix up to a only, so a
+    lexicographic walk over the paths carries the open E steps (no touch
+    with the upper path since) with their running offsets, and each path
     recomputes only the suffix the walk rewrote.  Sorted offsets are the
     sorted later partners; ``index`` lets every pair share one int per
     vertex.
     """
-    # Its own walk: one shared with enumerate_paths and bases reads 1.3x-1.6x slower.
+    # Not prefix x suffix products as in paths.path_halves: an edge's offset
+    # spans the cut, and such an edge list, correct on every region of at
+    # most 8 elements, took 131-177 ms against 150-182 ms on the
+    # large-regions edge inputs, no faster.
     # Comprehensions, not map over a bound int.__add__ (a method-wrapper): on
     # Python 3.11 an offset costs 65 ns against 95-100, an output pair 90-115
     # ns against 200 through zip(repeat(k), map(index.__getitem__, ...)).
@@ -178,10 +195,26 @@ def edges(region: Region) -> list[tuple[int, int]]:
 
 
 def edge_count_by_area(region: Region) -> int:
-    """Edge count of a generalized Catalan region as a total of areas below its paths."""
+    """Edge count of a generalized Catalan region as a total of areas below its paths.
+
+    A path's area is the sum of the heights of its E steps, so one pass
+    over the steps carries, per height, the paths that reach it and their
+    area so far: an E step at height y adds y once per path.  O(n r), no
+    path listed.
+    """
     if region.lower.word != "E" * region.m + "N" * region.r:
         raise NotGeneralizedCatalan("lower path must be all E steps then all N steps")
-    return sum(area_below(path) for path in enumerate_paths(region))
+    p = region.lower.profile
+    q = region.upper.profile
+    r = region.r
+    paths = [1] + [0] * (r + 1)  # index r + 1 stays 0: it stands for height -1
+    area = [0] * (r + 2)
+    for i in range(1, region.size + 1):
+        lo, hi = p[i], q[i]
+        rows = range(lo, hi + 1)  # after step i: an E step from y or an N step from y - 1
+        area = [0] * lo + [area[y] + y * paths[y] + area[y - 1] for y in rows] + [0] * (r + 1 - hi)
+        paths = [0] * lo + [paths[y] + paths[y - 1] for y in rows] + [0] * (r + 1 - hi)
+    return area[r]
 
 
 def catalan_edge_formula(n: int) -> int:
@@ -318,24 +351,44 @@ def facets(region: Region) -> list[Facet]:
 
     A candidate is certified off the bounds of its tight paths, by their
     touch count (see ``_certified``): O(n) per candidate, no face built.
-    Tight vertex sets are listed for the facets only.
+    Tight vertex sets are listed for the facets only, from the blocks of
+    :func:`paths.path_halves`: the paths that share a head are consecutive,
+    one per tail from its end height.  A candidate on the first ``cut``
+    steps takes or leaves each block whole, as an index range; one on
+    later steps takes, from every block, the tails it holds on, selected
+    once per end height and shifted by the block's first index.
     """
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
-    paths = enumerate_paths(region)
+    cut, heads, tails = path_halves(region)
+    profiles = {y: [tuple(h) for _, h in walk] for y, walk in tails.items()}
+    blocks = []  # per head: its heights over steps 0..cut and its first path index
+    first = 0
+    for _, h in heads:
+        blocks.append((tuple(h), first))
+        first += len(profiles[h[-1]])
     candidates = facet_candidates(region)
     out = []
     for k, (kind, position, cons) in enumerate(candidates):
         if _certified(region, candidates, k) is None:
             continue
-        # One scan of the paths, not _path_indices per facet as in face_region: 2.2x faster.
         # the constraint's left side is the path's rise over its support
         start = position - 1 if kind in _BOX_KINDS else 0
-        tight = tuple(
-            t for t, path in enumerate(paths)
-            if path.profile[position] - path.profile[start] == cons.rhs
-        )
-        out.append(Facet(cons, tight, kind, position))
+        rhs = cons.rhs
+        if position <= cut:
+            runs = (
+                range(i, i + len(profiles[h[-1]]))
+                for h, i in blocks if h[position] - h[start] == rhs
+            )
+        else:
+            # a tail's heights start at the cut; a prefix bound's, at 0 before it
+            a, b = start - cut, position - cut
+            held = {
+                y: [j for j, t in enumerate(ts) if t[b] - (t[a] if a >= 0 else 0) == rhs]
+                for y, ts in profiles.items()
+            }
+            runs = ([i + j for j in held[h[-1]]] for h, i in blocks)
+        out.append(Facet(cons, tuple(chain.from_iterable(runs)), kind, position))
     return out
 
 

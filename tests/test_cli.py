@@ -250,6 +250,31 @@ def test_enumeration_verbs_output_is_byte_identical(capsys):
     assert digest.hexdigest() == ENUMERATION_VERBS_SHA256
 
 
+# sha256 of the stdout of ``lpm bases``, ``lpm edges`` and ``lpm facets``
+# with ``--format json``, in that order, on ``reduced_catalan_region(6)``,
+# ``kcatalan_region(2, 5)`` and an 18-element region drawn between two
+# random paths with ``random.Random(20121220)``: regions whose paths are
+# listed as prefix x suffix products.  Recorded while every path was
+# walked whole and each vertex printed through ``"".join(map(str, v))``.
+SPLIT_VERBS_SHA256 = {
+    ("EEEEEENNNNNN", "NENENENENENE"): "fd12210e35dbc62de932db9ab24b4d789554f76ef71f6f4849a7087d1e7a2633",
+    ("EEEEEEEENNNN", "NEENEENEENEE"): "08eb0de8894a223dbcf62d77fbb75ebdeef1e8bd7d4cc86285fb1192301563e2",
+    ("EEENEENEEEEENNEENN", "NEENEENEEEEENNEENE"): "668eea303d49df67688cd4d3f6309c3aa52f1b2bf4273a9825e0f723b7f3ebd0",
+}
+
+
+@pytest.mark.parametrize("words", sorted(SPLIT_VERBS_SHA256), ids="/".join)
+def test_split_listing_verbs_output_is_byte_identical(capsys, words):
+    lower, upper = words
+    digest = hashlib.sha256()
+    for verb in ("bases", "edges", "facets"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([verb, "--lower", lower, "--upper", upper, "--format", "json", "--max-size", "18"])
+        assert exit_.value.code == 0, verb
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SPLIT_VERBS_SHA256[words]
+
+
 # ``lpm ehrhart`` stdout, recorded while the polynomial was interpolated
 # through the plain counts at t = 0..d: a loop, a coloop, a loop plus a
 # coloop, two direct sums, the octahedron, the 3x3 rectangle, the Catalan

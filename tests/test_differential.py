@@ -15,7 +15,9 @@ the Ehrhart double sum's transfer chain.
 """
 
 import random
+from functools import cache
 from itertools import combinations, product
+from operator import le
 
 import pytest
 
@@ -39,7 +41,7 @@ from lpmpoly import (
     vertices,
     volume,
 )
-from lpmpoly import oracle
+from lpmpoly import oracle, paths
 from lpmpoly.ehrhart import formula_value
 from lpmpoly.errors import EmptyFace
 from lpmpoly.paths import PathWord, Region, path_from_profile, region_boxes
@@ -185,6 +187,69 @@ def test_enumeration_kernels_match_oracles(region):
     assert sorted(sorted(region_boxes(leaf.region)) for leaf in leaves) == want
     if is_connected(region):
         assert want == sorted(list(s.boxes) for s in strips)
+
+
+_all_paths = cache(oracle.all_paths)
+
+
+def _paths_between(region):
+    """The oracle's words with the region's step counts that stay between its
+    bounding paths, in lexicographic order."""
+    p, q = region.lower.profile, region.upper.profile
+    return [
+        path for path in _all_paths(region.m, region.r)
+        if all(map(le, p, path.profile)) and all(map(le, path.profile, q))
+    ]
+
+
+def _assert_listings_match_oracles(region):
+    want = _paths_between(region)
+    assert [p.word for p in enumerate_paths(region)] == [p.word for p in want]
+    listed = list(bases(region))
+    assert [b.coords for b in listed] == [tuple(p.bits()) for p in want]
+    assert [b.support for b in listed] == [p.north_positions() for p in want]
+    assert vertices(region) == [b.coords for b in listed]
+    if region.size <= oracle.BASES_CAP:
+        assert {frozenset(b.support) for b in listed} == oracle.brute_bases(region)
+
+
+MIDDLE = [region for region in REGIONS + TOUCHING if 10 <= region.size <= 14]
+
+
+def test_middle_draw_splits_connected_and_touching_regions():
+    assert {region.size for region in MIDDLE} == set(range(10, 15))
+    assert min(region.size for region in MIDDLE) >= paths.MEET_MIN_SIZE
+    assert {is_connected(region) for region in MIDDLE} == {True, False}
+
+
+@pytest.mark.parametrize("region", MIDDLE, ids=repr)
+def test_split_listings_match_oracles(region):
+    _assert_listings_match_oracles(region)
+
+
+def test_split_listings_match_oracles_on_the_sweep(monkeypatch):
+    # every region of two or more elements split at n // 2, as from MEET_MIN_SIZE up
+    monkeypatch.setattr(paths, "MEET_MIN_SIZE", 0)
+    for region in oracle.all_regions(8):
+        _assert_listings_match_oracles(region)
+    for region in oracle.all_regions(7, connected_only=True):
+        assert facets(region) == oracle.certify_facet_candidates(region, facet_candidates(region))
+
+
+LONG = [
+    region_from_words("E" * 300 + "NN", "NN" + "E" * 300),  # a two-row band of 45 451 paths
+    region_from_words("EN" * 600, "EN" * 600),  # a single path of 1200 steps
+]
+
+
+@pytest.mark.parametrize("region", LONG, ids=lambda region: f"{region.m}x{region.r}")
+def test_long_listings_are_strictly_ordered_and_complete(region):
+    words = [p.word for p in enumerate_paths(region)]
+    assert all(a < b for a, b in zip(words, words[1:]))
+    assert len(words) == count_lattice_points(region, 1)
+    coords = [b.coords for b in bases(region)]
+    assert all(a < b for a, b in zip(coords, coords[1:]))
+    assert len(coords) == len(words)
 
 
 def wide_regions(seed=SEED, count=8):

@@ -27,7 +27,7 @@ from lpmpoly.errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGenerali
 from lpmpoly import paths, polytope
 from lpmpoly.matroid import components, delete
 from lpmpoly.oracle import all_regions, brute_facets
-from lpmpoly.paths import PathWord, Region, path_from_profile, tighten_bounds
+from lpmpoly.paths import PathWord, Region, area_below, path_from_profile, tighten_bounds
 from lpmpoly.polytope import Facet, facet_candidates
 from lpmpoly.ratlinalg import affine_rank
 from lpmpoly.verify import check_facets
@@ -84,6 +84,14 @@ def test_edge_count_by_area_examples():
     assert edge_count_by_area(catalan_region(3)) == 8
     with pytest.raises(NotGeneralizedCatalan):
         edge_count_by_area(region_from_words("ENEN", "NENE"))
+
+
+def test_edge_count_by_area_matches_path_areas_and_the_catalan_formula():
+    for region in all_regions(8):
+        if region.lower.word == "E" * region.m + "N" * region.r:
+            assert edge_count_by_area(region) == sum(map(area_below, enumerate_paths(region))), region
+    for n in range(1, 61):
+        assert edge_count_by_area(catalan_region(n)) == catalan_edge_formula(n), n
 
 
 def test_catalan_edge_formula_values():
