@@ -94,23 +94,22 @@ def bases(region: Region) -> Iterator[BasisVector]:
     """Basis vectors in lexicographic coordinate order, bijective with the
     paths.
 
-    Read off :func:`paths.path_halves` on 0/1 steps: each head and each
-    tail becomes its coordinate tuple and its support once, and a basis
-    costs one concatenation of each.  Below the cut rule's size the one
-    walk's paths are the bases, each converted as it comes.
+    Read off :func:`paths.path_halves` on 0/1 steps: each tail becomes a
+    basis vector over the steps after the cut, each head its coordinate
+    tuple and support, and a basis costs one concatenation of each.
     """
     cut, heads, tails = path_halves(region)
     tail_ground = range(cut + 1, region.size + 1)
     new = tuple.__new__
-    if not cut:
-        for s, _ in tails[0]:
-            coords = tuple(s)
-            yield new(BasisVector, (coords, tuple(compress(tail_ground, coords))))
-        return
     ends = {
-        y: [(tuple(s), tuple(compress(tail_ground, s))) for s, _ in walk]
+        y: [new(BasisVector, (tuple(s), tuple(compress(tail_ground, s)))) for s, _ in walk]
         for y, walk in tails.items()
     }
+    if not cut:
+        # The one head is empty and the tails are the bases.  Joining them to
+        # it anyway took 1.2x as long over all_regions(7) (Python 3.11).
+        yield from ends[0]
+        return
     head_ground = range(1, cut + 1)
     for s, h in heads:
         coords = tuple(s)

@@ -91,8 +91,6 @@ def vertices(region: Region) -> list[tuple[int, ...]]:
     polytope.  Each joins a head's coordinates to a tail's, as in
     :func:`matroid.bases`, with no support built."""
     cut, heads, tails = path_halves(region)
-    if not cut:
-        return [tuple(s) for s, _ in tails[0]]
     ends = {y: [tuple(s) for s, _ in walk] for y, walk in tails.items()}
     out: list[tuple[int, ...]] = []
     for s, h in heads:
