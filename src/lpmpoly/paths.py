@@ -175,10 +175,11 @@ def _walk(low: tuple[int, ...], high: tuple[int, ...], start: int, stop: int, he
 
     Every prefix inside a region extends to a path, so the walk never
     backtracks out of a dead end: it writes the lowest completion, E
-    wherever the lower path allows it, then raises the last E whose N
-    stays under the upper path and completes again.  A path costs the
-    steps the walk rewrites, and no recursion, whatever the length.  The
-    end height is free before the region's last step and r at it.
+    wherever the lower path allows it, stacks each E whose N would stay
+    under the upper path, then pops the last of them, raises it and
+    completes again.  A path costs the steps the walk rewrites, with no
+    scan back and no recursion.  The end height is free before the
+    region's last step and r at it.
     """
     p = low[start + 1 : stop + 1]
     q = high[start + 1 : stop + 1]
@@ -186,6 +187,7 @@ def _walk(low: tuple[int, ...], high: tuple[int, ...], start: int, stop: int, he
     bits = bytearray(k)
     heights = [height] * (k + 1)
     state = bits, heights
+    raisable: list[int] = []
     i = 0
     h = height
     while True:
@@ -195,14 +197,14 @@ def _walk(low: tuple[int, ...], high: tuple[int, ...], start: int, stop: int, he
                 h += 1
             else:
                 bits[i] = 0
+                if h < q[i]:
+                    raisable.append(i)
             i += 1
             heights[i] = h
         yield state
-        i = k - 1
-        while i >= 0 and (bits[i] or heights[i] >= q[i]):
-            i -= 1
-        if i < 0:
+        if not raisable:
             return
+        i = raisable.pop()
         bits[i] = 1
         h = heights[i] + 1
         i += 1

@@ -24,9 +24,9 @@ that lists the paths in lexicographic order, read off rank offsets: a
 path's index is a sum of completion counts over its N steps, so the swap
 of an E at b with the N at a moves the index by an offset that depends on
 the prefix up to a only.  The walk carries those offsets for the E steps
-still open, recomputes only the suffix it rewrites from one path to the
-next, and never looks a partner up; the lookup of every swapped vector
-is the oracle's route.
+still open, resumes at the last E step it can raise, popped off a stack,
+rewrites only the suffix after it, and never looks a partner up; the
+lookup of every swapped vector is the oracle's route.
 """
 
 from __future__ import annotations
@@ -134,10 +134,15 @@ def edges(region: Region) -> list[tuple[int, int]]:
 
     to the index.  That offset depends on the prefix up to a only, so a
     lexicographic walk over the paths carries the open E steps (no touch
-    with the upper path since) with their running offsets, and each path
-    recomputes only the suffix the walk rewrote.  Sorted offsets are the
-    sorted later partners; ``index`` lets every pair share one int per
-    vertex.
+    with the upper path since) with their running offsets, and resumes at
+    the last E step it can raise, popped off a stack with the walk's state
+    there.  Sorted offsets are the sorted later partners of path k, and
+    ``index`` lets every pair share one int per vertex:
+
+    >>> from lpmpoly.paths import region_from_words
+    >>> pairs = edges(region_from_words("EENN", "NNEE"))
+    >>> len(pairs), pairs[:6]
+    (12, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
     """
     # Not prefix x suffix products as in paths.path_halves: an edge's offset
     # spans the cut, and such an edge list, correct on every region of at
@@ -153,22 +158,17 @@ def edges(region: Region) -> list[tuple[int, int]]:
     index = list(range(after[0][0]))
     out: list[tuple[int, int]] = []
     offsets: list[int] = []  # partner offsets found on the current prefix
-    opened: list[int] = []  # per E step on the prefix: its base offset less the shift then
-    heights = [0] * (n + 1)
-    # after i steps: shift (the sum of A_j(h_{j-1} + 1) - A_j(h_{j-1}) over
-    # the N steps so far), the first E step still open, and the lengths of
-    # ``offsets`` and ``opened``
-    state = [(0, 0, 0, 0)] + [None] * n
-    k = i = 0
-    rise = False  # step i + 1 is the E the walk raises
+    opened: list[int] = []  # per stacked E step: its base offset less the shift then
+    # per stacked E step, the walk before it: the step, the height, the shift
+    # (the sum of A_j(h_{j-1} + 1) - A_j(h_{j-1}) over the N steps so far),
+    # the first E step still open and the length of ``offsets``
+    branches: list[tuple[int, int, int, int, int]] = []
+    k = i = h = shift = first = 0
+    lift = -1  # the stacked E step the walk raises to resume at the next path
     while True:
-        h = heights[i]
-        shift, first, found, open_ = state[i]
-        del offsets[found:], opened[open_:]
         while i < n:
             row = after[i + 1]
-            if rise or h < p[i + 1]:
-                rise = False
+            if i == lift or h < p[i + 1]:
                 if first < len(opened):
                     c = shift - row[h]
                     offsets += [c + o for o in opened[first:]]
@@ -177,19 +177,16 @@ def edges(region: Region) -> list[tuple[int, int]]:
                 if h == q[i + 1]:
                     first = len(opened)
             elif h < q[i + 1]:  # on the upper path, the touch before closed all
+                branches.append((i, h, shift, first, len(offsets)))
                 opened.append(row[h] - shift)
             i += 1
-            heights[i] = h
-            state[i] = (shift, first, len(offsets), len(opened))
         out += [(k, index[k + o]) for o in sorted(offsets)]
         k += 1
-        # the next path raises the last E whose N would stay under the upper path
-        i = n - 1
-        while i >= 0 and (heights[i + 1] > heights[i] or heights[i] >= q[i + 1]):
-            i -= 1
-        if i < 0:
+        if not branches:
             return out
-        rise = True
+        lift, h, shift, first, found = branches.pop()
+        del offsets[found:], opened[-1]
+        i = lift
 
 
 def edge_count_by_area(region: Region) -> int:

@@ -7,7 +7,8 @@ draw keeps regions with at most ``PATH_CAP`` paths and ``STRIP_CAP`` border
 strips, so the affine-rank and inclusion-exclusion oracles stay at desk scale.
 A second draw of 6-24 elements lets the paths touch, so disconnected
 regions, loops and coloops come in; on it and the first, the enumeration
-kernels (edges, bases, decomposition leaves) meet their oracles.
+kernels (edges, bases, decomposition leaves) meet their oracles, and the
+edges meet theirs on every region of at most 7 elements as well.
 Wider draws of 14-36 elements check the lattice-point window sums and,
 with direct sums of connected blocks, loops and coloops, the Ehrhart
 polynomial read off half the dilations by reciprocity; rank-7 draws check
@@ -153,6 +154,13 @@ def test_touching_draw_has_disconnected_regions_loops_and_coloops():
         for region in TOUCHING
     )
     assert max(region.size for region in TOUCHING) == 24
+
+
+def test_edges_match_the_swap_oracle_on_the_sweep():
+    # every region of at most 7 elements, disconnected ones included: the edge
+    # walk resumes behind touch points, loops and coloops at every position
+    for region in oracle.all_regions(7):
+        assert edges(region) == oracle.swap_edges(region), region
 
 
 def _strips_by_block(region):
