@@ -8,12 +8,11 @@ block of boxes).
 
 from __future__ import annotations
 
-from itertools import count
 from operator import eq, ge
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidSplit
-from .paths import Box, Region, path_from_profile, region_boxes
+from .paths import Box, PathWord, Region, region_boxes
 
 
 class Split(NamedTuple):
@@ -56,24 +55,49 @@ def hyperplane_split(region: Region, x: int, j: int) -> SplitResult:
     t = region.lower.north_positions()
     if not (1 <= j < region.r and s[j - 1] < x < t[j - 1] and s[j] < x + 1 < t[j]):
         raise InvalidSplit(f"(x={x}, j={j}) does not satisfy the split condition")
-    left, right = _split_children(region, x, j)
+    left, right = _split_children(region, x, j, s, t)
     return SplitResult(left, right, Split(x, j))
 
 
-def _split_children(region: Region, x: int, j: int) -> tuple[Region, Region]:
-    """The two children of a valid split: the left one keeps the lower
-    path, the right one the upper path."""
-    p = region.lower.profile
-    q = region.upper.profile
-    # capped: min(q_i, j + max(0, i - x)); raised: max(p_i, j - max(0, x - i))
-    capped = [h if h < j else j for h in q[: x + 1]]
-    capped += [h if h < c else c for h, c in zip(q[x + 1 :], count(j + 1))]
-    raised = [h if h > c else c for h, c in zip(p[:x], count(j - x))]
-    raised += [h if h > j else j for h in p[x:]]
-    return (
-        Region(region.lower, path_from_profile(capped)),
-        Region(path_from_profile(raised), region.upper),
+def _split_children(
+    region: Region, x: int, j: int, s: tuple[int, ...], t: tuple[int, ...]
+) -> tuple[Region, Region]:
+    """The two children of a valid split, off the N positions ``s`` of the
+    upper path and ``t`` of the lower path: the left one keeps the lower
+    path, the right one the upper path.
+
+    Each new path is the parent's word with one window rewritten and its
+    profile the parent's with the same window replaced: a few slices joined
+    at C speed, checked by construction.  The capped upper path,
+    min(q_i, j + max(0, i - x)), is ``w[:a-1] + E*(x-a+1) + N*(meet-x) +
+    w[meet:]``: it waits at height j from a = s[j], the upper word's
+    (j+1)-th N, to step x, then climbs until it meets the upper path at
+    ``meet``, the (q_x - j)-th E after x.  The raised lower path,
+    max(p_i, j - max(0, x - i)), is ``w[:e] + N*(x-e) + E*(t_j-x) +
+    w[t_j:]``: the lower word's last j - p_x E steps at or before x, steps
+    e + 1..x, become its climb to height j at x, and it waits at j up to
+    t_j, where the lower path reaches j.
+    """
+    lower, upper = region.lower, region.upper
+    w, q, a = upper.word, upper.profile, s[j]
+    meet = x
+    for _ in range(q[x] - j):
+        meet = w.find("E", meet) + 1
+    capped = PathWord._from_profile(
+        w[: a - 1] + "E" * (x - a + 1) + "N" * (meet - x) + w[meet:],
+        q[:a] + (j,) * (x - a + 1) + tuple(range(j + 1, j + 1 + meet - x)) + q[meet + 1 :],
+        upper.m, upper.r,
     )
+    w, p, t_j = lower.word, lower.profile, t[j - 1]
+    e = x
+    for _ in range(j - p[x]):
+        e = w.rfind("E", 0, e)
+    raised = PathWord._from_profile(
+        w[:e] + "N" * (x - e) + "E" * (t_j - x) + w[t_j:],
+        p[: e + 1] + tuple(range(p[e] + 1, j + 1)) + (j,) * (t_j - x) + p[t_j + 1 :],
+        lower.m, lower.r,
+    )
+    return Region._from_paths(lower, capped), Region._from_paths(raised, upper)
 
 
 class _Boxes(NamedTuple):
@@ -256,6 +280,9 @@ def decomposition_tree(region: Region) -> DecompositionNode:
     in reverse preorder, children before parents, so depth is unbounded.
     Each node carries the N positions of its paths: a child shares one
     path with its parent, so only the new path's positions are read, once.
+    The new path is cut from the parent's word and profile by
+    :func:`_split_children`, a few slices joined at C speed, and the child
+    is wrapped without the ``Region`` checks, which hold by construction.
     """
     preorder: list[tuple[Region, Split | None]] = []
     stack = [(region, region.upper.north_positions(), region.lower.north_positions())]
@@ -264,7 +291,7 @@ def decomposition_tree(region: Region) -> DecompositionNode:
         split = _first_straddle(s, t)
         preorder.append((node, split))
         if split is not None:
-            left, right = _split_children(node, split.x, split.j)
+            left, right = _split_children(node, split.x, split.j, s, t)
             stack.append((right, s, right.lower.north_positions()))
             stack.append((left, left.upper.north_positions(), t))
     built: list[DecompositionNode] = []

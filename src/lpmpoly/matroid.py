@@ -8,12 +8,12 @@ exactly the N-position sets of the paths inside the region.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import eq
+from itertools import accumulate, compress
+from operator import eq, gt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyFace
-from .paths import Region, path_from_profile, path_halves, tighten_bounds, touch_count
+from .paths import _STEP_BITS, PathWord, Region, path_halves, touch_count
 
 
 class _Intervals(NamedTuple):
@@ -143,8 +143,23 @@ def is_connected(region: Region) -> bool:
 def delete(region: Region, i: int, value: int) -> Region:
     """Fix coordinate ``i`` to ``value`` and drop it; the surviving paths form a region.
 
-    The bounds are tightened to the paths whose i-th step is the requested
-    letter, then that step is cut out of both: O(n), no path enumeration.
+    Cut from the bounding words in O(n), with no path enumeration.  Fixing
+    letter i to N (``value`` 1) moves at most one letter of each word: where
+    the lower word has E at i, its next N becomes E (the lowest path with N
+    at i runs one higher up to there); where the upper word has E at i, its
+    last N before i becomes E.  Fixing it to E is the mirror image: the
+    lower word's last E before i and the upper word's next E after i become
+    N.  Letter i is then cut from both words.  No letter to move, or cut
+    words that cross, leave no basis.
+
+    >>> from lpmpoly.paths import region_from_words
+    >>> octahedron = region_from_words("EENN", "NNEE")
+    >>> delete(octahedron, 1, 0), delete(octahedron, 1, 1)
+    (Region('ENN', 'NNE'), Region('EEN', 'NEE'))
+    >>> delete(region_from_words("EN", "EN"), 1, 1)  # element 1 is a loop
+    Traceback (most recent call last):
+    ...
+    lpmpoly.errors.EmptyFace: no basis has coordinate 1 equal to 1
     """
     if value not in (0, 1):
         raise ValueError("value must be 0 or 1")
@@ -152,10 +167,20 @@ def delete(region: Region, i: int, value: int) -> Region:
         raise ValueError("cannot delete the last ground element")
     if not 1 <= i <= region.size:
         raise ValueError(f"coordinate {i} is outside 1..{region.size}")
-    bounds = tighten_bounds(
-        region.lower.profile, region.upper.profile, i, step="N" if value else "E"
-    )
-    if bounds is None:
+    step, swapped = ("N", "E") if value else ("E", "N")
+    lower = region.lower
+    m, r = lower.m - 1 + value, lower.r - value
+    cut = []
+    for word, ahead in ((lower.word, value), (region.upper.word, not value)):
+        if word[i - 1] != step:
+            k = word.find(step, i) if ahead else word.rfind(step, 0, i - 1)
+            if k < 0:
+                raise EmptyFace(f"no basis has coordinate {i} equal to {value}")
+            word = word[:k] + swapped + word[k + 1 :]
+        word = word[: i - 1] + word[i:]
+        profile = tuple(accumulate(word.encode().translate(_STEP_BITS), initial=0))
+        cut.append(PathWord._from_profile(word, profile, m, r))
+    lower, upper = cut
+    if any(map(gt, lower.profile, upper.profile)):
         raise EmptyFace(f"no basis has coordinate {i} equal to {value}")
-    low, high = (prof[:i] + tuple([h - value for h in prof[i + 1 :]]) for prof in bounds)
-    return Region(path_from_profile(low), path_from_profile(high))
+    return Region._from_paths(lower, upper)

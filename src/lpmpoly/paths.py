@@ -130,6 +130,13 @@ class Region:
         self.upper = upper
         self.size = lower.m + lower.r
 
+    @classmethod
+    def _from_paths(cls, lower: PathWord, upper: PathWord) -> "Region":
+        """Wrap two paths the caller already knows to bound a region."""
+        region = cls.__new__(cls)
+        region.lower, region.upper, region.size = lower, upper, lower.m + lower.r
+        return region
+
     @property
     def m(self) -> int:
         return self.lower.m
@@ -286,14 +293,14 @@ def tighten_bounds(
 
     Precondition: ``low`` and ``high`` are path profiles, unit steps with
     ``low <= high`` pointwise, as every caller passes them (a region's
-    bounding paths, from ``matroid.delete`` and ``polytope._certified``,
-    which feed ``facets`` and ``face_region``).  Such bounds are already closed
-    under rises of 0 or 1, so only the fixed step breaks the closure: one
-    pass runs forward from step i (from i + 1 when a height is pinned) and
-    one backward from i - 1, each stopping at the first step where neither
-    bound moves, since past it the given profiles hold again.  Returns None
-    when no path qualifies.  O(n) in copies and comparisons at C speed;
-    the Python loop visits only the steps whose bounds move.
+    bounding paths, from ``polytope._certified``, which feeds ``facets``
+    and ``face_region``).  Such bounds are already closed under rises of 0
+    or 1, so only the fixed step breaks the closure: one pass runs forward
+    from step i (from i + 1 when a height is pinned) and one backward from
+    i - 1, each stopping at the first step where neither bound moves,
+    since past it the given profiles hold again.  Returns None when no path
+    qualifies.  O(n) in copies and comparisons at C speed; the Python loop
+    visits only the steps whose bounds move.
     """
     n = len(low) - 1
     if not 1 <= i <= n or (step is None) == (height is None):

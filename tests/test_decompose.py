@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import sys
+from itertools import count
 
 import pytest
 
@@ -24,7 +25,8 @@ from lpmpoly import (
 from lpmpoly.errors import InvalidSplit
 from lpmpoly.matroid import presentation
 from lpmpoly.oracle import all_regions, box_path_strips
-from lpmpoly.paths import PathWord, region_boxes
+from lpmpoly.decompose import _split_children
+from lpmpoly.paths import PathWord, Region, path_from_profile, region_boxes
 from lpmpoly.polytope import h_representation
 from lpmpoly import verify
 from lpmpoly.verify import (
@@ -111,6 +113,37 @@ def test_hyperplane_split_accepts_exactly_the_straddles():
                 else:
                     got = _halves(hyperplane_split(region, x, j))
                     assert got == (region.lower, *want, region.upper), (region, x, j)
+
+
+def children_by_profiles(region, x, j):
+    """The reference children of a valid split: each new profile by one
+    comprehension over the parent's, its word rebuilt from it."""
+    p = region.lower.profile
+    q = region.upper.profile
+    # capped: min(q_i, j + max(0, i - x)); raised: max(p_i, j - max(0, x - i))
+    capped = [h if h < j else j for h in q[: x + 1]]
+    capped += [h if h < c else c for h, c in zip(q[x + 1 :], count(j + 1))]
+    raised = [h if h > c else c for h, c in zip(p[:x], count(j - x))]
+    raised += [h if h > j else j for h in p[x:]]
+    return Region(region.lower, path_from_profile(capped)), Region(path_from_profile(raised), region.upper)
+
+
+def _fields(region):
+    paths = (region.lower, region.upper)
+    return tuple((p.word, p.profile, p.m, p.r) for p in paths) + (region.size,)
+
+
+def test_split_children_match_the_profile_route_on_the_sweep():
+    splits = 0
+    for region in all_regions(8):
+        s, t = region.upper.north_positions(), region.lower.north_positions()
+        for j in range(1, region.r):
+            for x in range(max(s[j - 1] + 1, s[j]), min(t[j - 1], t[j] - 1)):
+                got = _split_children(region, x, j, s, t)
+                want = children_by_profiles(region, x, j)
+                assert list(map(_fields, got)) == list(map(_fields, want)), (region, x, j)
+                splits += 1
+    assert splits == 3895  # every valid split, not only the first straddle
 
 
 def test_hyperplane_split_example():
@@ -458,6 +491,14 @@ def test_deep_band_tree_matches_the_public_split_route(deep_band_tree):
     reference = reference_tree(deep_band_tree.region)
     assert deep_band_tree == reference
     assert not (deep_band_tree != reference)
+
+
+def test_deep_band_tree_children_match_the_profile_route(deep_band_tree):
+    splits = [node for node in deep_band_tree.nodes() if node.children]
+    assert len(splits) == 1099
+    for node in splits:
+        want = children_by_profiles(node.region, *node.split)
+        assert [_fields(child.region) for child in node.children] == list(map(_fields, want))
 
 
 def test_deep_band_trees_that_differ_at_the_bottom_compare_unequal(deep_band_tree):

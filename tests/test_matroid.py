@@ -16,7 +16,7 @@ from lpmpoly import (
 )
 from lpmpoly.errors import EmptyFace
 from lpmpoly.matroid import BasisVector, IntervalPresentation
-from lpmpoly.paths import PathWord, Region, path_from_profile
+from lpmpoly.paths import PathWord, Region, path_from_profile, tighten_bounds
 from lpmpoly.oracle import all_regions, brute_bases, brute_components
 
 
@@ -59,16 +59,20 @@ def path_derived_bases(region):
     ]
 
 
+def _random_region(rng, n):
+    """The region of n elements between two random paths, which may touch."""
+    r = rng.randint(1, n - 1)
+    a, b = (PathWord("".join(rng.sample("N" * r + "E" * (n - r), n))).profile for _ in range(2))
+    return Region(path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b))))
+
+
 def seeded_regions(seed=20121220, count=21, cap=20000):
     """Regions of 20-40 elements between two random paths, which may touch;
     a draw with more than ``cap`` paths is drawn again."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = 20 + len(out)
-        r = rng.randint(1, n - 1)
-        a, b = (PathWord("".join(rng.sample("N" * r + "E" * (n - r), n))).profile for _ in range(2))
-        region = Region(path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b))))
+        region = _random_region(rng, 20 + len(out))
         if count_lattice_points(region, 1) <= cap:
             out.append(region)
     return out
@@ -190,3 +194,57 @@ def test_delete_is_filter_and_project():
                     continue
                 child = delete(region, i, value)
                 assert {p.word for p in enumerate_paths(child)} == expected
+
+
+def delete_by_tightening(region, i, value):
+    """The reference deletion: tighten the bounding profiles to the paths
+    whose i-th letter is fixed, cut step i from both and rebuild the words."""
+    if value not in (0, 1):
+        raise ValueError("value must be 0 or 1")
+    if region.size == 1:
+        raise ValueError("cannot delete the last ground element")
+    if not 1 <= i <= region.size:
+        raise ValueError(f"coordinate {i} is outside 1..{region.size}")
+    bounds = tighten_bounds(region.lower.profile, region.upper.profile, i, step="N" if value else "E")
+    if bounds is None:
+        raise EmptyFace(f"no basis has coordinate {i} equal to {value}")
+    low, high = (prof[:i] + tuple([h - value for h in prof[i + 1 :]]) for prof in bounds)
+    return Region(path_from_profile(low), path_from_profile(high))
+
+
+def _outcome(route, *args):
+    """Each bounding path's word, profile and endpoint and the size, or the
+    exception's type and message."""
+    try:
+        region = route(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    paths = (region.lower, region.upper)
+    return tuple((p.word, p.profile, p.m, p.r) for p in paths) + (region.size,)
+
+
+def _assert_delete_matches_tightening(region, coordinates, values=(0, 1)):
+    for i in coordinates:
+        for value in values:
+            want = _outcome(delete_by_tightening, region, i, value)
+            assert _outcome(delete, region, i, value) == want, (region, i, value)
+
+
+def test_delete_matches_tightening_on_the_sweep():
+    for region in all_regions(8):
+        _assert_delete_matches_tightening(region, range(1, region.size + 1))
+    for region in all_regions(5):  # the argument checks, in their order
+        _assert_delete_matches_tightening(region, range(region.size + 2), (0, 1, 2))
+
+
+def test_delete_matches_tightening_on_large_regions():
+    rng = random.Random(20121220)
+    regions = [_random_region(rng, n) for n in range(30, 61, 2)]
+    # The same draws opened by an E and closed by an N: touching only at the ends.
+    regions += [region_from_words("E" + r.lower.word + "N", "N" + r.upper.word + "E") for r in regions]
+    assert any(len(components(region).blocks) > 2 for region in regions)
+    assert any(len(components(region).blocks) == 1 for region in regions)
+    for region in regions + [_random_region(rng, 200) for _ in range(2)]:
+        _assert_delete_matches_tightening(region, range(1, region.size + 1))
+    for region in [_random_region(rng, 1200) for _ in range(2)]:
+        _assert_delete_matches_tightening(region, [1, 2, 1199, 1200] + rng.sample(range(3, 1199), 40))

@@ -1,6 +1,5 @@
 import inspect
 import random
-import sys
 from itertools import product
 
 import pytest
@@ -24,7 +23,7 @@ from lpmpoly import (
     vertices,
 )
 from lpmpoly.errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGeneralizedCatalan
-from lpmpoly import paths, polytope
+from lpmpoly import polytope
 from lpmpoly.matroid import components, delete
 from lpmpoly.oracle import all_regions, brute_facets
 from lpmpoly.paths import PathWord, Region, area_below, path_from_profile, tighten_bounds
@@ -369,24 +368,29 @@ def test_face_region_route_catches_touch_count_mutants(monkeypatch, mutant):
 
 
 def _count_constructions(monkeypatch):
-    """Count ``Region`` constructions and ``path_from_profile`` calls, in
-    every module of the package that holds the function."""
-    counts = {"Region": 0, "path_from_profile": 0}
+    """Count ``Region`` constructions, checked or not, and ``PathWord``s
+    wrapped round a profile, which ``path_from_profile`` and the word cuts
+    both go through."""
+    counts = {"Region": 0, "PathWord": 0}
     init = Region.__init__
-    build = paths.path_from_profile
+    wrap = Region._from_paths.__func__
+    from_profile = PathWord._from_profile.__func__
 
     def counted_init(self, *args):
         counts["Region"] += 1
         init(self, *args)
 
-    def counted_build(profile):
-        counts["path_from_profile"] += 1
-        return build(profile)
+    def counted_wrap(cls, *args):
+        counts["Region"] += 1
+        return wrap(cls, *args)
+
+    def counted_from_profile(cls, *args):
+        counts["PathWord"] += 1
+        return from_profile(cls, *args)
 
     monkeypatch.setattr(Region, "__init__", counted_init)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lpmpoly") and getattr(module, "path_from_profile", None) is build:
-            monkeypatch.setattr(module, "path_from_profile", counted_build)
+    monkeypatch.setattr(Region, "_from_paths", classmethod(counted_wrap))
+    monkeypatch.setattr(PathWord, "_from_profile", classmethod(counted_from_profile))
     return counts
 
 
@@ -397,8 +401,8 @@ def test_certification_builds_only_the_returned_face(monkeypatch):
     counts = _count_constructions(monkeypatch)
     for region, fs in listed:
         facets(region)
-        assert counts == {"Region": 0, "path_from_profile": 0}, region
+        assert counts == {"Region": 0, "PathWord": 0}, region
         for facet in fs:
             assert isinstance(face_region(region, facet), Region)
-            assert counts == {"Region": 1, "path_from_profile": 2}, facet
-            counts.update(Region=0, path_from_profile=0)
+            assert counts == {"Region": 1, "PathWord": 2}, facet
+            counts.update(Region=0, PathWord=0)
