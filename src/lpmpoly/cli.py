@@ -48,6 +48,7 @@ from .polytope import (
     facets,
     h_representation,
     kcatalan_facet_count,
+    tight_sets,
     vertices,
 )
 from .triangulate import hypersimplex_triangulation
@@ -126,10 +127,9 @@ def _edges(region: Region):
 
 
 def _hrep(region: Region):
-    verts = vertices(region)
     rep = h_representation(region)
     cons = rep.equalities + rep.inequalities
-    records = [_constraint(c, [k for k, v in enumerate(verts) if c.tight(v)]) for c in cons]
+    records = [_constraint(c, tight) for c, tight in zip(cons, tight_sets(region, cons))]
     return _json(records), map(json.dumps, records)
 
 

@@ -22,6 +22,7 @@ from .errors import DominanceViolation, EmptyWord, EndpointMismatch, InvalidChar
 
 _STEP_BITS = bytes.maketrans(b"EN", b"\x00\x01")
 _STEP_LETTERS = bytes.maketrans(b"\x00\x01", b"EN")
+_EAST_BITS = bytes.maketrans(b"EN", b"\x01\x00")  # the E mask of a word
 
 
 class PathWord:
@@ -83,8 +84,12 @@ class PathWord:
         return tuple(compress(range(1, len(self.word) + 1), self.bits()))
 
     def east_step_heights(self) -> tuple[int, ...]:
-        """Height at which each E step is taken, left to right."""
-        return tuple(self.profile[i - 1] for i, s in enumerate(self.word, start=1) if s == "E")
+        """Height at which each E step is taken, left to right.
+
+        >>> PathWord("NENE").east_step_heights()
+        (1, 2)
+        """
+        return tuple(compress(self.profile, self.word.encode().translate(_EAST_BITS)))
 
 
 def path_from_profile(profile: tuple[int, ...]) -> PathWord:

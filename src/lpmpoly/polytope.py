@@ -10,14 +10,16 @@ whose bounds move.  A region's dimension is n + 1 less the touch count of
 its bounding paths, so the face's dimension is read off the touch count
 of the tightened bounds: the candidate is a facet exactly when that face
 has dimension dim - 1.  Candidates come in canonical order, and a facet
-is listed under the first candidate that cuts it.  Its tight vertex set
-is read off the prefix x suffix blocks of ``paths.path_halves``, not a
-scan of every path: whole blocks for a candidate on the steps before the
-cut, and after it one selection of tails per height, shifted into each
+is listed under the first candidate that cuts it.  Tight vertex sets,
+for a facet, for ``face_region``'s check and for every row of the
+H-representation, take one route, ``tight_sets``: they are read off the
+prefix x suffix blocks of ``paths.path_halves``, not a scan of every
+path, as whole blocks for a run of steps before the cut, and for one
+ending after it as one selection of tails per height, shifted into each
 block.  Only ``face_region`` builds a face region, the one it returns.
-The oracle route, in
-:mod:`lpmpoly.oracle`, certifies every inequality of the H-representation
-by affine rank and picks the representative from the tight vertex sets.
+The oracle route, in :mod:`lpmpoly.oracle`, certifies every inequality
+of the H-representation by affine rank and picks the representative
+from the tight vertex sets.
 
 Edges are single N/E swaps between two paths.  They come from a walk
 that lists the paths in lexicographic order, read off rank offsets: a
@@ -106,20 +108,6 @@ def dimension(region: Region) -> int:
     return region.size + 1 - touch_count(region.lower.profile, region.upper.profile)
 
 
-def _completions(region: Region) -> list[list[int]]:
-    """after[i][y]: the paths from height y after i steps to the end, for y
-    in 0..r+1; zero at the heights the region leaves out."""
-    p = region.lower.profile
-    q = region.upper.profile
-    n, r = region.size, region.r
-    after = [[0] * (r + 2) for _ in range(n + 1)]
-    after[n][r] = 1
-    for i in range(n - 1, -1, -1):
-        nxt = after[i + 1]
-        after[i][p[i] : q[i] + 1] = map(add, nxt[p[i] : q[i] + 1], nxt[p[i] + 1 : q[i] + 2])
-    return after
-
-
 def edges(region: Region) -> list[tuple[int, int]]:
     """Vertex-index pairs whose incidence vectors differ by a single swap, sorted.
 
@@ -153,8 +141,14 @@ def edges(region: Region) -> list[tuple[int, int]]:
     # ns against 200 through zip(repeat(k), map(index.__getitem__, ...)).
     p = region.lower.profile
     q = region.upper.profile
-    n = region.size
-    after = _completions(region)
+    n, r = region.size, region.r
+    # after[i][y]: the paths from height y after i steps to the end, for y in
+    # 0..r+1; zero at the heights the region leaves out
+    after = [[0] * (r + 2) for _ in range(n + 1)]
+    after[n][r] = 1
+    for i in range(n - 1, -1, -1):
+        nxt = after[i + 1]
+        after[i][p[i] : q[i] + 1] = map(add, nxt[p[i] : q[i] + 1], nxt[p[i] + 1 : q[i] + 2])
     index = list(range(after[0][0]))
     out: list[tuple[int, int]] = []
     offsets: list[int] = []  # partner offsets found on the current prefix
@@ -341,20 +335,27 @@ def _certified(
     return low, high
 
 
-def facets(region: Region) -> list[Facet]:
-    """Minimal facet list of a connected region, in canonical candidate order.
+def tight_sets(region: Region, constraints: Sequence[LinearConstraint]) -> list[tuple[int, ...]]:
+    """Per constraint, the indices of the vertices it is tight on, in the
+    order of :func:`vertices`.
 
-    A candidate is certified off the bounds of its tight paths, by their
-    touch count (see ``_certified``): O(n) per candidate, no face built.
-    Tight vertex sets are listed for the facets only, from the blocks of
-    :func:`paths.path_halves`: the paths that share a head are consecutive,
-    one per tail from its end height.  A candidate on the first ``cut``
-    steps takes or leaves each block whole, as an index range; one on
-    later steps takes, from every block, the tails it holds on, selected
-    once per end height and shifted by the block's first index.
+    Each constraint's coefficients are 1 on one run of steps and 0
+    elsewhere, and the run starts at the first step or is a single step, as
+    every row of :func:`h_representation` and every facet candidate is, so
+    the left side is a path's rise over the run.  The vertices are read off
+    the blocks of :func:`paths.path_halves`, not scanned: the paths that
+    share a head are consecutive, one per tail from its end height.  A run
+    within the first ``cut`` steps takes or leaves each block whole, as an
+    index range; one ending later takes, from every block, the tails it
+    holds on, selected once per end height and shifted by the block's
+    first index.
+
+    >>> from lpmpoly.paths import region_from_words
+    >>> octahedron = region_from_words("EENN", "NNEE")
+    >>> rep = h_representation(octahedron)
+    >>> tight_sets(octahedron, rep.equalities + rep.inequalities[:4])
+    [(0, 1, 2, 3, 4, 5), (0, 1, 2), (3, 4, 5), (0,), (5,)]
     """
-    if not is_connected(region):
-        raise DisconnectedRegion("facets are computed per connected block")
     cut, heads, tails = path_halves(region)
     profiles = {y: [tuple(h) for _, h in walk] for y, walk in tails.items()}
     blocks = []  # per head: its heights over steps 0..cut and its first path index
@@ -362,13 +363,10 @@ def facets(region: Region) -> list[Facet]:
     for _, h in heads:
         blocks.append((tuple(h), first))
         first += len(profiles[h[-1]])
-    candidates = facet_candidates(region)
     out = []
-    for k, (kind, position, cons) in enumerate(candidates):
-        if _certified(region, candidates, k) is None:
-            continue
-        # the constraint's left side is the path's rise over its support
-        start = position - 1 if kind in _BOX_KINDS else 0
+    for cons in constraints:
+        start = cons.coeffs.index(1)
+        position = start + sum(cons.coeffs)
         rhs = cons.rhs
         if position <= cut:
             runs = (
@@ -376,15 +374,31 @@ def facets(region: Region) -> list[Facet]:
                 for h, i in blocks if h[position] - h[start] == rhs
             )
         else:
-            # a tail's heights start at the cut; a prefix bound's, at 0 before it
+            # a tail's heights start at the cut; a run from the first step, at 0 before it
             a, b = start - cut, position - cut
             held = {
                 y: [j for j, t in enumerate(ts) if t[b] - (t[a] if a >= 0 else 0) == rhs]
                 for y, ts in profiles.items()
             }
             runs = ([i + j for j in held[h[-1]]] for h, i in blocks)
-        out.append(Facet(cons, tuple(chain.from_iterable(runs)), kind, position))
+        out.append(tuple(chain.from_iterable(runs)))
     return out
+
+
+def facets(region: Region) -> list[Facet]:
+    """Minimal facet list of a connected region, in canonical candidate order.
+
+    A candidate is certified off the bounds of its tight paths, by their
+    touch count (see ``_certified``): O(n) per candidate, no face built.
+    Tight vertex sets are listed for the certified candidates only, in one
+    call of :func:`tight_sets`.
+    """
+    if not is_connected(region):
+        raise DisconnectedRegion("facets are computed per connected block")
+    candidates = facet_candidates(region)
+    listed = [c for k, c in enumerate(candidates) if _certified(region, candidates, k) is not None]
+    tight = tight_sets(region, [cons for _, _, cons in listed])
+    return [Facet(cons, t, kind, position) for (kind, position, cons), t in zip(listed, tight)]
 
 
 def catalan_facet_count(n: int) -> int:
@@ -401,32 +415,6 @@ def kcatalan_facet_count(width: int, n: int) -> int:
     return (width + 1) * (2 * n - 3) + n - 2
 
 
-def _path_indices(
-    region: Region, low: tuple[int, ...], high: tuple[int, ...], rises: list[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Positions, among the region's paths in lexicographic order, of the
-    paths between ``low`` and ``high`` whose k-th step rises by one of ``rises[k]``.
-
-    A path's position counts, at each of its N steps, the region's paths
-    that agree before that step and take E there.  One forward pass carries
-    the partial counts of all prefixes by height, so the cost is the number
-    of prefixes, not paths times n.
-    """
-    q = region.upper.profile
-    n = region.size
-    after = _completions(region)
-    partial: dict[int, list[int]] = {0: [0]}
-    for k in range(1, n + 1):
-        grown: dict[int, list[int]] = {}
-        for y, found in partial.items():
-            for rise in rises[k]:
-                if low[k] <= y + rise <= high[k]:
-                    gain = after[k][y] if rise else 0
-                    grown.setdefault(y + rise, []).extend([x + gain for x in found])
-        partial = grown
-    return tuple(sorted(partial.get(q[n], ())))
-
-
 def face_region(region: Region, facet: Facet) -> Region:
     """Recover the face cut by a facet as a region.
 
@@ -436,26 +424,22 @@ def face_region(region: Region, facet: Facet) -> Region:
     product of the two halves'.  Raises NotAFacet unless :func:`facets`
     lists ``facet``, without computing it: the facet is certified alone,
     off the profiles ``_certified`` returns, and ``facet.tight`` is checked
-    against the paths between them.  The returned face is the only region
-    built.  O(n^2) plus the face's prefixes.
+    against :func:`tight_sets` for its constraint.  The returned face is
+    the only region built.  O(n^2) for the certificate, then the region's
+    listing pieces (the heads and tails of ``paths.path_halves``) and the
+    tight set.
     """
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
     kind, i, rhs = facet.kind, facet.position, facet.constraint.rhs
-    not_a_facet = NotAFacet(f"{kind} at {i} is not a facet here")
     candidates = facet_candidates(region)
     key = (kind, i, facet.constraint)
     certified = None
     if key in candidates:
         certified = _certified(region, candidates, candidates.index(key))
-    if certified is None:
-        raise not_a_facet
-    low, high = certified
-    rises = [(0, 1)] * (region.size + 1)
-    if kind in _BOX_KINDS:
-        rises[i] = (rhs,)
-    if facet.tight != _path_indices(region, low, high, rises):
-        raise not_a_facet
+    if certified is None or facet.tight != tight_sets(region, [facet.constraint])[0]:
+        raise NotAFacet(f"{kind} at {i} is not a facet here")
     if kind in _BOX_KINDS:
         return delete(region, i, rhs)
+    low, high = certified
     return Region(path_from_profile(low), path_from_profile(high))

@@ -275,6 +275,28 @@ def test_split_listing_verbs_output_is_byte_identical(capsys, words):
     assert digest.hexdigest() == SPLIT_VERBS_SHA256[words]
 
 
+# sha256 of the stdout of ``lpm hrep --format json`` then ``--format
+# text`` on the regions of ``SPLIT_VERBS_SHA256``; recorded while every
+# vertex was scanned against every constraint.
+HREP_SHA256 = {
+    ("EEEEEENNNNNN", "NENENENENENE"): "7d0fb5ab3f3182612ae51c7a54844b27727b6e8db0cea8ef9e4204e95b951266",
+    ("EEEEEEEENNNN", "NEENEENEENEE"): "9eedbe3b3637cd836e91fbc294f074928ead0d38603655033ba83b357ffb0245",
+    ("EEENEENEEEEENNEENN", "NEENEENEEEEENNEENE"): "eb9b3d4e2eada018bf917dc420f0853d382abaf94b62367710b953238c0b9b8a",
+}
+
+
+@pytest.mark.parametrize("words", sorted(HREP_SHA256), ids="/".join)
+def test_split_hrep_output_is_byte_identical(capsys, words):
+    lower, upper = words
+    digest = hashlib.sha256()
+    for fmt in ("json", "text"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["hrep", "--lower", lower, "--upper", upper, "--format", fmt, "--max-size", "18"])
+        assert exit_.value.code == 0, fmt
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == HREP_SHA256[words]
+
+
 # ``lpm ehrhart`` stdout, recorded while the polynomial was interpolated
 # through the plain counts at t = 0..d: a loop, a coloop, a loop plus a
 # coloop, two direct sums, the octahedron, the 3x3 rectangle, the Catalan

@@ -46,7 +46,7 @@ from lpmpoly import oracle, paths
 from lpmpoly.ehrhart import formula_value
 from lpmpoly.errors import EmptyFace
 from lpmpoly.paths import PathWord, Region, path_from_profile, region_boxes
-from lpmpoly.polytope import facet_candidates
+from lpmpoly.polytope import facet_candidates, h_representation, tight_sets
 
 SEED = 20121220
 COUNT = 40
@@ -242,6 +242,27 @@ def test_split_listings_match_oracles_on_the_sweep(monkeypatch):
         _assert_listings_match_oracles(region)
     for region in oracle.all_regions(7, connected_only=True):
         assert facets(region) == oracle.certify_facet_candidates(region, facet_candidates(region))
+
+
+def _assert_tight_sets_match_scan(region):
+    # the reference route: every vertex against every row
+    rep = h_representation(region)
+    rows = rep.equalities + rep.inequalities
+    verts = vertices(region)
+    want = [tuple(k for k, v in enumerate(verts) if c.tight(v)) for c in rows]
+    assert tight_sets(region, rows) == want
+
+
+@pytest.mark.parametrize("region", MIDDLE, ids=repr)
+def test_split_tight_sets_match_the_vertex_scan(region):
+    # from MEET_MIN_SIZE elements: whole blocks before the cut, tail selections after it
+    _assert_tight_sets_match_scan(region)
+
+
+def test_tight_sets_match_the_vertex_scan_on_the_sweep():
+    # one walk, cut 0: every run ends after the cut
+    for region in oracle.all_regions(7):
+        _assert_tight_sets_match_scan(region)
 
 
 LONG = [

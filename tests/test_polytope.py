@@ -205,6 +205,19 @@ def test_face_region_rejects_non_facets():
         face_region(region, foreign)
 
 
+BOX = ("x_lower", "x_upper")
+
+
+def scanned_tight(paths, kind, position, rhs):
+    """A candidate's tight tuple by the path scan: the indices of the paths
+    whose rise over its run of steps is ``rhs``."""
+    start = position - 1 if kind in BOX else 0
+    return tuple(
+        k for k, path in enumerate(paths)
+        if path.profile[position] - path.profile[start] == rhs
+    )
+
+
 def test_face_region_accepts_exactly_the_listed_facets():
     # one facet certified alone against membership in the oracle's facet
     # list: every candidate with its true tight tuple, and listed facets
@@ -213,11 +226,7 @@ def test_face_region_accepts_exactly_the_listed_facets():
         listed = brute_facets(region)
         paths = enumerate_paths(region)
         for kind, position, cons in facet_candidates(region):
-            start = position - 1 if kind in ("x_lower", "x_upper") else 0
-            tight = tuple(
-                k for k, path in enumerate(paths)
-                if path.profile[position] - path.profile[start] == cons.rhs
-            )
+            tight = scanned_tight(paths, kind, position, cons.rhs)
             copies = [Facet(cons, tight, kind, position)]
             if copies[0] in listed:
                 copies += [
@@ -242,9 +251,6 @@ def test_check_facets_flags_duplicate_facets(monkeypatch):
     res = check_facets(max_size=5, catalan_ns=range(3, 7))
     assert not res.ok
     assert any("facet list mismatch" in f for f in res.failures)
-
-
-BOX = ("x_lower", "x_upper")
 
 
 def reference_certified(region, candidates, k):
@@ -285,12 +291,7 @@ def certification_mismatches(region):
     every_path = enumerate_paths(region)
     want, faces = [], {}
     for k, (kind, position, cons) in enumerate(candidates):
-        start = position - 1 if kind in BOX else 0
-        tight = tuple(
-            t for t, path in enumerate(every_path)
-            if path.profile[position] - path.profile[start] == cons.rhs
-        )
-        facet = Facet(cons, tight, kind, position)
+        facet = Facet(cons, scanned_tight(every_path, kind, position, cons.rhs), kind, position)
         faces[facet] = reference_certified(region, candidates, k)
         if faces[facet] is not None:
             want.append(facet)
