@@ -8,11 +8,11 @@ block of boxes).
 
 from __future__ import annotations
 
-from operator import eq, ge
+from operator import eq, ge, sub
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidSplit
-from .paths import Box, PathWord, Region, region_boxes
+from .paths import Box, PathWord, Region, pin, region_boxes
 
 
 class Split(NamedTuple):
@@ -27,19 +27,18 @@ def find_split(region: Region) -> Split | None:
     to t_j, that of the lower path.  The smallest x for j is
     max(s_j + 1, s_{j+1}), a split when it is below min(t_j, t_{j+1} - 1).
     Both position lists increase strictly, so that x is s_{j+1}, and it is
-    below t_{j+1} - 1 once it is below t_j: O(r) off the N positions.
-    Absent exactly when the region is a border strip.
+    below t_{j+1} - 1 once it is below t_j.  There the upper path stands at
+    j + 1 and the lower one below j, so the first split is where the gap
+    between the profiles, which moves by at most one per step, first
+    reaches 2: O(n) at C speed.  Absent exactly when the region is a
+    border strip.
     """
-    return _first_straddle(region.upper.north_positions(), region.lower.north_positions())
-
-
-def _first_straddle(s: tuple[int, ...], t: tuple[int, ...]) -> Split | None:
-    """:func:`find_split` off the N positions ``s`` of the upper path and
-    ``t`` of the lower path."""
-    for j, (x, t_j) in enumerate(zip(s[1:], t), start=1):
-        if x < t_j:
-            return Split(x, j)
-    return None
+    q = region.upper.profile
+    gaps = list(map(sub, q, region.lower.profile))
+    if 2 not in gaps:
+        return None
+    x = gaps.index(2)
+    return Split(x, q[x] - 1)
 
 
 class SplitResult(NamedTuple):
@@ -50,54 +49,21 @@ class SplitResult(NamedTuple):
 
 def hyperplane_split(region: Region, x: int, j: int) -> SplitResult:
     """Split into the child with at most j N steps in the first x elements (left)
-    and the child with at least j (right); the shared bases form a facet of both."""
-    s = region.upper.north_positions()
-    t = region.lower.north_positions()
-    if not (1 <= j < region.r and s[j - 1] < x < t[j - 1] and s[j] < x + 1 < t[j]):
+    and the child with at least j (right); the shared bases form a facet of both.
+    Valid when the point at height j after x steps lies strictly between the paths."""
+    if not (0 <= x <= region.size and region.lower.profile[x] < j < region.upper.profile[x]):
         raise InvalidSplit(f"(x={x}, j={j}) does not satisfy the split condition")
-    left, right = _split_children(region, x, j, s, t)
-    return SplitResult(left, right, Split(x, j))
+    return SplitResult(*_split_children(region, x, j), Split(x, j))
 
 
-def _split_children(
-    region: Region, x: int, j: int, s: tuple[int, ...], t: tuple[int, ...]
-) -> tuple[Region, Region]:
-    """The two children of a valid split, off the N positions ``s`` of the
-    upper path and ``t`` of the lower path: the left one keeps the lower
-    path, the right one the upper path.
-
-    Each new path is the parent's word with one window rewritten and its
-    profile the parent's with the same window replaced: a few slices joined
-    at C speed, checked by construction.  The capped upper path,
-    min(q_i, j + max(0, i - x)), is ``w[:a-1] + E*(x-a+1) + N*(meet-x) +
-    w[meet:]``: it waits at height j from a = s[j], the upper word's
-    (j+1)-th N, to step x, then climbs until it meets the upper path at
-    ``meet``, the (q_x - j)-th E after x.  The raised lower path,
-    max(p_i, j - max(0, x - i)), is ``w[:e] + N*(x-e) + E*(t_j-x) +
-    w[t_j:]``: the lower word's last j - p_x E steps at or before x, steps
-    e + 1..x, become its climb to height j at x, and it waits at j up to
-    t_j, where the lower path reaches j.
-    """
-    lower, upper = region.lower, region.upper
-    w, q, a = upper.word, upper.profile, s[j]
-    meet = x
-    for _ in range(q[x] - j):
-        meet = w.find("E", meet) + 1
-    capped = PathWord._from_profile(
-        w[: a - 1] + "E" * (x - a + 1) + "N" * (meet - x) + w[meet:],
-        q[:a] + (j,) * (x - a + 1) + tuple(range(j + 1, j + 1 + meet - x)) + q[meet + 1 :],
-        upper.m, upper.r,
-    )
-    w, p, t_j = lower.word, lower.profile, t[j - 1]
-    e = x
-    for _ in range(j - p[x]):
-        e = w.rfind("E", 0, e)
-    raised = PathWord._from_profile(
-        w[:e] + "N" * (x - e) + "E" * (t_j - x) + w[t_j:],
-        p[: e + 1] + tuple(range(p[e] + 1, j + 1)) + (j,) * (t_j - x) + p[t_j + 1 :],
-        lower.m, lower.r,
-    )
-    return Region._from_paths(lower, capped), Region._from_paths(raised, upper)
+def _split_children(region: Region, x: int, j: int) -> tuple[Region, Region]:
+    """The two children of a valid split, cut by the point surgery
+    :func:`paths.pin` at height j after x steps: the left one keeps the
+    lower path and takes the capped upper path, the right one the reverse."""
+    (w, p), (v, q) = pin(region, x, j)
+    m, r = region.lower.m, region.lower.r
+    raised, capped = PathWord._from_profile(w, p, m, r), PathWord._from_profile(v, q, m, r)
+    return Region._from_paths(region.lower, capped), Region._from_paths(raised, region.upper)
 
 
 class _Boxes(NamedTuple):
@@ -278,22 +244,20 @@ def decomposition_tree(region: Region) -> DecompositionNode:
 
     Splits are found in preorder on an explicit stack, then nodes are built
     in reverse preorder, children before parents, so depth is unbounded.
-    Each node carries the N positions of its paths: a child shares one
-    path with its parent, so only the new path's positions are read, once.
-    The new path is cut from the parent's word and profile by
-    :func:`_split_children`, a few slices joined at C speed, and the child
-    is wrapped without the ``Region`` checks, which hold by construction.
+    Each child is cut from its parent's words and profiles by the point
+    surgery :func:`paths.pin`, a few slices joined at C speed, and wrapped
+    without the ``Region`` checks, which hold by construction.
     """
     preorder: list[tuple[Region, Split | None]] = []
-    stack = [(region, region.upper.north_positions(), region.lower.north_positions())]
+    stack = [region]
     while stack:
-        node, s, t = stack.pop()
-        split = _first_straddle(s, t)
+        node = stack.pop()
+        split = find_split(node)
         preorder.append((node, split))
         if split is not None:
-            left, right = _split_children(node, split.x, split.j, s, t)
-            stack.append((right, s, right.lower.north_positions()))
-            stack.append((left, left.upper.north_positions(), t))
+            left, right = _split_children(node, *split)
+            stack.append(right)
+            stack.append(left)
     built: list[DecompositionNode] = []
     new = tuple.__new__
     for node, split in reversed(preorder):

@@ -21,7 +21,7 @@ and the polynomial with every plain dilation it does not read, up to two
 past its degree.  The prefix-block composition sets and the double-sum
 formula exist to be *compared* against the ground truth, never trusted.
 The double sum is evaluated per composition by a transfer chain over its
-slack variables; ``oracle.literal_formula_value`` sums it term by term
+slack variables; ``oracle.literal_double_sum`` sums it term by term
 over every slack array, and ``verify.check_ehrhart`` compares the two.
 """
 
@@ -340,7 +340,7 @@ def multichoose(n: int, k: int) -> int:
     return comb(n + k - 1, k)
 
 
-def formula_value(region: Region, t: int) -> int:
+def transfer_chain(r: int, t: int, compositions: list[tuple[int, ...]]) -> int:
     """The double-sum candidate for the dilation count, by a transfer chain.
 
     For each composition alpha in ``gamma_set`` the inner sum runs over the
@@ -353,11 +353,6 @@ def formula_value(region: Region, t: int) -> int:
     M(t-u-v, alpha_{j/2}) when the new slack s_j has even j.  O(r t^2)
     integer operations per composition instead of one term per slack array.
     """
-    return _transfer_chain(region.r, t, gamma_set(region))
-
-
-def _transfer_chain(r: int, t: int, compositions: list[tuple[int, ...]]) -> int:
-    """``formula_value`` over a composition set its caller built once."""
     if r == 0:
         return 1
     total = 0
@@ -406,7 +401,7 @@ def reconcile_ehrhart_formula(region: Region, t_max: int) -> ReconcileReport:
         raise ValueError("t_max must be nonnegative")
     compositions = gamma_set(region)
     rows = tuple(
-        ReconcileRow(t, _transfer_chain(region.r, t, compositions), count_lattice_points(region, t))
+        ReconcileRow(t, transfer_chain(region.r, t, compositions), count_lattice_points(region, t))
         for t in range(0, t_max + 1)
     )
     return ReconcileReport(region, rows)

@@ -8,12 +8,12 @@ exactly the N-position sets of the paths inside the region.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
-from operator import eq, gt
+from itertools import compress
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyFace
-from .paths import _STEP_BITS, PathWord, Region, path_halves, touch_count
+from .paths import PathWord, Region, fix_letter, path_halves, touch_count
 
 
 class _Intervals(NamedTuple):
@@ -143,14 +143,10 @@ def is_connected(region: Region) -> bool:
 def delete(region: Region, i: int, value: int) -> Region:
     """Fix coordinate ``i`` to ``value`` and drop it; the surviving paths form a region.
 
-    Cut from the bounding words in O(n), with no path enumeration.  Fixing
-    letter i to N (``value`` 1) moves at most one letter of each word: where
-    the lower word has E at i, its next N becomes E (the lowest path with N
-    at i runs one higher up to there); where the upper word has E at i, its
-    last N before i becomes E.  Fixing it to E is the mirror image: the
-    lower word's last E before i and the upper word's next E after i become
-    N.  Letter i is then cut from both words.  No letter to move, or cut
-    words that cross, leave no basis.
+    Cut from the bounding words in O(n), with no path enumeration: the
+    letter surgery :func:`paths.fix_letter` moves at most one letter of
+    each word to give the lowest and highest paths with ``value`` at i, and
+    letter i is then cut from both.  No such path leaves no basis.
 
     >>> from lpmpoly.paths import region_from_words
     >>> octahedron = region_from_words("EENN", "NNEE")
@@ -167,20 +163,14 @@ def delete(region: Region, i: int, value: int) -> Region:
         raise ValueError("cannot delete the last ground element")
     if not 1 <= i <= region.size:
         raise ValueError(f"coordinate {i} is outside 1..{region.size}")
-    step, swapped = ("N", "E") if value else ("E", "N")
-    lower = region.lower
-    m, r = lower.m - 1 + value, lower.r - value
-    cut = []
-    for word, ahead in ((lower.word, value), (region.upper.word, not value)):
-        if word[i - 1] != step:
-            k = word.find(step, i) if ahead else word.rfind(step, 0, i - 1)
-            if k < 0:
-                raise EmptyFace(f"no basis has coordinate {i} equal to {value}")
-            word = word[:k] + swapped + word[k + 1 :]
-        word = word[: i - 1] + word[i:]
-        profile = tuple(accumulate(word.encode().translate(_STEP_BITS), initial=0))
-        cut.append(PathWord._from_profile(word, profile, m, r))
-    lower, upper = cut
-    if any(map(gt, lower.profile, upper.profile)):
+    bounds = fix_letter(region, i, value)
+    if bounds is None:
         raise EmptyFace(f"no basis has coordinate {i} equal to {value}")
-    return Region._from_paths(lower, upper)
+    (w, p), (v, q) = bounds
+    if value:  # the cut N lowers every later height by one
+        p, q = p[:i] + tuple([h - 1 for h in p[i + 1 :]]), q[:i] + tuple([h - 1 for h in q[i + 1 :]])
+    else:
+        p, q = p[:i] + p[i + 1 :], q[:i] + q[i + 1 :]
+    m, r = region.lower.m - 1 + value, region.lower.r - value
+    lower = PathWord._from_profile(w[: i - 1] + w[i:], p, m, r)
+    return Region._from_paths(lower, PathWord._from_profile(v[: i - 1] + v[i:], q, m, r))

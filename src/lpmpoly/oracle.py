@@ -43,7 +43,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .decompose import BorderStrip
-from .ehrhart import gamma_set, multichoose
+from .ehrhart import multichoose
 from .errors import TooLarge, WrongChamber
 from .matroid import components
 from .paths import Box, PathWord, Region, region_boxes
@@ -244,13 +244,8 @@ def s_set(r: int, t: int) -> list[tuple[int, ...]]:
     return arrays
 
 
-def literal_formula_value(region: Region, t: int) -> int:
+def literal_double_sum(r: int, t: int, compositions: list[tuple[int, ...]]) -> int:
     """The double-sum candidate for the dilation count, one term per slack array."""
-    return _literal_double_sum(region.r, t, gamma_set(region))
-
-
-def _literal_double_sum(r: int, t: int, compositions: list[tuple[int, ...]]) -> int:
-    """``literal_formula_value`` over a composition set its caller built once."""
     if r == 0:
         return 1
     total = 0

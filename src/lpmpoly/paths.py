@@ -13,7 +13,7 @@ never climbing above the upper one.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, compress
 from operator import eq, gt, sub
 from typing import Iterable, NamedTuple
 
@@ -39,18 +39,12 @@ class PathWord:
     def __init__(self, word: str):
         if not word:
             raise EmptyWord("path word is empty")
-        heights = [0]
-        h = 0
-        for pos, step in enumerate(word, start=1):
-            if step == "N":
-                h += 1
-            elif step != "E":
-                raise InvalidCharacter(word, pos)
-            heights.append(h)
-        self.word = word
-        self.r = h
-        self.m = len(word) - h
-        self.profile = tuple(heights)
+        r = word.count("N")
+        if r + word.count("E") != len(word):
+            bad = next(pos for pos, step in enumerate(word, start=1) if step not in "EN")
+            raise InvalidCharacter(word, bad)
+        self.word, self.m, self.r = word, len(word) - r, r
+        self.profile = tuple(accumulate(self.bits(), initial=0))
 
     @classmethod
     def _from_profile(cls, word: str, profile: tuple[int, ...], m: int, r: int) -> "PathWord":
@@ -285,62 +279,87 @@ def enumerate_paths(region: Region) -> list[PathWord]:
     return out
 
 
-def tighten_bounds(
-    low: tuple[int, ...],
-    high: tuple[int, ...],
-    i: int,
-    *,
-    step: str | None = None,
-    height: int | None = None,
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Min and max height profiles of the paths between ``low`` and ``high``
-    whose i-th letter is ``step``, or which stand at ``height`` after i steps.
+Bound = tuple[str, tuple[int, ...]]  # a bounding path's word and height profile
 
-    Precondition: ``low`` and ``high`` are path profiles, unit steps with
-    ``low <= high`` pointwise, as every caller passes them (a region's
-    bounding paths, from ``polytope._certified``, which feeds ``facets``
-    and ``face_region``).  Such bounds are already closed under rises of 0
-    or 1, so only the fixed step breaks the closure: one pass runs forward
-    from step i (from i + 1 when a height is pinned) and one backward from
-    i - 1, each stopping at the first step where neither bound moves,
-    since past it the given profiles hold again.  Returns None when no path
-    qualifies.  O(n) in copies and comparisons at C speed; the Python loop
-    visits only the steps whose bounds move.
+
+def fix_letter(region: Region, i: int, value: int) -> tuple[Bound, Bound] | None:
+    """The lowest and highest paths of the region whose i-th letter (1 <= i
+    <= n) is N (``value`` 1) or E (``value`` 0), over all n steps; None if
+    there are none.
+
+    Where a bounding word has the other letter at i, the nearest letter to
+    fix moves there: for N, the lower word's next N after i and the upper
+    word's last N before i; for E, the lower word's last E before i and the
+    upper word's next E after i.  The letters it passes are all the other
+    letter, so the profile's one rebuilt window, which starts at step i or
+    ends at step i - 1, is flat (fixing N) or climbs one per step (fixing
+    E), and the gap between the paths is narrowest at its end next to step
+    i.  Both words take the same letter i, so the paths cross, if at all,
+    at step i.
     """
-    n = len(low) - 1
-    if not 1 <= i <= n or (step is None) == (height is None):
-        raise ValueError("fix either the letter or the height at a step in 1..n")
-    lo = list(low)
-    hi = list(high)
-    if height is not None:
-        lo[i] = max(lo[i], height)
-        hi[i] = min(hi[i], height)
-        rise_min, rise_max = 0, 1
-    else:
-        rise_min = rise_max = 1 if step == "N" else 0
-        lo[i] = max(lo[i], lo[i - 1] + rise_min)
-        hi[i] = min(hi[i], hi[i - 1] + rise_max)
-    floor, ceiling = lo[i], hi[i] + 1
-    for j in range(i + 1, n + 1):
-        if lo[j] >= floor and hi[j] <= ceiling:
-            break
-        if lo[j] < floor:
-            lo[j] = floor
-        if hi[j] > ceiling:
-            hi[j] = ceiling
-        floor, ceiling = lo[j], hi[j] + 1
-    floor, ceiling = lo[i] - rise_max, hi[i] - rise_min
-    for j in range(i - 1, -1, -1):
-        if lo[j] >= floor and hi[j] <= ceiling:
-            break
-        if lo[j] < floor:
-            lo[j] = floor
-        if hi[j] > ceiling:
-            hi[j] = ceiling
-        floor, ceiling = lo[j] - 1, hi[j]
-    if any(map(gt, lo, hi)):
+    step = "EN"[value]
+    out = []
+    for path, ahead in ((region.lower, value), (region.upper, not value)):
+        w, h = path.word, path.profile
+        if w[i - 1] != step:
+            if ahead:  # the next letter to fix moves back to i
+                a, b = i - 1, w.find(step, i)
+                if b < 0:
+                    return None
+                w = w[:a] + step + w[a:b] + w[b + 1 :]
+                window = (h[a] + 1,) * (b - a) if value else h[a:b]
+            else:  # the last letter to fix before i moves on to it
+                a, b = w.rfind(step, 0, i - 1), i - 1
+                if a < 0:
+                    return None
+                w = w[:a] + w[a + 1 : i] + step + w[i:]
+                window = (h[a],) * (b - a) if value else h[a + 2 : i + 1]
+            h = h[: a + 1] + window + h[b + 1 :]
+        out.append((w, h))
+    lower, upper = out
+    return None if lower[1][i] > upper[1][i] else (lower, upper)
+
+
+def pin(region: Region, x: int, j: int) -> tuple[Bound, Bound] | None:
+    """The lowest and highest paths of the region at height j after x
+    steps (0 <= x <= n), over all n steps; None if there are none.  Their
+    bases form a pinched face of the region's polytope, which is also the
+    shared facet of a hyperplane split.
+
+    A bounding path through the point comes back as it is; otherwise one
+    window of its word and profile is rewritten.  The raised lower path,
+    max(p_i, j - max(0, x - i)), climbs to j over steps e + 1..x, which
+    hold the lower word's last j - p_x E steps up to x, and waits at j up
+    to t, where the lower path reaches j.  The capped upper path, min(q_i,
+    j + max(0, i - x)), waits at j from a, the upper word's (j+1)-th N, to
+    x, then climbs to meet the upper path at its (q_x - j)-th E after x.
+
+    >>> pin(region_from_words("EENN", "NNEE"), 2, 1)
+    (('ENEN', (0, 0, 1, 1, 2)), ('NENE', (0, 1, 1, 2, 2)))
+    """
+    w, p = region.lower.word, region.lower.profile
+    v, q = region.upper.word, region.upper.profile
+    if not p[x] <= j <= q[x]:
         return None
-    return tuple(lo), tuple(hi)
+    if p[x] < j:
+        t = p.index(j, x)
+        e = x
+        for _ in range(j - p[x]):
+            e = w.rfind("E", 0, e)
+        w, p = (
+            w[:e] + "N" * (x - e) + "E" * (t - x) + w[t:],
+            p[: e + 1] + tuple(range(p[e] + 1, j + 1)) + (j,) * (t - x) + p[t + 1 :],
+        )
+    if q[x] > j:
+        a = q.index(j + 1)
+        meet = x
+        for _ in range(q[x] - j):
+            meet = v.find("E", meet) + 1
+        v, q = (
+            v[: a - 1] + "E" * (x - a + 1) + "N" * (meet - x) + v[meet:],
+            q[:a] + (j,) * (x - a + 1) + tuple(range(j + 1, j + 1 + meet - x)) + q[meet + 1 :],
+        )
+    return (w, p), (v, q)
 
 
 def touch_count(low: tuple[int, ...], high: tuple[int, ...]) -> int:

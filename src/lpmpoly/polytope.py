@@ -3,23 +3,24 @@
 Facets are certified without an affine rank and without building a
 region, by one routine that both ``facets`` and ``face_region`` call.  A
 candidate inequality (a box bound, or a prefix bound at a corner of a
-bounding path) is tight on the paths between two profiles: the region's
-bounds tightened by ``tighten_bounds`` to a fixed letter at a step (box)
-or a fixed height at a position (prefix), O(n) at C speed plus the steps
-whose bounds move.  A region's dimension is n + 1 less the touch count of
-its bounding paths, so the face's dimension is read off the touch count
-of the tightened bounds: the candidate is a facet exactly when that face
-has dimension dim - 1.  Candidates come in canonical order, and a facet
-is listed under the first candidate that cuts it.  Tight vertex sets,
-for a facet, for ``face_region``'s check and for every row of the
-H-representation, take one route, ``tight_sets``: they are read off the
-prefix x suffix blocks of ``paths.path_halves``, not a scan of every
-path, as whole blocks for a run of steps before the cut, and for one
-ending after it as one selection of tails per height, shifted into each
-block.  Only ``face_region`` builds a face region, the one it returns.
-The oracle route, in :mod:`lpmpoly.oracle`, certifies every inequality
-of the H-representation by affine rank and picks the representative
-from the tight vertex sets.
+bounding path) is tight on the paths between two bounding paths that one
+of the word surgeries of :mod:`lpmpoly.paths` cuts from the region's, in
+O(n): ``fix_letter`` fixes the letter at a step (a box bound, whose face
+is a deletion), ``pin`` the height at a position (a prefix bound, whose
+face is a pinched region).  A region's dimension is n + 1 less the touch
+count of its bounding paths, so the face's dimension is read off the
+touch count of the surgery's paths: the candidate is a facet exactly
+when that face has dimension dim - 1.  Candidates come in canonical
+order, and a facet is listed under the first candidate that cuts it.
+Tight vertex sets, for a facet, for ``face_region``'s check and for
+every row of the H-representation, take one route, ``tight_sets``: they
+are read off the prefix x suffix blocks of ``paths.path_halves``, not a
+scan of every path, as whole blocks for a run of steps before the cut,
+and for one ending after it as one selection of tails per height,
+shifted into each block.  Only ``face_region`` builds a face region, the
+one it returns.  The oracle route, in :mod:`lpmpoly.oracle`, certifies
+every inequality of the H-representation by affine rank and picks the
+representative from the tight vertex sets.
 
 Edges are single N/E swaps between two paths.  They come from a walk
 that lists the paths in lexicographic order, read off rank offsets: a
@@ -39,13 +40,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
 from .matroid import delete, is_connected
-from .paths import (
-    Region,
-    path_from_profile,
-    path_halves,
-    tighten_bounds,
-    touch_count,
-)
+from .paths import Bound, PathWord, Region, fix_letter, path_halves, pin, touch_count
 from .volume import catalan_area, catalan_number
 
 _BOX_KINDS = ("x_lower", "x_upper")
@@ -293,46 +288,41 @@ def _tight_on_whole_face(
     return low[i] == high[i] == rhs
 
 
-def _certified(
-    region: Region, candidates: list[Candidate], k: int
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The min and max profiles, over all n steps, of the paths tight on
-    candidate k of a connected region, if the candidate is a listed facet;
-    None otherwise.
+def _certified(region: Region, candidates: list[Candidate], k: int) -> tuple[Bound, Bound] | None:
+    """The lowest and highest of the paths tight on candidate k of a
+    connected region, as (word, profile) pairs, if the candidate is a
+    listed facet; None otherwise.
 
     The bounding paths touch at the two ends only, so the region has
-    dimension n - 1.  The tight paths are those between the profiles that
-    ``tighten_bounds`` returns with step i (a box bound) or the height at i
-    (a prefix bound) fixed; they must exist and span a face of dimension
-    n - 2.  A pinched face keeps n steps and touches at i.  A deletion face
-    drops step i, and since that step is fixed, its bounds touch at i
-    exactly when they touch at i - 1.  In both, the face's dimension is
-    n + 1 less the bounds' touches off position i, so the candidate passes
-    when those number 2: the deletion face is connected, or each half of
-    the pinched face is.  No earlier candidate may
-    be tight on all of the face either: that candidate's face contains the
-    facet, so it is the facet, listed under its first candidate.  (It
-    cannot be the whole polytope, which no candidate cuts in a connected
-    region: a box bound tight on every path is a loop or a coloop, a
-    corner prefix bound a touch point.)  O(n) for the bounds, O(1) per
-    earlier candidate, and no region built.
+    dimension n - 1.  The tight paths are those between the two paths, over
+    all n steps, that the letter surgery ``paths.fix_letter`` returns with
+    step i fixed (a box bound) or the point surgery ``paths.pin`` with the
+    height at i fixed (a prefix bound); they must exist and span a face of
+    dimension n - 2.  A pinched face keeps n steps and touches at i.  A
+    deletion face drops step i, and since that step is fixed, its bounds
+    touch at i exactly when they touch at i - 1.  In both, the face's
+    dimension is n + 1 less the bounds' touches off position i, so the
+    candidate passes when those number 2: the deletion face is connected, or
+    each half of the pinched face is.  No earlier candidate may be tight on
+    all of the face either: that candidate's face contains the facet, so it
+    is the facet, listed under its first candidate.  (It cannot be the whole
+    polytope, which no candidate cuts in a connected region: a box bound
+    tight on every path is a loop or a coloop, a corner prefix bound a touch
+    point.)  O(n) for the bounds, O(1) per earlier candidate, and no region
+    built.
     """
     kind, i, cons = candidates[k]
     rhs = cons.rhs
-    p, q = region.lower.profile, region.upper.profile
-    if kind in _BOX_KINDS:
-        bounds = tighten_bounds(p, q, i, step="EN"[rhs])
-    else:
-        bounds = tighten_bounds(p, q, i, height=rhs)
+    bounds = fix_letter(region, i, rhs) if kind in _BOX_KINDS else pin(region, i, rhs)
     if bounds is None:
         return None
-    low, high = bounds
+    (_, low), (_, high) = bounds
     if touch_count(low, high) - (low[i] == high[i]) != 2:
         return None
     earlier = candidates[:k]
     if any(_tight_on_whole_face(low, high, other, j, c.rhs) for other, j, c in earlier):
         return None
-    return low, high
+    return bounds
 
 
 def tight_sets(region: Region, constraints: Sequence[LinearConstraint]) -> list[tuple[int, ...]]:
@@ -418,12 +408,13 @@ def kcatalan_facet_count(width: int, n: int) -> int:
 def face_region(region: Region, facet: Facet) -> Region:
     """Recover the face cut by a facet as a region.
 
-    Box facets delete the fixed element.  A prefix facet's face is the
-    region pinched at the shared point: both paths pass through the lattice
-    point the facet fixes, so the face is a direct sum and its polytope the
-    product of the two halves'.  Raises NotAFacet unless :func:`facets`
-    lists ``facet``, without computing it: the facet is certified alone,
-    off the profiles ``_certified`` returns, and ``facet.tight`` is checked
+    Box facets delete the fixed element (:func:`matroid.delete`).  A
+    prefix facet's face is the region pinched at the shared point, wrapped
+    round the paths ``paths.pin`` gave the certificate: both pass through
+    the lattice point the facet fixes, so the face is a direct sum and its
+    polytope the product of the two halves'.  Raises NotAFacet unless
+    :func:`facets` lists ``facet``, without computing it: the facet is
+    certified alone by ``_certified``, and ``facet.tight`` is checked
     against :func:`tight_sets` for its constraint.  The returned face is
     the only region built.  O(n^2) for the certificate, then the region's
     listing pieces (the heads and tails of ``paths.path_halves``) and the
@@ -441,5 +432,5 @@ def face_region(region: Region, facet: Facet) -> Region:
         raise NotAFacet(f"{kind} at {i} is not a facet here")
     if kind in _BOX_KINDS:
         return delete(region, i, rhs)
-    low, high = certified
-    return Region(path_from_profile(low), path_from_profile(high))
+    m, r = region.m, region.r
+    return Region._from_paths(*(PathWord._from_profile(*path, m, r) for path in certified))

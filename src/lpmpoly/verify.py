@@ -183,10 +183,18 @@ def check_facets(max_size: int, catalan_ns: range) -> CheckResult:
         res.checked += 1
         if facets(region) != oracle.brute_facets(region):
             res.fail(f"facet list mismatch on {region}")
-    for n in catalan_ns:
+    for n in catalan_ns:  # from n = 5 (10 elements) the listings split, unlike the sweep's
         res.checked += 1
-        if len(facets(reduced_catalan_region(n))) != catalan_facet_count(n):
+        region = reduced_catalan_region(n)
+        listed = facets(region)
+        if len(listed) != catalan_facet_count(n):
             res.fail(f"staircase facet count differs from 5n-5 at n={n}")
+        verts = vertices(region)
+        if verts != sorted(tuple(int(e in b) for e in range(1, 2 * n + 1)) for b in oracle.brute_bases(region)):
+            res.fail(f"vertex listing differs from the brute bases at n={n}")
+        for facet in listed:
+            if facet.tight != tuple(k for k, v in enumerate(verts) if facet.constraint.tight(v)):
+                res.fail(f"tight set differs from the vertex scan at n={n}: {facet.kind}@{facet.position}")
     return res
 
 
@@ -505,8 +513,8 @@ def check_ehrhart(max_size: int) -> CheckResult:
         compositions = eh.gamma_set(region)
         if region.size <= 5:
             for t in range(3):
-                chain = eh._transfer_chain(region.r, t, compositions)
-                if chain != oracle._literal_double_sum(region.r, t, compositions):
+                chain = eh.transfer_chain(region.r, t, compositions)
+                if chain != oracle.literal_double_sum(region.r, t, compositions):
                     res.fail(f"transfer chain differs from the literal double sum at t={t} on {region}")
         if poly(0) != 1 or poly(1) != len(enumerate_paths(region)):
             res.fail(f"values at 0/1 wrong on {region}")
@@ -600,7 +608,7 @@ def build_errata_report(max_size: int, t_max: int, formula_max: int) -> list[Err
         if region.size <= 5:
             for t in range(t_max + 1):
                 total += 1
-                chain = eh._transfer_chain(region.r, t, compositions)
+                chain = eh.transfer_chain(region.r, t, compositions)
                 matched += chain == eh.count_lattice_points(region, t)
             affine_ok &= all(sum(bv.coords) == region.r for bv in basis_vectors)
 

@@ -139,7 +139,7 @@ def test_split_children_match_the_profile_route_on_the_sweep():
         s, t = region.upper.north_positions(), region.lower.north_positions()
         for j in range(1, region.r):
             for x in range(max(s[j - 1] + 1, s[j]), min(t[j - 1], t[j] - 1)):
-                got = _split_children(region, x, j, s, t)
+                got = _split_children(region, x, j)
                 want = children_by_profiles(region, x, j)
                 assert list(map(_fields, got)) == list(map(_fields, want)), (region, x, j)
                 splits += 1
@@ -384,17 +384,16 @@ def test_nodes_walk_the_tree_in_preorder():
         assert tree.leaves() == [node for node in nodes if not node.children]
 
 
-def test_decomposition_tree_reads_each_new_path_once(monkeypatch):
-    # The root's two paths, then the one new path of each child: a split
-    # node's two children share a path each with it.
-    calls = []
-    read = PathWord.north_positions
-    monkeypatch.setattr(PathWord, "north_positions", lambda self: calls.append(self) or read(self))
+def test_decomposition_tree_lists_no_north_positions(monkeypatch):
+    # Each split is read off the node's profiles and each child cut from
+    # them by ``pin``, so no node's N positions are listed.
+    def listed(self):
+        raise AssertionError(f"north_positions of {self}")
+
+    monkeypatch.setattr(PathWord, "north_positions", listed)
     for width in (2, 5, 40):
         band = region_from_words("E" * width + "NN", "NN" + "E" * width)
-        calls.clear()
-        tree = decomposition_tree(band)
-        assert len(calls) == 2 + 2 * (len(tree.leaves()) - 1) == 2 * width, width
+        assert len(decomposition_tree(band).leaves()) == width
 
 
 def test_check_decomposition_reads_the_halves_from_the_tree(monkeypatch):

@@ -43,7 +43,7 @@ from lpmpoly import (
     volume,
 )
 from lpmpoly import oracle, paths
-from lpmpoly.ehrhart import formula_value
+from lpmpoly.ehrhart import transfer_chain
 from lpmpoly.errors import EmptyFace
 from lpmpoly.paths import PathWord, Region, path_from_profile, region_boxes
 from lpmpoly.polytope import facet_candidates, h_representation, tight_sets
@@ -374,15 +374,19 @@ def rank_seven_regions(seed=SEED, count=2):
 
 def test_transfer_chain_matches_literal_double_sum_on_sweep():
     for region in oracle.all_regions(6):
+        compositions = gamma_set(region)
         for t in range(3 if region.size == 6 else 4):
-            assert formula_value(region, t) == oracle.literal_formula_value(region, t), (region, t)
+            want = oracle.literal_double_sum(region.r, t, compositions)
+            assert transfer_chain(region.r, t, compositions) == want, (region, t)
 
 
 @pytest.mark.parametrize("region", rank_seven_regions(), ids=repr)
 def test_transfer_chain_matches_literal_double_sum_at_rank_seven(region):
     assert region.r == 7
+    compositions = gamma_set(region)
     for t in range(3):
-        assert formula_value(region, t) == oracle.literal_formula_value(region, t), t
+        want = oracle.literal_double_sum(region.r, t, compositions)
+        assert transfer_chain(region.r, t, compositions) == want, t
 
 
 def test_midpoint_oracle_matches_swap_edges():

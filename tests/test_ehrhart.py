@@ -24,7 +24,7 @@ from lpmpoly import (
 )
 from lpmpoly import ehrhart as eh
 from lpmpoly import oracle
-from lpmpoly.ehrhart import GammaBounds, basis_fold, formula_value, gamma_bounds, multichoose
+from lpmpoly.ehrhart import GammaBounds, basis_fold, gamma_bounds, multichoose, transfer_chain
 from lpmpoly.oracle import all_regions, s_set
 from lpmpoly.paths import path_from_profile
 from lpmpoly.verify import build_errata_report, check_ehrhart
@@ -273,12 +273,12 @@ def test_check_ehrhart_flags_a_window_one_step_high(monkeypatch):
 def test_check_ehrhart_flags_a_broken_transfer_chain(monkeypatch):
     clean = check_ehrhart(4)
 
-    chain = eh._transfer_chain
+    chain = eh.transfer_chain
 
     def off_by_one(r, t, compositions):
         return chain(r, t, compositions) + (t == 2)
 
-    monkeypatch.setattr(eh, "_transfer_chain", off_by_one)
+    monkeypatch.setattr(eh, "transfer_chain", off_by_one)
     res = check_ehrhart(4)
     assert not res.ok
     assert res.checked == clean.checked
@@ -470,5 +470,5 @@ def test_errata_report_walks_the_regions_once(monkeypatch):
 
 def test_formula_value_octahedron():
     octa = region_from_words("EENN", "NNEE")
-    assert formula_value(octa, 1) == 12  # versus 6 true lattice points
+    assert transfer_chain(octa.r, 1, gamma_set(octa)) == 12  # versus 6 true lattice points
     assert count_lattice_points(octa, 1) == 6

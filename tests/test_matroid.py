@@ -16,8 +16,10 @@ from lpmpoly import (
 )
 from lpmpoly.errors import EmptyFace
 from lpmpoly.matroid import BasisVector, IntervalPresentation
-from lpmpoly.paths import PathWord, Region, path_from_profile, tighten_bounds
+from lpmpoly.paths import PathWord, Region, path_from_profile
 from lpmpoly.oracle import all_regions, brute_bases, brute_components
+
+from bounds_reference import two_pass_tighten
 
 
 def test_presentation_examples():
@@ -205,7 +207,7 @@ def delete_by_tightening(region, i, value):
         raise ValueError("cannot delete the last ground element")
     if not 1 <= i <= region.size:
         raise ValueError(f"coordinate {i} is outside 1..{region.size}")
-    bounds = tighten_bounds(region.lower.profile, region.upper.profile, i, step="N" if value else "E")
+    bounds = two_pass_tighten(region.lower.profile, region.upper.profile, i, step="N" if value else "E")
     if bounds is None:
         raise EmptyFace(f"no basis has coordinate {i} equal to {value}")
     low, high = (prof[:i] + tuple([h - value for h in prof[i + 1 :]]) for prof in bounds)

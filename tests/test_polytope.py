@@ -26,10 +26,12 @@ from lpmpoly.errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGenerali
 from lpmpoly import polytope
 from lpmpoly.matroid import components, delete
 from lpmpoly.oracle import all_regions, brute_facets
-from lpmpoly.paths import PathWord, Region, area_below, path_from_profile, tighten_bounds
+from lpmpoly.paths import PathWord, Region, area_below, path_from_profile
 from lpmpoly.polytope import Facet, facet_candidates
 from lpmpoly.ratlinalg import affine_rank
 from lpmpoly.verify import check_facets
+
+from bounds_reference import two_pass_tighten
 
 
 def test_vertices_examples():
@@ -266,7 +268,7 @@ def reference_certified(region, candidates, k):
         if kind in BOX:
             face = delete(region, i, rhs)
         else:
-            bounds = tighten_bounds(region.lower.profile, region.upper.profile, i, height=rhs)
+            bounds = two_pass_tighten(region.lower.profile, region.upper.profile, i, height=rhs)
             if bounds is None:
                 raise EmptyFace
             face = Region(*(path_from_profile(b) for b in bounds))
@@ -353,7 +355,9 @@ def test_certification_matches_the_face_region_route_on_seeded_regions(region):
 TOUCH_TEST = "if touch_count(low, high) - (low[i] == high[i]) != 2:"
 MUTANTS = {
     "no position-i correction": "if touch_count(low, high) != 2:",
-    "the region's touches": "if touch_count(p, q) - (low[i] == high[i]) != 2:",
+    "the region's touches": (
+        "if touch_count(region.lower.profile, region.upper.profile) - (low[i] == high[i]) != 2:"
+    ),
 }
 
 
@@ -366,6 +370,29 @@ def test_face_region_route_catches_touch_count_mutants(monkeypatch, mutant):
     monkeypatch.setattr(polytope, "_certified", namespace["_certified"])
     regions = [region for region in all_regions(6, connected_only=True) if region.size > 1]
     assert any(certification_mismatches(region) for region in regions)
+
+
+# Each fault breaks the whole-block branch of ``tight_sets``, which runs
+# only on regions of ``paths.MEET_MIN_SIZE`` elements or more: past every
+# sweep of ``lpm verify all``, but not its staircase regions.
+BLOCK_FAULTS = {
+    "block range shifted": ("range(i, i + len(", "range(i + 1, i + len("),
+    "run read from step 0": ("h[position] - h[start] == rhs", "h[position] - h[0] == rhs"),
+}
+
+
+@pytest.mark.parametrize("fault", BLOCK_FAULTS)
+def test_check_facets_catches_whole_block_faults(monkeypatch, fault):
+    assert check_facets(max_size=4, catalan_ns=range(3, 7)).ok
+    source = inspect.getsource(polytope.tight_sets)
+    old, new = BLOCK_FAULTS[fault]
+    assert source.count(old) == 1
+    namespace = dict(vars(polytope))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(polytope, "tight_sets", namespace["tight_sets"])
+    res = check_facets(max_size=4, catalan_ns=range(3, 7))
+    assert not res.ok
+    assert any("tight set differs from the vertex scan" in f for f in res.failures)
 
 
 def _count_constructions(monkeypatch):
