@@ -8,7 +8,7 @@ block of boxes).
 
 from __future__ import annotations
 
-from operator import eq, ge, sub
+from operator import eq, ge
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidSplit
@@ -30,15 +30,20 @@ def find_split(region: Region) -> Split | None:
     below t_{j+1} - 1 once it is below t_j.  There the upper path stands at
     j + 1 and the lower one below j, so the first split is where the gap
     between the profiles, which moves by at most one per step, first
-    reaches 2: O(n) at C speed.  Absent exactly when the region is a
-    border strip.
+    reaches 2: O(n), a scan that stops there.  Absent exactly when the
+    region is a border strip.
     """
-    q = region.upper.profile
-    gaps = list(map(sub, q, region.lower.profile))
-    if 2 not in gaps:
-        return None
-    x = gaps.index(2)
-    return Split(x, q[x] - 1)
+    return _split_from(region, 0)
+
+
+def _split_from(region: Region, start: int) -> Split | None:
+    """``find_split`` scanning from x = ``start``, before which a child of a
+    split at x = ``start`` has no split: its gaps are at most its parent's."""
+    p, q = region.lower.profile, region.upper.profile
+    for x in range(start, len(q)):
+        if q[x] - p[x] == 2:
+            return tuple.__new__(Split, (x, q[x] - 1))
+    return None
 
 
 class SplitResult(NamedTuple):
@@ -61,9 +66,14 @@ def _split_children(region: Region, x: int, j: int) -> tuple[Region, Region]:
     :func:`paths.pin` at height j after x steps: the left one keeps the
     lower path and takes the capped upper path, the right one the reverse."""
     (w, p), (v, q) = pin(region, x, j)
-    m, r = region.lower.m, region.lower.r
-    raised, capped = PathWord._from_profile(w, p, m, r), PathWord._from_profile(v, q, m, r)
-    return Region._from_paths(region.lower, capped), Region._from_paths(raised, region.upper)
+    lower, upper, n = region.lower, region.upper, region.size
+    raised, capped = PathWord.__new__(PathWord), PathWord.__new__(PathWord)
+    raised.word, raised.profile, raised.m, raised.r = w, p, lower.m, lower.r
+    capped.word, capped.profile, capped.m, capped.r = v, q, lower.m, lower.r
+    left, right = Region.__new__(Region), Region.__new__(Region)
+    left.lower, left.upper, left.size = lower, capped, n
+    right.lower, right.upper, right.size = raised, upper, n
+    return left, right
 
 
 class _Boxes(NamedTuple):
@@ -138,14 +148,14 @@ def border_strips(region: Region) -> list[BorderStrip]:
     ahead = (0,) + lo[2 : last_col + 1] + (hi[last_col],)
     if any(map(ge, ahead[first_col:last_col], hi[first_col:last_col])):
         return []
+    new = tuple.__new__
     grid = [()] * (last_col + 1)
     for c in cols:
-        grid[c] = [None] * (lo[c] + 1) + [Box(c, row) for row in range(lo[c] + 1, hi[c] + 1)]
+        grid[c] = [None] * (lo[c] + 1) + [new(Box, (c, row)) for row in range(lo[c] + 1, hi[c] + 1)]
     first = grid[first_col][lo[first_col] + 1]
     last = grid[last_col][hi[last_col]]
     base = first_col + first.row
     trail = [first] * (last_col + last.row - base + 1)
-    new = tuple.__new__
     out: list[BorderStrip] = []
     stack = [first]
     while stack:
@@ -244,20 +254,21 @@ def decomposition_tree(region: Region) -> DecompositionNode:
 
     Splits are found in preorder on an explicit stack, then nodes are built
     in reverse preorder, children before parents, so depth is unbounded.
-    Each child is cut from its parent's words and profiles by the point
-    surgery :func:`paths.pin`, a few slices joined at C speed, and wrapped
-    without the ``Region`` checks, which hold by construction.
+    A child's scan for its split starts at its parent's x, before which no
+    child splits.  Each child is cut from its parent's words and profiles
+    by the point surgery :func:`paths.pin`, a few slices joined at C speed,
+    and filled in place without the ``Region`` checks, which hold by
+    construction.
     """
     preorder: list[tuple[Region, Split | None]] = []
-    stack = [region]
+    stack = [(region, 0)]
     while stack:
-        node = stack.pop()
-        split = find_split(node)
+        node, start = stack.pop()
+        split = _split_from(node, start)
         preorder.append((node, split))
         if split is not None:
             left, right = _split_children(node, *split)
-            stack.append(right)
-            stack.append(left)
+            stack += ((right, split.x), (left, split.x))
     built: list[DecompositionNode] = []
     new = tuple.__new__
     for node, split in reversed(preorder):

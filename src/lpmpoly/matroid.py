@@ -8,12 +8,12 @@ exactly the N-position sets of the paths inside the region.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import eq
+from itertools import compress, repeat
+from operator import eq, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyFace
-from .paths import PathWord, Region, fix_letter, path_halves, touch_count
+from .paths import Bound, Region, bounded_region, fix_letter, path_halves, touch_count
 
 
 class _Intervals(NamedTuple):
@@ -146,7 +146,8 @@ def delete(region: Region, i: int, value: int) -> Region:
     Cut from the bounding words in O(n), with no path enumeration: the
     letter surgery :func:`paths.fix_letter` moves at most one letter of
     each word to give the lowest and highest paths with ``value`` at i, and
-    letter i is then cut from both.  No such path leaves no basis.
+    :func:`cut_letter` then cuts letter i from both.  No such path leaves
+    no basis.
 
     >>> from lpmpoly.paths import region_from_words
     >>> octahedron = region_from_words("EENN", "NNEE")
@@ -166,11 +167,18 @@ def delete(region: Region, i: int, value: int) -> Region:
     bounds = fix_letter(region, i, value)
     if bounds is None:
         raise EmptyFace(f"no basis has coordinate {i} equal to {value}")
+    return cut_letter(bounds, i, value)
+
+
+_ONES = repeat(1)  # endless, so it holds no state and every cut can share it
+
+
+def cut_letter(bounds: tuple[Bound, Bound], i: int, value: int) -> Region:
+    """The region between two bounds, (word, profile) pairs that both have
+    ``value`` at letter i, with letter i cut from both."""
     (w, p), (v, q) = bounds
     if value:  # the cut N lowers every later height by one
-        p, q = p[:i] + tuple([h - 1 for h in p[i + 1 :]]), q[:i] + tuple([h - 1 for h in q[i + 1 :]])
+        p, q = p[:i] + tuple(map(sub, p[i + 1 :], _ONES)), q[:i] + tuple(map(sub, q[i + 1 :], _ONES))
     else:
         p, q = p[:i] + p[i + 1 :], q[:i] + q[i + 1 :]
-    m, r = region.lower.m - 1 + value, region.lower.r - value
-    lower = PathWord._from_profile(w[: i - 1] + w[i:], p, m, r)
-    return Region._from_paths(lower, PathWord._from_profile(v[: i - 1] + v[i:], q, m, r))
+    return bounded_region((w[: i - 1] + w[i:], p), (v[: i - 1] + v[i:], q))

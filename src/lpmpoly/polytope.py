@@ -39,8 +39,8 @@ from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
-from .matroid import delete, is_connected
-from .paths import Bound, PathWord, Region, fix_letter, path_halves, pin, touch_count
+from .matroid import cut_letter, is_connected
+from .paths import Bound, Region, bounded_region, fix_letter, path_halves, pin, touch_count
 from .volume import catalan_area, catalan_number
 
 _BOX_KINDS = ("x_lower", "x_upper")
@@ -408,15 +408,16 @@ def kcatalan_facet_count(width: int, n: int) -> int:
 def face_region(region: Region, facet: Facet) -> Region:
     """Recover the face cut by a facet as a region.
 
-    Box facets delete the fixed element (:func:`matroid.delete`).  A
-    prefix facet's face is the region pinched at the shared point, wrapped
-    round the paths ``paths.pin`` gave the certificate: both pass through
-    the lattice point the facet fixes, so the face is a direct sum and its
-    polytope the product of the two halves'.  Raises NotAFacet unless
-    :func:`facets` lists ``facet``, without computing it: the facet is
-    certified alone by ``_certified``, and ``facet.tight`` is checked
-    against :func:`tight_sets` for its constraint.  The returned face is
-    the only region built.  O(n^2) for the certificate, then the region's
+    A box facet's face is the fixed element deleted: ``matroid.cut_letter``
+    cuts it from the paths ``paths.fix_letter`` gave the certificate, as
+    :func:`matroid.delete` does.  A prefix facet's face is the region
+    pinched at the shared point, wrapped round the paths ``paths.pin`` gave
+    the certificate: both pass through the lattice point the facet fixes,
+    so the face is a direct sum and its polytope the product of the two
+    halves'.  Raises NotAFacet unless :func:`facets` lists ``facet``,
+    without computing it: the facet is certified alone by ``_certified``,
+    and ``facet.tight`` is checked against :func:`tight_sets` for its
+    constraint.  The returned face is the only region built.  O(n^2) for the certificate, then the region's
     listing pieces (the heads and tails of ``paths.path_halves``) and the
     tight set.
     """
@@ -431,6 +432,5 @@ def face_region(region: Region, facet: Facet) -> Region:
     if certified is None or facet.tight != tight_sets(region, [facet.constraint])[0]:
         raise NotAFacet(f"{kind} at {i} is not a facet here")
     if kind in _BOX_KINDS:
-        return delete(region, i, rhs)
-    m, r = region.m, region.r
-    return Region._from_paths(*(PathWord._from_profile(*path, m, r) for path in certified))
+        return cut_letter(certified, i, rhs)
+    return bounded_region(*certified)

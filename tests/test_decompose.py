@@ -350,7 +350,8 @@ def test_decomposition_tree_children_are_the_split_halves():
 def reference_preorder(region):
     """The (region, split) of every node, left subtree first, split by the
     public functions alone, each node's N positions read afresh:
-    ``find_split``, then ``hyperplane_split``."""
+    ``find_split``, which scans each node from step 0, then
+    ``hyperplane_split``."""
     preorder, stack = [], [region]
     while stack:
         node = stack.pop()
@@ -374,6 +375,14 @@ def reference_tree(region):
 def test_decomposition_tree_matches_the_public_split_route():
     for region in all_regions(8):
         assert decomposition_tree(region) == reference_tree(region), region
+
+
+def test_no_child_splits_before_its_parent():
+    # so the tree starts each child's scan at its parent's x
+    for region in all_regions(8):
+        for node in decomposition_tree(region).nodes():
+            for child in node.children:
+                assert child.split is None or child.split.x >= node.split.x, node
 
 
 def test_nodes_walk_the_tree_in_preorder():
@@ -487,9 +496,15 @@ def deep_band_tree():
 
 
 def test_deep_band_tree_matches_the_public_split_route(deep_band_tree):
-    reference = reference_tree(deep_band_tree.region)
-    assert deep_band_tree == reference
-    assert not (deep_band_tree != reference)
+    band = deep_band_tree.region
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        tree, reference = decomposition_tree(band), reference_tree(band)
+        same, differ = tree == reference, tree != reference
+    finally:
+        sys.setrecursionlimit(limit)
+    assert same and not differ
 
 
 def test_deep_band_tree_children_match_the_profile_route(deep_band_tree):

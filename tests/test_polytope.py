@@ -23,10 +23,10 @@ from lpmpoly import (
     vertices,
 )
 from lpmpoly.errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGeneralizedCatalan
-from lpmpoly import polytope
+from lpmpoly import matroid, polytope
 from lpmpoly.matroid import components, delete
 from lpmpoly.oracle import all_regions, brute_facets
-from lpmpoly.paths import PathWord, Region, area_below, path_from_profile
+from lpmpoly.paths import PathWord, Region, area_below, bounded_region, path_from_profile
 from lpmpoly.polytope import Facet, facet_candidates
 from lpmpoly.ratlinalg import affine_rank
 from lpmpoly.verify import check_facets
@@ -396,29 +396,26 @@ def test_check_facets_catches_whole_block_faults(monkeypatch, fault):
 
 
 def _count_constructions(monkeypatch):
-    """Count ``Region`` constructions, checked or not, and ``PathWord``s
-    wrapped round a profile, which ``path_from_profile`` and the word cuts
-    both go through."""
+    """Count ``Region`` constructions, checked or not, and the ``PathWord``s
+    they wrap round a profile: a checked region goes through
+    ``Region.__init__``, an unchecked one through ``paths.bounded_region``,
+    which fills the region and its two paths in place and which
+    ``polytope`` and ``matroid`` (for the word cut) call by name."""
     counts = {"Region": 0, "PathWord": 0}
     init = Region.__init__
-    wrap = Region._from_paths.__func__
-    from_profile = PathWord._from_profile.__func__
 
     def counted_init(self, *args):
         counts["Region"] += 1
         init(self, *args)
 
-    def counted_wrap(cls, *args):
+    def counted_wrap(*bounds):
         counts["Region"] += 1
-        return wrap(cls, *args)
-
-    def counted_from_profile(cls, *args):
-        counts["PathWord"] += 1
-        return from_profile(cls, *args)
+        counts["PathWord"] += 2
+        return bounded_region(*bounds)
 
     monkeypatch.setattr(Region, "__init__", counted_init)
-    monkeypatch.setattr(Region, "_from_paths", classmethod(counted_wrap))
-    monkeypatch.setattr(PathWord, "_from_profile", classmethod(counted_from_profile))
+    for module in (polytope, matroid):
+        monkeypatch.setattr(module, "bounded_region", counted_wrap)
     return counts
 
 
@@ -434,3 +431,25 @@ def test_certification_builds_only_the_returned_face(monkeypatch):
             assert isinstance(face_region(region, facet), Region)
             assert counts == {"Region": 1, "PathWord": 2}, facet
             counts.update(Region=0, PathWord=0)
+
+
+def test_box_face_region_fixes_the_letter_once(monkeypatch):
+    # The certificate's bounds are the face's before the cut, so the box
+    # face is cut from them, not fixed again by ``delete``.
+    regions = [reduced_catalan_region(5), region_from_words("EENEN", "NENEE")]
+    listed = [(region, f) for region in regions for f in facets(region) if f.kind in BOX]
+    assert listed
+    calls = []
+    fix = polytope.fix_letter
+
+    def counted(*args):
+        calls.append(args)
+        return fix(*args)
+
+    monkeypatch.setattr(polytope, "fix_letter", counted)
+    monkeypatch.setattr(matroid, "fix_letter", counted)
+    for region, facet in listed:
+        calls.clear()
+        face = face_region(region, facet)
+        assert calls == [(region, facet.position, facet.constraint.rhs)], facet
+        assert face == delete(region, facet.position, facet.constraint.rhs)

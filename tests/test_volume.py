@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -18,7 +21,12 @@ from lpmpoly import (
 )
 from lpmpoly.errors import DisconnectedRegion
 from lpmpoly.oracle import all_regions, descent_set, exact_descent_count, gap_area_series
-from lpmpoly.verify import all_strips, check_catalan_area
+from lpmpoly.paths import PathWord, path_from_profile, region_boxes
+from lpmpoly.verify import all_strips, check_catalan_area, check_volume
+
+from fillings_reference import box_fillings
+
+volume_module = importlib.import_module("lpmpoly.volume")  # the package binds the name to the function
 
 
 def brute_descent_count(n, target):
@@ -149,3 +157,65 @@ def test_catalan_area_series():
 
 def test_catalan_numbers():
     assert [catalan_number(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+
+
+def connected_regions(seed=20, sizes=(30, 45, 60, 80, 100, 130, 160, 200)):
+    """One seeded connected region per size: the region between two random
+    paths on n - 2 elements, its lower path led by an E step and closed by
+    an N step, its upper path led by an N step and closed by an E step, so
+    the two touch at the ends alone."""
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        r = rng.randint(2, n - 2)
+        a, b = (PathWord("".join(rng.sample("N" * (r - 1) + "E" * (n - r - 1), n - 2))).profile for _ in range(2))
+        low, high = path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b)))
+        out.append(region_from_words("E" + low.word + "N", "N" + high.word + "E"))
+    return out
+
+
+def test_volume_matches_the_box_dict_reference_on_the_sweep():
+    regions = list(all_regions(9, connected_only=True))
+    assert len(regions) == 2057
+    for region in regions:
+        assert volume(region) == box_fillings(region_boxes(region)), region
+
+
+def test_strip_volume_matches_the_box_dict_reference():
+    strips = all_strips(12)
+    assert len(strips) == 4095
+    for strip in [BorderStrip(())] + strips:
+        assert strip_volume(strip) == box_fillings(strip.boxes), strip.direction_word
+
+
+def test_volume_matches_the_box_dict_reference_on_seeded_large_regions():
+    regions = connected_regions()
+    assert [region.size for region in regions] == [30, 45, 60, 80, 100, 130, 160, 200]
+    for region in regions:
+        assert volume(region) == box_fillings(region_boxes(region)), region
+
+
+def test_volume_edge_cases():
+    boxless = region_from_words("E", "E")
+    assert region_boxes(boxless) == ()
+    assert volume(boxless) == box_fillings(()) == 1
+    assert volume(region_from_words("N", "N")) == 1
+    with pytest.raises(DisconnectedRegion):
+        volume(region_from_words("ENEN", "NENE"))  # the paths touch at (1, 1)
+
+
+# The fault drops the West term of every box with both neighbours in the
+# last column: those boxes keep only the suffix sums from the South.
+BOTH_TERMS = "if left else below"
+WEST_DROPPED = "if left and high < hi[-1] else below"
+
+
+def test_check_volume_catches_a_dropped_west_term(monkeypatch):
+    assert check_volume(max_size=5, rectangle_max=5, strip_max=5).ok
+    source = inspect.getsource(volume_module._fillings)
+    assert source.count(BOTH_TERMS) == 1
+    namespace = dict(vars(volume_module))
+    exec(source.replace(BOTH_TERMS, WEST_DROPPED), namespace)
+    monkeypatch.setattr(volume_module, "_fillings", namespace["_fillings"])
+    assert volume(region_from_words("EENN", "NNEE")) != 4
+    assert not check_volume(max_size=5, rectangle_max=5, strip_max=5).ok
