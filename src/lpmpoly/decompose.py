@@ -66,14 +66,9 @@ def _split_children(region: Region, x: int, j: int) -> tuple[Region, Region]:
     :func:`paths.pin` at height j after x steps: the left one keeps the
     lower path and takes the capped upper path, the right one the reverse."""
     (w, p), (v, q) = pin(region, x, j)
-    lower, upper, n = region.lower, region.upper, region.size
-    raised, capped = PathWord.__new__(PathWord), PathWord.__new__(PathWord)
-    raised.word, raised.profile, raised.m, raised.r = w, p, lower.m, lower.r
-    capped.word, capped.profile, capped.m, capped.r = v, q, lower.m, lower.r
-    left, right = Region.__new__(Region), Region.__new__(Region)
-    left.lower, left.upper, left.size = lower, capped, n
-    right.lower, right.upper, right.size = raised, upper, n
-    return left, right
+    m, r = region.lower.m, region.lower.r
+    raised, capped = PathWord._from_profile(w, p, m, r), PathWord._from_profile(v, q, m, r)
+    return Region._from_paths(region.lower, capped), Region._from_paths(raised, region.upper)
 
 
 class _Boxes(NamedTuple):
@@ -257,8 +252,7 @@ def decomposition_tree(region: Region) -> DecompositionNode:
     A child's scan for its split starts at its parent's x, before which no
     child splits.  Each child is cut from its parent's words and profiles
     by the point surgery :func:`paths.pin`, a few slices joined at C speed,
-    and filled in place without the ``Region`` checks, which hold by
-    construction.
+    and wrapped without the ``Region`` checks, which hold by construction.
     """
     preorder: list[tuple[Region, Split | None]] = []
     stack = [(region, 0)]

@@ -8,12 +8,12 @@ exactly the N-position sets of the paths inside the region.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import eq, sub
+from itertools import compress
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyFace
-from .paths import Bound, Region, bounded_region, fix_letter, path_halves, touch_count
+from .paths import Bound, PathWord, Region, fix_letter, path_halves, touch_count
 
 
 class _Intervals(NamedTuple):
@@ -170,15 +170,15 @@ def delete(region: Region, i: int, value: int) -> Region:
     return cut_letter(bounds, i, value)
 
 
-_ONES = repeat(1)  # endless, so it holds no state and every cut can share it
-
-
 def cut_letter(bounds: tuple[Bound, Bound], i: int, value: int) -> Region:
     """The region between two bounds, (word, profile) pairs that both have
     ``value`` at letter i, with letter i cut from both."""
     (w, p), (v, q) = bounds
     if value:  # the cut N lowers every later height by one
-        p, q = p[:i] + tuple(map(sub, p[i + 1 :], _ONES)), q[:i] + tuple(map(sub, q[i + 1 :], _ONES))
+        p, q = p[:i] + tuple([h - 1 for h in p[i + 1 :]]), q[:i] + tuple([h - 1 for h in q[i + 1 :]])
     else:
         p, q = p[:i] + p[i + 1 :], q[:i] + q[i + 1 :]
-    return bounded_region((w[: i - 1] + w[i:], p), (v[: i - 1] + v[i:], q))
+    r = p[-1]
+    m = len(w) - 1 - r
+    lower = PathWord._from_profile(w[: i - 1] + w[i:], p, m, r)
+    return Region._from_paths(lower, PathWord._from_profile(v[: i - 1] + v[i:], q, m, r))

@@ -46,6 +46,13 @@ class PathWord:
         self.word, self.m, self.r = word, len(word) - r, r
         self.profile = tuple(accumulate(self.bits(), initial=0))
 
+    @classmethod
+    def _from_profile(cls, word: str, profile: tuple[int, ...], m: int, r: int) -> "PathWord":
+        """Wrap a word whose profile and endpoint the caller already holds."""
+        path = cls.__new__(cls)
+        path.word, path.profile, path.m, path.r = word, profile, m, r
+        return path
+
     def __len__(self) -> int:
         return self.m + self.r
 
@@ -92,10 +99,9 @@ def path_from_profile(profile: tuple[int, ...]) -> PathWord:
         raise EmptyWord("path word is empty")
     if profile[0] != 0:
         raise ValueError(f"profile does not start at 0: {profile}")
-    path = PathWord.__new__(PathWord)
-    path.word, path.profile, path.r = steps.translate(_STEP_LETTERS).decode(), tuple(profile), profile[-1]
-    path.m = len(steps) - path.r
-    return path
+    word = steps.translate(_STEP_LETTERS).decode()
+    r = profile[-1]
+    return PathWord._from_profile(word, tuple(profile), len(word) - r, r)
 
 
 class Box(NamedTuple):
@@ -122,6 +128,13 @@ class Region:
         self.lower = lower
         self.upper = upper
         self.size = lower.m + lower.r
+
+    @classmethod
+    def _from_paths(cls, lower: PathWord, upper: PathWord) -> "Region":
+        """Wrap two paths the caller already knows to bound a region."""
+        region = cls.__new__(cls)
+        region.lower, region.upper, region.size = lower, upper, lower.m + lower.r
+        return region
 
     @property
     def m(self) -> int:
@@ -267,19 +280,6 @@ def enumerate_paths(region: Region) -> list[PathWord]:
 
 
 Bound = tuple[str, tuple[int, ...]]  # a bounding path's word and height profile
-
-
-def bounded_region(low: Bound, high: Bound) -> Region:
-    """Wrap two bounds the caller already knows to bound a region, without
-    the ``Region`` checks: the paths and the region are filled in place."""
-    (w, p), (v, q) = low, high
-    r = p[-1]
-    m = len(w) - r
-    lower, upper, region = PathWord.__new__(PathWord), PathWord.__new__(PathWord), Region.__new__(Region)
-    lower.word, lower.profile, lower.m, lower.r = w, p, m, r
-    upper.word, upper.profile, upper.m, upper.r = v, q, m, r
-    region.lower, region.upper, region.size = lower, upper, m + r
-    return region
 
 
 def fix_letter(region: Region, i: int, value: int) -> tuple[Bound, Bound] | None:

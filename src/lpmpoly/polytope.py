@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
 from .matroid import cut_letter, is_connected
-from .paths import Bound, Region, bounded_region, fix_letter, path_halves, pin, touch_count
+from .paths import Bound, PathWord, Region, fix_letter, path_halves, pin, touch_count
 from .volume import catalan_area, catalan_number
 
 _BOX_KINDS = ("x_lower", "x_upper")
@@ -417,9 +417,9 @@ def face_region(region: Region, facet: Facet) -> Region:
     halves'.  Raises NotAFacet unless :func:`facets` lists ``facet``,
     without computing it: the facet is certified alone by ``_certified``,
     and ``facet.tight`` is checked against :func:`tight_sets` for its
-    constraint.  The returned face is the only region built.  O(n^2) for the certificate, then the region's
-    listing pieces (the heads and tails of ``paths.path_halves``) and the
-    tight set.
+    constraint.  The returned face is the only region built.  O(n^2) for
+    the certificate, then the region's listing pieces (the heads and tails
+    of ``paths.path_halves``) and the tight set.
     """
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
@@ -433,4 +433,5 @@ def face_region(region: Region, facet: Facet) -> Region:
         raise NotAFacet(f"{kind} at {i} is not a facet here")
     if kind in _BOX_KINDS:
         return cut_letter(certified, i, rhs)
-    return bounded_region(*certified)
+    m, r = region.m, region.r
+    return Region._from_paths(*(PathWord._from_profile(*path, m, r) for path in certified))

@@ -26,7 +26,7 @@ from lpmpoly.errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGenerali
 from lpmpoly import matroid, polytope
 from lpmpoly.matroid import components, delete
 from lpmpoly.oracle import all_regions, brute_facets
-from lpmpoly.paths import PathWord, Region, area_below, bounded_region, path_from_profile
+from lpmpoly.paths import PathWord, Region, area_below, path_from_profile
 from lpmpoly.polytope import Facet, facet_candidates
 from lpmpoly.ratlinalg import affine_rank
 from lpmpoly.verify import check_facets
@@ -396,26 +396,29 @@ def test_check_facets_catches_whole_block_faults(monkeypatch, fault):
 
 
 def _count_constructions(monkeypatch):
-    """Count ``Region`` constructions, checked or not, and the ``PathWord``s
-    they wrap round a profile: a checked region goes through
-    ``Region.__init__``, an unchecked one through ``paths.bounded_region``,
-    which fills the region and its two paths in place and which
-    ``polytope`` and ``matroid`` (for the word cut) call by name."""
+    """Count ``Region`` constructions, checked or not, and ``PathWord``s
+    wrapped round a profile, which ``path_from_profile`` and the word cuts
+    both go through."""
     counts = {"Region": 0, "PathWord": 0}
     init = Region.__init__
+    wrap = Region._from_paths.__func__
+    from_profile = PathWord._from_profile.__func__
 
     def counted_init(self, *args):
         counts["Region"] += 1
         init(self, *args)
 
-    def counted_wrap(*bounds):
+    def counted_wrap(cls, *args):
         counts["Region"] += 1
-        counts["PathWord"] += 2
-        return bounded_region(*bounds)
+        return wrap(cls, *args)
+
+    def counted_from_profile(cls, *args):
+        counts["PathWord"] += 1
+        return from_profile(cls, *args)
 
     monkeypatch.setattr(Region, "__init__", counted_init)
-    for module in (polytope, matroid):
-        monkeypatch.setattr(module, "bounded_region", counted_wrap)
+    monkeypatch.setattr(Region, "_from_paths", classmethod(counted_wrap))
+    monkeypatch.setattr(PathWord, "_from_profile", classmethod(counted_from_profile))
     return counts
 
 
