@@ -148,9 +148,8 @@ def border_strips(region: Region) -> list[BorderStrip]:
     for c in cols:
         grid[c] = [None] * (lo[c] + 1) + [new(Box, (c, row)) for row in range(lo[c] + 1, hi[c] + 1)]
     first = grid[first_col][lo[first_col] + 1]
-    last = grid[last_col][hi[last_col]]
     base = first_col + first.row
-    trail = [first] * (last_col + last.row - base + 1)
+    trail = [first] * (last_col + hi[last_col] - base + 1)
     out: list[BorderStrip] = []
     stack = [first]
     while stack:
@@ -163,7 +162,7 @@ def border_strips(region: Region) -> list[BorderStrip]:
                 stack.append(grid[col + 1][row])
         elif ahead[col] < row:
             stack.append(grid[col + 1][row])
-        elif box is last:
+        else:  # the precheck leaves the last box the only one with no move
             out.append(new(BorderStrip, (tuple(trail),)))
     return out
 

@@ -150,7 +150,10 @@ def _steps(
     widths: list[int], floors: list[int], ceilings: list[int], lo: int, counts: list[int]
 ) -> tuple[int, list[int]] | None:
     """The window kernel from ``counts[c - lo]`` over the given steps:
-    (lo, counts) after the last, or None once a range is empty."""
+    (lo, counts) after the last, or None once a range is empty.  A floor lies
+    at most w + 1 above the previous start: a plain one, t*p_i, rises by at
+    most t = w, and a strict one by at most t - 1 = w + 1, since its shift
+    grows by one and the lower path takes E at a block's first step."""
     hi = lo + len(counts) - 1
     for w, bottom, top in zip(widths, floors, ceilings):
         # Conditional expressions rather than max/min: on small regions a
@@ -164,14 +167,11 @@ def _steps(
         tops = below[new_lo - lo + 1 : (new_hi if new_hi < hi else hi) - lo + 2]
         if new_hi > hi:
             tops += repeat(below[-1], new_hi - (hi if hi >= new_lo else new_lo - 1))
-        # bottom index max(c - w, lo) - lo: pinned to below[0] = 0 up to lo + w, where
-        # the counts are the tops as they stand, then sliding
+        # bottom index max(c - w, lo) - lo: pinned to below[0] = 0 up to lo + w (the counts
+        # are the tops as they stand), then sliding from below[1], as new_lo <= lo + w + 1
         pinned = (new_hi if new_hi < lo + w else lo + w) - new_lo + 1
-        if pinned < 0:
-            pinned = 0
-        start = new_lo - w - lo
         counts = tops[:pinned]
-        counts += map(sub, tops[pinned:], below[start if start > 1 else 1 : new_hi - w - lo + 1])
+        counts += map(sub, tops[pinned:], below[1 : new_hi - w - lo + 1])
         lo, hi = new_lo, new_hi
     return lo, counts
 
@@ -308,10 +308,9 @@ def gamma_set(region: Region) -> list[tuple[int, ...]]:
         if s is None:
             untried.pop()
             sums.pop()
-        elif k == r - 1:
-            if n > s:
-                chain = [*sums, s, n]
-                out.append(tuple(map(sub, chain[1:], chain)))
+        elif k == r - 1:  # s <= cap[r - 2] <= n - 1, so the last part is positive
+            chain = [*sums, s, n]
+            out.append(tuple(map(sub, chain[1:], chain)))
         else:
             sums.append(s)
             untried.append(iter(range(max(b[k], s + 1), cap[k] + 1)))

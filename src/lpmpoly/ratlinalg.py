@@ -98,8 +98,10 @@ def _phase_one_feasible(columns: list[list[int]], rhs: list[int]) -> bool:
 
     ``columns`` holds the integer columns of A and ``rhs`` is integer.
     Artificial variables seed the basis; feasible iff their sum can be
-    driven to zero.  Dantzig pricing with a Bland fallback guards against
-    cycling.
+    driven to zero.  Bland's rule pivots, so no basis repeats: the first
+    column with a negative reduced cost enters, ratio-test ties go to the
+    smallest basic index.  The sum cannot fall below 0, so every entering
+    column has a positive entry.
 
     The tableau stays integer (Edmonds' integer-preserving pivoting, the
     scheme of Bareiss' determinant): row ``i`` holds the numerators of the
@@ -124,21 +126,8 @@ def _phase_one_feasible(columns: list[list[int]], rhs: list[int]) -> bool:
     # cost row: minimize sum of artificials => reduced costs of real columns
     cost = [-sum(column) for column in zip(*tableau)]
     div = 1
-    iterations = 0
-    bland_after = 40 * (nrows + ncols)
     while True:
-        entering = None
-        if iterations < bland_after:
-            best = 0
-            for j in range(ncols):
-                if cost[j] < best:
-                    best = cost[j]
-                    entering = j
-        else:
-            for j in range(ncols):
-                if cost[j] < 0:
-                    entering = j
-                    break
+        entering = next((j for j in range(ncols) if cost[j] < 0), None)
         if entering is None:
             return cost[ncols] == 0
         # ratio test b_i / a_i over a_i > 0, compared by cross-multiplication
@@ -154,8 +143,6 @@ def _phase_one_feasible(columns: list[list[int]], rhs: list[int]) -> bool:
                     lhs, rhs_ = b * best_a, best_b * a
                     if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leaving]):
                         leaving, best_b, best_a = i, b, a
-        if leaving is None:
-            return cost[ncols] == 0
         pivot_row = tableau[leaving]
         pv = pivot_row[entering]
         for i in range(nrows):
@@ -167,13 +154,9 @@ def _phase_one_feasible(columns: list[list[int]], rhs: list[int]) -> bool:
                 elif pv != div:
                     tableau[i] = [pv * a // div for a in row]
         f = cost[entering]
-        if f:
-            cost = [(pv * a - f * b) // div for a, b in zip(cost, pivot_row)]
-        elif pv != div:
-            cost = [pv * a // div for a in cost]
+        cost = [(pv * a - f * b) // div for a, b in zip(cost, pivot_row)]
         div = pv
         basis[leaving] = entering
-        iterations += 1
 
 
 def in_convex_hull(points: Sequence[Sequence[int]], target: Sequence[Fraction]) -> bool:

@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from math import comb
 
@@ -533,6 +535,35 @@ def test_verify_all_gives_the_same_results_on_workers_and_in_process(monkeypatch
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert verify.worker_count() == 1
     assert verify.run_all(4, 3) == pooled
+
+
+@contextlib.contextmanager
+def _second_thread(monkeypatch):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join()
+
+
+@contextlib.contextmanager
+def _no_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    yield
+
+
+@pytest.mark.parametrize("cannot_fork", [_second_thread, _no_fork], ids=["thread", "no-fork"])
+def test_verify_all_runs_in_process_where_it_cannot_fork(monkeypatch, capsys, cannot_fork):
+    with cannot_fork(monkeypatch):
+        assert verify.worker_count() == 1
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", "all", "--max-size", "4"])
+    assert exit_.value.code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY_ALL_SHA256[4]
 
 
 def test_verify_all_leaves_no_worker_running():

@@ -45,8 +45,10 @@ from lpmpoly import (
 from lpmpoly import oracle, paths
 from lpmpoly.ehrhart import transfer_chain
 from lpmpoly.errors import EmptyFace
-from lpmpoly.paths import PathWord, Region, path_from_profile, region_boxes
+from lpmpoly.paths import Region, path_from_profile, region_boxes
 from lpmpoly.polytope import facet_candidates, h_representation, tight_sets
+
+from regions_reference import between_two_random_paths
 
 SEED = 20121220
 COUNT = 40
@@ -68,14 +70,10 @@ def random_regions(seed=SEED, count=COUNT):
     out = []
     while len(out) < count:
         n = 9 + len(out) % 8  # five regions of each size 9..16
-        r = rng.randint(1, n - 1)
-        words = [rng.sample("N" * r + "E" * (n - r), n) for _ in range(2)]
-        a, b = (PathWord("".join(w)).profile for w in words)
-        low = tuple(map(min, a, b))
-        high = tuple(map(max, a, b))
+        region = between_two_random_paths(rng, n)
+        low, high = region.lower.profile, region.upper.profile
         if any(low[i] == high[i] for i in range(1, n)) or _path_count(low, high) > PATH_CAP:
             continue
-        region = Region(path_from_profile(low), path_from_profile(high))
         if len(border_strips(region)) <= STRIP_CAP:
             out.append(region)
     return out
@@ -120,13 +118,6 @@ def test_window_counts_match_stepwise_dp_on_sweep():
             assert count_lattice_points(region, t) == oracle.stepwise_count(region, t), (region, t)
 
 
-def _between_two_random_paths(rng, n, r):
-    """The region bounded by the pointwise min and max of two random paths; they may touch."""
-    words = [rng.sample("N" * r + "E" * (n - r), n) for _ in range(2)]
-    a, b = (PathWord("".join(w)).profile for w in words)
-    return Region(path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b))))
-
-
 def touching_regions(seed=SEED, count=60):
     """Regions of 6-24 elements between two random paths, which may touch:
     disconnected ones, loops and coloops among them.  A draw with more than
@@ -136,7 +127,7 @@ def touching_regions(seed=SEED, count=60):
     out = []
     while len(out) < count:
         n = 6 + len(out) % 19
-        region = _between_two_random_paths(rng, n, rng.randint(1, n - 1))
+        region = between_two_random_paths(rng, n)
         if _path_count(region.lower.profile, region.upper.profile) <= 5 * PATH_CAP:
             out.append(region)
     return out
@@ -286,7 +277,7 @@ def wide_regions(seed=SEED, count=8):
     prefix sums can jump past the previous step's range."""
     rng = random.Random(seed)
     sizes = (14 + k * 22 // (count - 1) for k in range(count))
-    return [_between_two_random_paths(rng, n, rng.randint(n // 3, 2 * n // 3)) for n in sizes]
+    return [between_two_random_paths(rng, n, rng.randint(n // 3, 2 * n // 3)) for n in sizes]
 
 
 WIDE = wide_regions()
@@ -323,7 +314,7 @@ def direct_sums(seed=SEED, count=6):
         pieces = [("E", "E"), ("N", "N")]
         while len(pieces) < 2 + rng.randint(2, 4):
             n = rng.randint(2, 8)
-            block = _between_two_random_paths(rng, n, rng.randint(1, n - 1))
+            block = between_two_random_paths(rng, n)
             if is_connected(block):
                 pieces.append((block.lower.word, block.upper.word))
         rng.shuffle(pieces)
@@ -366,7 +357,7 @@ def rank_seven_regions(seed=SEED, count=2):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        region = _between_two_random_paths(rng, rng.randint(10, 12), 7)
+        region = between_two_random_paths(rng, rng.randint(10, 12), 7)
         if 5 <= len(gamma_set(region)) <= 30:
             out.append(region)
     return out

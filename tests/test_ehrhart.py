@@ -9,8 +9,6 @@ import pytest
 
 from lpmpoly import (
     EhrhartPolynomial,
-    PathWord,
-    Region,
     bases,
     catalan_region,
     count_lattice_points,
@@ -26,8 +24,9 @@ from lpmpoly import ehrhart as eh
 from lpmpoly import oracle
 from lpmpoly.ehrhart import GammaBounds, basis_fold, gamma_bounds, multichoose, transfer_chain
 from lpmpoly.oracle import all_regions, s_set
-from lpmpoly.paths import path_from_profile
 from lpmpoly.verify import build_errata_report, check_ehrhart
+
+from regions_reference import between_two_random_paths
 
 
 def test_count_lattice_points_examples():
@@ -172,14 +171,7 @@ def test_folded_counts_match_the_stepwise_oracle_on_sweep():
                     assert count_lattice_points(region, t, interior) == want, (region, t, interior)
 
 
-def seeded_region(seed, n):
-    rng = random.Random(seed)
-    r = rng.randint(1, n - 1)
-    a, b = (PathWord("".join(rng.sample("N" * r + "E" * (n - r), n))).profile for _ in range(2))
-    return Region(path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b))))
-
-
-SEEDED = seeded_region(20121220, 8)
+SEEDED = between_two_random_paths(random.Random(20121220), 8)
 
 
 @pytest.mark.parametrize(

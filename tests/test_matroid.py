@@ -16,10 +16,11 @@ from lpmpoly import (
 )
 from lpmpoly.errors import EmptyFace
 from lpmpoly.matroid import BasisVector, IntervalPresentation
-from lpmpoly.paths import PathWord, Region, path_from_profile
+from lpmpoly.paths import Region, path_from_profile
 from lpmpoly.oracle import all_regions, brute_bases, brute_components
 
 from bounds_reference import two_pass_tighten
+from regions_reference import between_two_random_paths
 
 
 def test_presentation_examples():
@@ -61,20 +62,13 @@ def path_derived_bases(region):
     ]
 
 
-def _random_region(rng, n):
-    """The region of n elements between two random paths, which may touch."""
-    r = rng.randint(1, n - 1)
-    a, b = (PathWord("".join(rng.sample("N" * r + "E" * (n - r), n))).profile for _ in range(2))
-    return Region(path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b))))
-
-
 def seeded_regions(seed=20121220, count=21, cap=20000):
     """Regions of 20-40 elements between two random paths, which may touch;
     a draw with more than ``cap`` paths is drawn again."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        region = _random_region(rng, 20 + len(out))
+        region = between_two_random_paths(rng, 20 + len(out))
         if count_lattice_points(region, 1) <= cap:
             out.append(region)
     return out
@@ -241,12 +235,12 @@ def test_delete_matches_tightening_on_the_sweep():
 
 def test_delete_matches_tightening_on_large_regions():
     rng = random.Random(20121220)
-    regions = [_random_region(rng, n) for n in range(30, 61, 2)]
+    regions = [between_two_random_paths(rng, n) for n in range(30, 61, 2)]
     # The same draws opened by an E and closed by an N: touching only at the ends.
     regions += [region_from_words("E" + r.lower.word + "N", "N" + r.upper.word + "E") for r in regions]
     assert any(len(components(region).blocks) > 2 for region in regions)
     assert any(len(components(region).blocks) == 1 for region in regions)
-    for region in regions + [_random_region(rng, 200) for _ in range(2)]:
+    for region in regions + [between_two_random_paths(rng, 200) for _ in range(2)]:
         _assert_delete_matches_tightening(region, range(1, region.size + 1))
-    for region in [_random_region(rng, 1200) for _ in range(2)]:
+    for region in [between_two_random_paths(rng, 1200) for _ in range(2)]:
         _assert_delete_matches_tightening(region, [1, 2, 1199, 1200] + rng.sample(range(3, 1199), 40))

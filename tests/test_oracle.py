@@ -4,8 +4,24 @@ from itertools import combinations
 
 import pytest
 
-from lpmpoly import BorderStrip, Box, region_from_words, vertices
-from lpmpoly.errors import TooLarge
+from lpmpoly import (
+    BorderStrip,
+    Box,
+    Facet,
+    LinearConstraint,
+    catalan_area,
+    catalan_edge_formula,
+    catalan_facet_count,
+    count_lattice_points,
+    face_region,
+    hypersimplex_region,
+    kcatalan_facet_count,
+    reconcile_ehrhart_formula,
+    reduced_catalan_region,
+    region_from_words,
+    vertices,
+)
+from lpmpoly.errors import NotAFacet, TooLarge
 from lpmpoly.oracle import (
     SWEEP_CAP,
     all_paths,
@@ -15,8 +31,14 @@ from lpmpoly.oracle import (
     brute_components,
     brute_facets,
     brute_syt,
+    exact_descent_count,
     gap_area_series,
+    psi_inverse_int,
+    s_set,
+    scan_inverse_descents,
+    stepwise_count,
 )
+from lpmpoly.triangulate import inverse_descent_class
 from lpmpoly.ratlinalg import affine_rank, det_int, in_convex_hull, rank_int
 
 
@@ -63,6 +85,62 @@ def test_brute_components_examples():
         frozenset({1}),
         frozenset({2}),
     ]
+
+
+OCTAHEDRON = region_from_words("EENN", "NNEE")
+NINE = region_from_words("EEEEENNNN", "NNNNEEEEE")
+STAIRCASE = reduced_catalan_region(3)
+TEN_BOXES = BorderStrip(tuple(Box(c, 1) for c in range(10)))
+
+
+def _sum_facet(region, length, rhs, kind, position):
+    """A facet of ``kind`` at ``position`` that bounds the sum of the first
+    ``length`` coordinates by ``rhs``, with no tight vertices."""
+    coeffs = (1,) * length + (0,) * (region.size - length)
+    rel = "<=" if kind.endswith("upper") else ">="
+    return Facet(LinearConstraint(coeffs, rel, rhs), (), kind, position)
+
+
+# Each guard that no other in-process test reaches, with what it raises.
+GUARDS = {
+    "brute_syt-10-boxes": (lambda: brute_syt(TEN_BOXES), TooLarge),
+    "scan_inverse_descents-11": (lambda: scan_inverse_descents(11), TooLarge),
+    "brute_components-9": (lambda: brute_components(NINE), TooLarge),
+    "count_lattice_points-negative": (lambda: count_lattice_points(OCTAHEDRON, -1), ValueError),
+    "reconcile_ehrhart_formula-negative": (
+        lambda: reconcile_ehrhart_formula(OCTAHEDRON, -1),
+        ValueError,
+    ),
+    "catalan_area-negative": (lambda: catalan_area(-1), ValueError),
+    "hypersimplex_region-k0": (lambda: hypersimplex_region(0, 3), ValueError),
+    "catalan_edge_formula-0": (lambda: catalan_edge_formula(0), ValueError),
+    "catalan_facet_count-1": (lambda: catalan_facet_count(1), ValueError),
+    "kcatalan_facet_count-width0": (lambda: kcatalan_facet_count(0, 3), ValueError),
+    "stepwise_count-negative": (lambda: stepwise_count(OCTAHEDRON, -1), ValueError),
+    "s_set-rank0": (lambda: s_set(0, 1), ValueError),
+    "exact_descent_count-out-of-range": (lambda: exact_descent_count(3, [3]), ValueError),
+    "psi_inverse_int-dimensions": (lambda: psi_inverse_int((1, 2), (0,), 1), ValueError),
+    # upper corners of the staircase at 2 and 4, and x_1 >= 0 is the box candidate
+    "face_region-prefix-off-corner": (
+        lambda: face_region(STAIRCASE, _sum_facet(STAIRCASE, 3, 2, "prefix_upper", 3)),
+        NotAFacet,
+    ),
+    "face_region-box-rhs-1": (
+        lambda: face_region(STAIRCASE, _sum_facet(STAIRCASE, 1, 1, "x_lower", 1)),
+        NotAFacet,
+    ),
+    # descent 3 lies outside 1..d-1, so the class is empty
+    "inverse_descent_class-empty": (
+        lambda: next(inverse_descent_class(3, frozenset({3}))),
+        StopIteration,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", GUARDS.values(), ids=GUARDS)
+def test_input_guards(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_all_paths_and_regions():

@@ -20,6 +20,7 @@ from lpmpoly.paths import area_below, fix_letter, path_from_profile, pin
 from math import comb
 
 from bounds_reference import two_pass_tighten
+from regions_reference import between_two_random_paths
 
 
 def test_parse_basic():
@@ -198,12 +199,7 @@ def test_face_surgeries_match_two_full_passes_on_wide_regions():
     rng = random.Random(20121220)
     touching = 0
     for trial in range(12):
-        n = rng.randint(30, 60)
-        r = rng.randint(1, n - 1)
-        a, b = (PathWord("".join(rng.sample("N" * r + "E" * (n - r), n))).profile for _ in "ab")
-        region = Region(
-            path_from_profile(tuple(map(min, a, b))), path_from_profile(tuple(map(max, a, b)))
-        )
+        region = between_two_random_paths(rng, rng.randint(30, 60))
         touching += len(intersection_vertices(region)) > 2
         assert _surgery_mismatches(region) == []
     assert touching >= 3
