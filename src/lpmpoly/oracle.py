@@ -47,7 +47,7 @@ from .ehrhart import multichoose
 from .errors import TooLarge, WrongChamber
 from .matroid import components
 from .paths import Box, PathWord, Region, region_boxes
-from .polytope import Candidate, Facet, dimension, h_representation, vertices
+from .polytope import Facet, LinearConstraint, dimension, h_representation, vertices
 from .ratlinalg import affine_rank, in_convex_hull
 from .volume import catalan_number
 
@@ -110,6 +110,8 @@ def brute_adjacent(verts: list[tuple[int, ...]], i: int, j: int) -> bool:
     return not in_convex_hull(face, [Fraction(1, 2)] * len(free))
 
 
+Candidate = tuple[str, int, LinearConstraint]
+
 PREFER_BOX_LOWER, PREFER_BOX_UPPER, PREFER_PREFIX_UPPER, PREFER_PREFIX_LOWER = range(4)
 
 
@@ -145,6 +147,28 @@ def certify_facet_candidates(region: Region, candidates: list[Candidate]) -> lis
         for tight, (kind, position, cons) in first.items()
         if affine_rank([verts[k] for k in tight], cap=dim - 1) == dim - 1
     ]
+
+
+def facet_candidates(region: Region) -> list[Candidate]:
+    """The candidates :func:`polytope.facets` certifies, in its canonical
+    order: box bounds, x_lower by position, then x_upper, then prefix bounds
+    at the corners of the upper path (EN) and then of the lower path (NE).
+    Each constraint is built here, coefficient by coefficient."""
+    n = region.size
+    p = region.lower.profile
+    q = region.upper.profile
+    inner = range(1, n)  # where a path's corners can lie
+
+    def row(kind: str, i: int, rel: str, rhs: int) -> Candidate:
+        ones = {i} if kind in ("x_lower", "x_upper") else range(1, i + 1)
+        return kind, i, LinearConstraint(tuple(int(t in ones) for t in range(1, n + 1)), rel, rhs)
+
+    return (
+        [row("x_lower", j, ">=", 0) for j in range(1, n + 1)]
+        + [row("x_upper", j, "<=", 1) for j in range(1, n + 1)]
+        + [row("prefix_upper", i, "<=", q[i]) for i in inner if region.upper.word[i - 1 : i + 1] == "EN"]
+        + [row("prefix_lower", i, ">=", p[i]) for i in inner if region.lower.word[i - 1 : i + 1] == "NE"]
+    )
 
 
 def brute_facets(region: Region) -> list[Facet]:

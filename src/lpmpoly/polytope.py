@@ -11,16 +11,21 @@ face is a pinched region).  A region's dimension is n + 1 less the touch
 count of its bounding paths, so the face's dimension is read off the
 touch count of the surgery's paths: the candidate is a facet exactly
 when that face has dimension dim - 1.  Candidates come in canonical
-order, and a facet is listed under the first candidate that cuts it.
-Tight vertex sets, for a facet, for ``face_region``'s check and for
-every row of the H-representation, take one route, ``tight_sets``: they
-are read off the prefix x suffix blocks of ``paths.path_halves``, not a
-scan of every path, as whole blocks for a run of steps before the cut,
-and for one ending after it as one selection of tails per height,
-shifted into each block.  Only ``face_region`` builds a face region, the
-one it returns.  The oracle route, in :mod:`lpmpoly.oracle`, certifies
-every inequality of the H-representation by affine rank and picks the
-representative from the tight vertex sets.
+order, and a facet is listed under the first candidate that cuts it:
+whether an earlier one is tight on the whole face is at most four scans
+of the face's bounds, one per kind, so a candidate is read as its kind,
+position and right side alone and costs O(n), with no candidate list and
+no constraint built.  Constraints are built for the listed facets and
+the rows of the H-representation only.  Tight vertex sets, for a facet,
+for ``face_region``'s check and for every row of the H-representation,
+take one route, ``tight_sets``: they are read off the prefix x suffix
+blocks of ``paths.path_halves``, not a scan of every path, as whole
+blocks for a run of steps before the cut, and for one ending after it as
+one selection of tails per height, shifted into each block.  Only
+``face_region`` builds a face region, the one it returns.  The oracle
+route, in :mod:`lpmpoly.oracle`, certifies every inequality of the
+H-representation by affine rank and picks the representative from the
+tight vertex sets.
 
 Edges are single N/E swaps between two paths.  They come from a walk
 that lists the paths in lexicographic order, read off rank offsets: a
@@ -34,8 +39,9 @@ lookup of every swapped vector is the oracle's route.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
-from operator import add, mul
+from operator import add, gt, le, mul
 from typing import NamedTuple, Sequence
 
 from .errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
@@ -44,6 +50,7 @@ from .paths import Bound, PathWord, Region, fix_letter, path_halves, pin, touch_
 from .volume import catalan_area, catalan_number
 
 _BOX_KINDS = ("x_lower", "x_upper")
+_RELS = {"x_lower": ">=", "x_upper": "<=", "prefix_upper": "<=", "prefix_lower": ">="}
 
 
 class LinearConstraint(NamedTuple):
@@ -220,77 +227,55 @@ def h_representation(region: Region) -> HRepresentation:
     n = region.size
     p = region.lower.profile
     q = region.upper.profile
-    eq = LinearConstraint((1,) * n, "=", region.r)
+    total = LinearConstraint((1,) * n, "=", region.r)
     ineqs: list[LinearConstraint] = []
     for i in range(1, n + 1):
-        ineqs.append(_prefix_constraint(n, i, ">=", p[i]))
-        ineqs.append(_prefix_constraint(n, i, "<=", q[i]))
+        ineqs.append(_constraint(n, "prefix_lower", i, p[i]))
+        ineqs.append(_constraint(n, "prefix_upper", i, q[i]))
     for j in range(1, n + 1):
-        ineqs.append(_box_constraint(n, j, ">="))
-        ineqs.append(_box_constraint(n, j, "<="))
-    return HRepresentation((eq,), tuple(ineqs))
+        ineqs.append(_constraint(n, "x_lower", j, 0))
+        ineqs.append(_constraint(n, "x_upper", j, 1))
+    return HRepresentation((total,), tuple(ineqs))
 
 
-def _prefix_constraint(n: int, i: int, rel: str, rhs: int) -> LinearConstraint:
-    return LinearConstraint((1,) * i + (0,) * (n - i), rel, rhs)
+def _constraint(n: int, kind: str, i: int, rhs: int) -> LinearConstraint:
+    """The inequality of a facet kind at ``i``: x_i (box kinds) or x_1 + ...
+    + x_i (prefix kinds) against ``rhs``."""
+    head = (0,) * (i - 1) + (1,) if kind in _BOX_KINDS else (1,) * i
+    return LinearConstraint(head + (0,) * (n - i), _RELS[kind], rhs)
 
 
-def _box_constraint(n: int, j: int, rel: str) -> LinearConstraint:
-    unit = tuple(1 if t == j - 1 else 0 for t in range(n))
-    return LinearConstraint(unit, rel, 1 if rel == "<=" else 0)
-
-
-def _upper_corner(q: tuple[int, ...], i: int) -> bool:
-    """The upper path finishes an E run at interior position i."""
-    return 0 < i < len(q) - 1 and q[i] == q[i - 1] and q[i + 1] > q[i]
-
-
-def _lower_corner(p: tuple[int, ...], i: int) -> bool:
-    """The lower path finishes an N run at interior position i."""
-    return 0 < i < len(p) - 1 and p[i] > p[i - 1] and p[i + 1] == p[i]
-
-
-Candidate = tuple[str, int, LinearConstraint]
-
-
-def facet_candidates(region: Region) -> list[Candidate]:
-    """Box bounds, then prefix bounds at the paths' corners, in canonical order:
-    x_lower by position, then x_upper, prefix_upper and prefix_lower."""
-    n = region.size
-    q = region.upper.profile
+def _corners(region: Region) -> tuple[list[int], list[int]]:
+    """The interior corners of the bounding paths, ascending: where the
+    upper path finishes an E run and where the lower path finishes an N
+    run."""
     p = region.lower.profile
-    return (
-        [("x_lower", j, _box_constraint(n, j, ">=")) for j in range(1, n + 1)]
-        + [("x_upper", j, _box_constraint(n, j, "<=")) for j in range(1, n + 1)]
-        + [("prefix_upper", i, _prefix_constraint(n, i, "<=", q[i]))
-           for i in range(1, n) if _upper_corner(q, i)]
-        + [("prefix_lower", i, _prefix_constraint(n, i, ">=", p[i]))
-           for i in range(1, n) if _lower_corner(p, i)]
-    )
+    q = region.upper.profile
+    steps = range(1, region.size)
+    upper = [i for i in steps if q[i - 1] == q[i] < q[i + 1]]
+    return upper, [i for i in steps if p[i - 1] < p[i] == p[i + 1]]
 
 
-def _tight_on_whole_face(
-    low: tuple[int, ...], high: tuple[int, ...], kind: str, position: int, rhs: int
-) -> bool:
-    """Every path of a face is tight on the candidate, read off the face's
-    min and max profiles ``low`` and ``high`` over all n steps.
-
-    Exact for a pinched face, which holds every path between its bounds,
-    and for a deletion face, which holds every path between its bounds
-    taking the fixed letter.  Some path takes E at step i exactly when
-    low[i] <= high[i-1], and some path takes N there when high[i] > low[i-1].
-    """
-    i = position
-    if kind == "x_upper":
-        return low[i] > high[i - 1]
-    if kind == "x_lower":
-        return high[i] <= low[i - 1]
-    return low[i] == high[i] == rhs
+def _rhs(region: Region, corners: tuple[list[int], list[int]], kind: str, i: int) -> int | None:
+    """The right side of the candidate of ``kind`` at ``i``; None if the
+    region has none: a box bound at 1 <= i <= n, a prefix bound at one of
+    its path's ``corners``."""
+    if kind in _BOX_KINDS:
+        return _BOX_KINDS.index(kind) if 1 <= i <= region.size else None
+    upper, lower = corners
+    if kind == "prefix_upper" and i in upper:
+        return region.upper.profile[i]
+    if kind == "prefix_lower" and i in lower:
+        return region.lower.profile[i]
+    return None
 
 
-def _certified(region: Region, candidates: list[Candidate], k: int) -> tuple[Bound, Bound] | None:
-    """The lowest and highest of the paths tight on candidate k of a
-    connected region, as (word, profile) pairs, if the candidate is a
+def _certified(
+    region: Region, corners: tuple[list[int], list[int]], kind: str, i: int, rhs: int
+) -> tuple[Bound, Bound] | None:
+    """The lowest and highest of the paths tight on the candidate of
+    ``kind`` at ``i`` with right side ``rhs``, of a connected region with
+    interior ``corners``, as (word, profile) pairs, if the candidate is a
     listed facet; None otherwise.
 
     The bounding paths touch at the two ends only, so the region has
@@ -304,25 +289,60 @@ def _certified(region: Region, candidates: list[Candidate], k: int) -> tuple[Bou
     dimension is n + 1 less the bounds' touches off position i, so the
     candidate passes when those number 2: the deletion face is connected, or
     each half of the pinched face is.  No earlier candidate may be tight on
-    all of the face either: that candidate's face contains the facet, so it
-    is the facet, listed under its first candidate.  (It cannot be the whole
-    polytope, which no candidate cuts in a connected region: a box bound
-    tight on every path is a loop or a coloop, a corner prefix bound a touch
-    point.)  O(n) for the bounds, O(1) per earlier candidate, and no region
-    built.
+    all of the face either (see ``_dominated``): that candidate's face
+    contains the facet, so it is the facet, listed under its first
+    candidate.  (It cannot be the whole polytope, which no candidate cuts in
+    a connected region: a box bound tight on every path is a loop or a
+    coloop, a corner prefix bound a touch point.)  O(n), and no region or
+    constraint built.
     """
-    kind, i, cons = candidates[k]
-    rhs = cons.rhs
     bounds = fix_letter(region, i, rhs) if kind in _BOX_KINDS else pin(region, i, rhs)
     if bounds is None:
         return None
     (_, low), (_, high) = bounds
     if touch_count(low, high) - (low[i] == high[i]) != 2:
         return None
-    earlier = candidates[:k]
-    if any(_tight_on_whole_face(low, high, other, j, c.rhs) for other, j, c in earlier):
+    if _dominated(region, corners, low, high, kind, i):
         return None
     return bounds
+
+
+def _dominated(
+    region: Region, corners: tuple[list[int], list[int]],
+    low: tuple[int, ...], high: tuple[int, ...], kind: str, i: int,
+) -> bool:
+    """Some candidate before the one of ``kind`` at ``i``, in canonical
+    order, is tight on every path of its face, read off the face's min and
+    max profiles ``low`` and ``high`` over all n steps.
+
+    Exact for a pinched face, which holds every path between its bounds,
+    and for a deletion face, which holds every path between its bounds
+    taking the fixed letter.  Both bounds lie between the region's, so an
+    x_lower at j is tight on the face when every path takes E at j,
+    high[j] <= low[j-1]; an x_upper when every path takes N there, low[j] >
+    high[j-1]; a prefix_upper when ``low`` meets the upper path at its
+    corner j; a prefix_lower when ``high`` meets the lower path at its
+    corner j.  One scan per kind, over the positions of the candidates
+    before this one: those before i of its own kind, all of an earlier
+    kind.  The box scans run in C over the profiles, the prefix scans over
+    the corners only.
+    """
+    if kind == "x_lower":
+        return any(map(le, high[1:i], low[: i - 1]))  # a forced E before i
+    if any(map(le, high[1:], low[:-1])):  # a forced E
+        return True
+    if kind == "x_upper":
+        return any(map(gt, low[1:i], high[: i - 1]))  # a forced N before i
+    if any(map(gt, low[1:], high[:-1])):  # a forced N
+        return True
+    upper, lower = corners
+    q = region.upper.profile
+    if kind == "prefix_upper":
+        upper = upper[: bisect_left(upper, i)]
+    if any(low[j] == q[j] for j in upper):
+        return True
+    p = region.lower.profile  # a prefix_lower
+    return any(high[j] == p[j] for j in lower[: bisect_left(lower, i)])
 
 
 def tight_sets(region: Region, constraints: Sequence[LinearConstraint]) -> list[tuple[int, ...]]:
@@ -376,19 +396,31 @@ def tight_sets(region: Region, constraints: Sequence[LinearConstraint]) -> list[
 
 
 def facets(region: Region) -> list[Facet]:
-    """Minimal facet list of a connected region, in canonical candidate order.
+    """Minimal facet list of a connected region, in canonical candidate order:
+    box bounds, x_lower then x_upper by position, then prefix bounds at the
+    corners of the upper path and of the lower path.
 
     A candidate is certified off the bounds of its tight paths, by their
     touch count (see ``_certified``): O(n) per candidate, no face built.
-    Tight vertex sets are listed for the certified candidates only, in one
-    call of :func:`tight_sets`.
+    Constraints are built and tight vertex sets listed, in one call of
+    :func:`tight_sets`, for the certified candidates only.
     """
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
-    candidates = facet_candidates(region)
-    listed = [c for k, c in enumerate(candidates) if _certified(region, candidates, k) is not None]
-    tight = tight_sets(region, [cons for _, _, cons in listed])
-    return [Facet(cons, t, kind, position) for (kind, position, cons), t in zip(listed, tight)]
+    n = region.size
+    corners = upper, lower = _corners(region)
+    p = region.lower.profile
+    q = region.upper.profile
+    candidates = [
+        *(("x_lower", j, 0) for j in range(1, n + 1)),
+        *(("x_upper", j, 1) for j in range(1, n + 1)),
+        *(("prefix_upper", i, q[i]) for i in upper),
+        *(("prefix_lower", i, p[i]) for i in lower),
+    ]
+    listed = [c for c in candidates if _certified(region, corners, *c) is not None]
+    constraints = [_constraint(n, *c) for c in listed]
+    tight = tight_sets(region, constraints)
+    return [Facet(cons, t, kind, i) for (kind, i, _), cons, t in zip(listed, constraints, tight)]
 
 
 def catalan_facet_count(n: int) -> int:
@@ -415,20 +447,22 @@ def face_region(region: Region, facet: Facet) -> Region:
     the certificate: both pass through the lattice point the facet fixes,
     so the face is a direct sum and its polytope the product of the two
     halves'.  Raises NotAFacet unless :func:`facets` lists ``facet``,
-    without computing it: the facet is certified alone by ``_certified``,
-    and ``facet.tight`` is checked against :func:`tight_sets` for its
-    constraint.  The returned face is the only region built.  O(n^2) for
-    the certificate, then the region's listing pieces (the heads and tails
-    of ``paths.path_halves``) and the tight set.
+    without computing it or any candidate list: the facet's kind and
+    position must name a candidate, its constraint must be that
+    candidate's, the candidate is certified alone by ``_certified``, and
+    ``facet.tight`` is checked against :func:`tight_sets` for its
+    constraint.  The returned face is the only region built.  O(n) for the
+    certificate, then the region's listing pieces (the heads and tails of
+    ``paths.path_halves``) and the tight set.
     """
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
-    kind, i, rhs = facet.kind, facet.position, facet.constraint.rhs
-    candidates = facet_candidates(region)
-    key = (kind, i, facet.constraint)
+    kind, i = facet.kind, facet.position
+    corners = _corners(region)
+    rhs = _rhs(region, corners, kind, i)
     certified = None
-    if key in candidates:
-        certified = _certified(region, candidates, candidates.index(key))
+    if rhs is not None and facet.constraint == _constraint(region.size, kind, i, rhs):
+        certified = _certified(region, corners, kind, i, rhs)
     if certified is None or facet.tight != tight_sets(region, [facet.constraint])[0]:
         raise NotAFacet(f"{kind} at {i} is not a facet here")
     if kind in _BOX_KINDS:

@@ -11,7 +11,17 @@ from math import comb
 
 import pytest
 
-from lpmpoly import cli, decomposition_tree, is_connected, oracle, region_from_words, verify, vertices
+from lpmpoly import (
+    catalan_facet_count,
+    cli,
+    decomposition_tree,
+    is_connected,
+    kcatalan_facet_count,
+    oracle,
+    region_from_words,
+    verify,
+    vertices,
+)
 from lpmpoly.decompose import region_to_strip
 from lpmpoly.errors import TooLarge
 from lpmpoly.oracle import all_regions
@@ -132,6 +142,47 @@ def test_catalan_verb():
     assert out["edge_count"] == "8"
     assert out["facet_count_claim"] == 10
     assert out["gap_area_total"] == "29/2"
+
+
+def main_output(capsys, *argv):
+    """Exit code, stdout and stderr of ``lpm argv`` run in this process."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(list(argv))
+    out = capsys.readouterr()
+    return exit_.value.code, out.out, out.err
+
+
+def test_catalan_verb_claims_facets_only_where_a_count_is_claimed(capsys):
+    code, out, _ = main_output(capsys, "catalan", "--n", "1")
+    assert code == 0
+    assert list(json.loads(out)) == ["n", "catalan_number", "edge_count", "gap_area_total"]
+    code, out, _ = main_output(capsys, "catalan", "--n", "4", "--r", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["facet_count_claim"] == catalan_facet_count(4)
+    assert payload["kcatalan_facet_count_claim"] == kcatalan_facet_count(2, 4)
+
+
+def test_triangulate_text_lines_are_the_json_records(capsys):
+    code, text, _ = main_output(capsys, "triangulate", "--k", "2", "--n", "4", "--format", "text")
+    assert code == 0
+    code, listed, _ = main_output(capsys, "triangulate", "--k", "2", "--n", "4")
+    assert code == 0
+    records = json.loads(listed)
+    assert len(records) == 4
+    assert text.splitlines() == [json.dumps(record) for record in records]
+
+
+@pytest.mark.parametrize("verb", ["dim", "catalan"])
+def test_verb_stats_line_in_process(capsys, verb):
+    code, plain, err = main_output(capsys, verb, *VERB_ARGV[verb])
+    assert (code, err) == (0, "")
+    code, timed, err = main_output(capsys, verb, *VERB_ARGV[verb], "--stats")
+    assert code == 0 and timed == plain
+    stats = json.loads(err)
+    assert list(stats) == ["verb", "import_seconds", "parse_seconds", "run_seconds"]
+    assert stats["verb"] == verb
+    assert stats["import_seconds"] == cli.IMPORT_SECONDS
 
 
 def test_catalan_verb_prints_integers_past_the_digit_limit():

@@ -46,7 +46,7 @@ from lpmpoly import oracle, paths
 from lpmpoly.ehrhart import transfer_chain
 from lpmpoly.errors import EmptyFace
 from lpmpoly.paths import Region, path_from_profile, region_boxes
-from lpmpoly.polytope import facet_candidates, h_representation, tight_sets
+from lpmpoly.polytope import h_representation, tight_sets
 
 from regions_reference import between_two_random_paths
 
@@ -90,7 +90,7 @@ def test_draw_reaches_past_the_sweeps():
 
 @pytest.mark.parametrize("region", REGIONS, ids=repr)
 def test_fast_routes_match_oracles(region):
-    assert facets(region) == oracle.certify_facet_candidates(region, facet_candidates(region))
+    assert facets(region) == oracle.certify_facet_candidates(region, oracle.facet_candidates(region))
     assert volume(region) == sum(
         oracle.exact_descent_count(len(s), s.descents) for s in border_strips(region)
     )
@@ -232,7 +232,7 @@ def test_split_listings_match_oracles_on_the_sweep(monkeypatch):
     for region in oracle.all_regions(8):
         _assert_listings_match_oracles(region)
     for region in oracle.all_regions(7, connected_only=True):
-        assert facets(region) == oracle.certify_facet_candidates(region, facet_candidates(region))
+        assert facets(region) == oracle.certify_facet_candidates(region, oracle.facet_candidates(region))
 
 
 def _assert_tight_sets_match_scan(region):

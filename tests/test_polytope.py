@@ -25,9 +25,9 @@ from lpmpoly import (
 from lpmpoly.errors import DisconnectedRegion, EmptyFace, NotAFacet, NotGeneralizedCatalan
 from lpmpoly import matroid, polytope
 from lpmpoly.matroid import components, delete
-from lpmpoly.oracle import all_regions, brute_facets
-from lpmpoly.paths import PathWord, Region, area_below, path_from_profile
-from lpmpoly.polytope import Facet, facet_candidates
+from lpmpoly.oracle import all_regions, brute_facets, facet_candidates
+from lpmpoly.paths import PathWord, Region, area_below, fix_letter, path_from_profile, pin
+from lpmpoly.polytope import Facet, LinearConstraint
 from lpmpoly.ratlinalg import affine_rank
 from lpmpoly.verify import check_facets
 
@@ -246,19 +246,103 @@ def test_face_region_accepts_exactly_the_listed_facets():
         face_region(region_from_words("ENEN", "NEEN"), listed[0])
 
 
+def malformed_copies(region, facet):
+    """Copies of a listed facet that name no candidate of the region, or
+    carry a constraint other than its own."""
+    n = region.size
+    cons = facet.constraint
+    flipped = {"<=": ">=", ">=": "<="}[cons.rel]
+    return [
+        facet._replace(position=0),
+        facet._replace(position=n + 1),
+        facet._replace(kind="x_middle"),
+        facet._replace(constraint=cons._replace(rel=flipped)),
+        facet._replace(constraint=cons._replace(rhs=cons.rhs - 1)),
+        facet._replace(constraint=cons._replace(rhs=cons.rhs + 1)),
+        facet._replace(constraint=cons._replace(coeffs=cons.coeffs + (0,))),
+        facet._replace(constraint=cons._replace(coeffs=cons.coeffs[:-1])),
+    ]
+
+
+def off_corner_prefix_facets(region):
+    """Prefix bounds at every position of 1..n where their path has no
+    corner, each with its own constraint and true tight tuple."""
+    n = region.size
+    paths = enumerate_paths(region)
+    out = []
+    for kind, path, corner, rel in (
+        ("prefix_upper", region.upper, "EN", "<="),
+        ("prefix_lower", region.lower, "NE", ">="),
+    ):
+        for i in range(1, n + 1):
+            if path.word[i - 1 : i + 1] != corner:
+                rhs = path.profile[i]
+                cons = LinearConstraint((1,) * i + (0,) * (n - i), rel, rhs)
+                out.append(Facet(cons, scanned_tight(paths, kind, i, rhs), kind, i))
+    return out
+
+
+def test_face_region_rejects_malformed_facets_with_not_a_facet():
+    # the facet is looked up directly, not found in a candidate list: every
+    # malformed field must end in NotAFacet, never in an IndexError or a
+    # ValueError from reading the region at a position it does not have
+    for region in all_regions(7, connected_only=True):
+        listed = facets(region)
+        bad = [copy for facet in listed for copy in malformed_copies(region, facet)]
+        for facet in bad + off_corner_prefix_facets(region):
+            with pytest.raises(NotAFacet):
+                face_region(region, facet)
+
+
 def test_check_facets_flags_duplicate_facets(monkeypatch):
     # without the dominance test every candidate cutting a facet is listed
     assert check_facets(max_size=5, catalan_ns=range(3, 7)).ok
-    monkeypatch.setattr(polytope, "_tight_on_whole_face", lambda *args: False)
+    monkeypatch.setattr(polytope, "_dominated", lambda *args: False)
     res = check_facets(max_size=5, catalan_ns=range(3, 7))
     assert not res.ok
     assert any("facet list mismatch" in f for f in res.failures)
 
 
+def tight_on_whole_face(low, high, kind, position, rhs):
+    """Every path of a face is tight on the candidate, read off the face's
+    min and max profiles ``low`` and ``high`` over all n steps: some path
+    takes E at step i exactly when low[i] <= high[i-1], and some path takes
+    N there when high[i] > low[i-1]."""
+    i = position
+    if kind == "x_upper":
+        return low[i] > high[i - 1]
+    if kind == "x_lower":
+        return high[i] <= low[i - 1]
+    return low[i] == high[i] == rhs
+
+
+def test_dominated_matches_the_scan_of_every_earlier_candidate():
+    # on the face of every candidate, facet or not, of every region: in a
+    # connected region only x_lower bounds are ever tight on a whole face, so
+    # the disconnected regions, whose loops and coloops force letters and
+    # heights, take each scan of ``_dominated`` both ways
+    found = set()
+    for region in all_regions(6):
+        candidates = facet_candidates(region)
+        corners = polytope._corners(region)
+        for k, (kind, i, cons) in enumerate(candidates):
+            surgery = fix_letter if kind in BOX else pin
+            bounds = surgery(region, i, cons.rhs)
+            if bounds is None:
+                continue
+            (_, low), (_, high) = bounds
+            tight = {
+                other for other, j, c in candidates[:k] if tight_on_whole_face(low, high, other, j, c.rhs)
+            }
+            assert polytope._dominated(region, corners, low, high, kind, i) == bool(tight), (region, kind, i)
+            found |= tight
+    assert found == {"x_lower", "x_upper", "prefix_upper", "prefix_lower"}
+
+
 def reference_certified(region, candidates, k):
     """The face of candidate k, by the face-region route: delete or pinch,
     build the face as a region, read its dimension off ``components``, then
-    put the deleted letter back to test the earlier candidates."""
+    put the deleted letter back to test every earlier candidate in turn."""
     kind, i, cons = candidates[k]
     rhs = cons.rhs
     dim = region.size - components(region).count
@@ -280,7 +364,7 @@ def reference_certified(region, candidates, k):
     if kind in BOX:
         low, high = (h[:i] + tuple(x + rhs for x in h[i - 1 :]) for h in (low, high))
     earlier = candidates[:k]
-    if any(polytope._tight_on_whole_face(low, high, other, j, c.rhs) for other, j, c in earlier):
+    if any(tight_on_whole_face(low, high, other, j, c.rhs) for other, j, c in earlier):
         return None
     return face
 
