@@ -55,6 +55,9 @@ from .triangulate import hypersimplex_triangulation
 from .volume import catalan_area, catalan_number, volume
 
 USAGE_ERROR, INVALID_REGION, SIZE_CAP, BROKEN_PIPE = 2, 3, 4, 141
+# Fixed bounds, exit 4 above each: catalan --n, triangulate --n whatever
+# --max-size says, and verify --t-max
+CATALAN_N_CAP, TRIANGULATE_N_CAP, T_MAX_CAP = 20_000, 1_000, 32
 
 
 def _error(code: int, message: str) -> SystemExit:
@@ -200,6 +203,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
+    if args.n > TRIANGULATE_N_CAP:
+        raise _error(SIZE_CAP, f"--n {args.n} is over the bound {TRIANGULATE_N_CAP}")
     if 1 <= args.k < args.n and args.n > args.max_size:
         raise _error(
             SIZE_CAP, f"n={args.n} is over the cap {args.max_size} (raise with --max-size)"
@@ -221,6 +226,8 @@ def cmd_catalan(args) -> int:
     n = args.n
     if n < 1:
         raise _error(USAGE_ERROR, "--n must be at least 1")
+    if n > CATALAN_N_CAP:
+        raise _error(SIZE_CAP, f"--n {n} is over the bound {CATALAN_N_CAP}")
     if args.r is not None and (args.r < 1 or n < 2):
         raise _error(USAGE_ERROR, "--r needs --r >= 1 and --n >= 2")
     payload = {
@@ -383,8 +390,11 @@ def _run(argv) -> None:
     args = parser.parse_args(argv)
     if getattr(args, "max_size", 1) < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
-    if (getattr(args, "t_max", None) or 0) < 0:
-        parser.error(f"--t-max must be at least 0, got {args.t_max}")
+    t_max = getattr(args, "t_max", None) or 0
+    if t_max < 0:
+        parser.error(f"--t-max must be at least 0, got {t_max}")
+    if t_max > T_MAX_CAP:
+        raise _error(SIZE_CAP, f"--t-max {t_max} is over the bound {T_MAX_CAP}")
     parsed = time.perf_counter()
     try:
         code = args.func(args)

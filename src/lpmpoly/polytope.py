@@ -12,10 +12,11 @@ count of its bounding paths, so the face's dimension is read off the
 touch count of the surgery's paths: the candidate is a facet exactly
 when that face has dimension dim - 1.  Candidates come in canonical
 order, and a facet is listed under the first candidate that cuts it:
-whether an earlier one is tight on the whole face is at most four scans
-of the face's bounds, one per kind, so a candidate is read as its kind,
-position and right side alone and costs O(n), with no candidate list and
-no constraint built.  Constraints are built for the listed facets and
+on a connected region only a forced E makes an earlier one tight on the
+whole face, one scan of the face's bounds, and one rule, ``_rhs``, reads
+a corner off the profiles, so a candidate is read as its kind, position
+and right side alone and costs O(n), with no candidate list and no
+constraint built.  Constraints are built for the listed facets and
 the rows of the H-representation only.  Tight vertex sets, for a facet,
 for ``face_region``'s check and for every row of the H-representation,
 take one route, ``tight_sets``: they are read off the prefix x suffix
@@ -39,9 +40,8 @@ lookup of every swapped vector is the oracle's route.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
-from operator import add, gt, le, mul
+from operator import add, le, mul
 from typing import NamedTuple, Sequence
 
 from .errors import DisconnectedRegion, NotAFacet, NotGeneralizedCatalan
@@ -245,38 +245,29 @@ def _constraint(n: int, kind: str, i: int, rhs: int) -> LinearConstraint:
     return LinearConstraint(head + (0,) * (n - i), _RELS[kind], rhs)
 
 
-def _corners(region: Region) -> tuple[list[int], list[int]]:
-    """The interior corners of the bounding paths, ascending: where the
-    upper path finishes an E run and where the lower path finishes an N
-    run."""
-    p = region.lower.profile
-    q = region.upper.profile
-    steps = range(1, region.size)
-    upper = [i for i in steps if q[i - 1] == q[i] < q[i + 1]]
-    return upper, [i for i in steps if p[i - 1] < p[i] == p[i + 1]]
-
-
-def _rhs(region: Region, corners: tuple[list[int], list[int]], kind: str, i: int) -> int | None:
+def _rhs(region: Region, kind: str, i: int) -> int | None:
     """The right side of the candidate of ``kind`` at ``i``; None if the
-    region has none: a box bound at 1 <= i <= n, a prefix bound at one of
-    its path's ``corners``."""
+    region has none.  This is the one candidate rule: a box bound at 1 <=
+    i <= n, a prefix_upper bound where the upper path finishes an E run
+    (q[i-1] == q[i] < q[i+1]), a prefix_lower bound where the lower path
+    finishes an N run (p[i-1] < p[i] == p[i+1]), both at 1 <= i < n."""
     if kind in _BOX_KINDS:
         return _BOX_KINDS.index(kind) if 1 <= i <= region.size else None
-    upper, lower = corners
-    if kind == "prefix_upper" and i in upper:
-        return region.upper.profile[i]
-    if kind == "prefix_lower" and i in lower:
-        return region.lower.profile[i]
+    if not 1 <= i < region.size:
+        return None
+    p, q = region.lower.profile, region.upper.profile
+    if kind == "prefix_upper" and q[i - 1] == q[i] < q[i + 1]:
+        return q[i]
+    if kind == "prefix_lower" and p[i - 1] < p[i] == p[i + 1]:
+        return p[i]
     return None
 
 
-def _certified(
-    region: Region, corners: tuple[list[int], list[int]], kind: str, i: int, rhs: int
-) -> tuple[Bound, Bound] | None:
+def _certified(region: Region, kind: str, i: int, rhs: int) -> tuple[Bound, Bound] | None:
     """The lowest and highest of the paths tight on the candidate of
-    ``kind`` at ``i`` with right side ``rhs``, of a connected region with
-    interior ``corners``, as (word, profile) pairs, if the candidate is a
-    listed facet; None otherwise.
+    ``kind`` at ``i`` with right side ``rhs``, of a connected region, as
+    (word, profile) pairs, if the candidate is a listed facet; None
+    otherwise.
 
     The bounding paths touch at the two ends only, so the region has
     dimension n - 1.  The tight paths are those between the two paths, over
@@ -302,47 +293,29 @@ def _certified(
     (_, low), (_, high) = bounds
     if touch_count(low, high) - (low[i] == high[i]) != 2:
         return None
-    if _dominated(region, corners, low, high, kind, i):
+    if _dominated(low, high, kind, i):
         return None
     return bounds
 
 
-def _dominated(
-    region: Region, corners: tuple[list[int], list[int]],
-    low: tuple[int, ...], high: tuple[int, ...], kind: str, i: int,
-) -> bool:
+def _dominated(low: tuple[int, ...], high: tuple[int, ...], kind: str, i: int) -> bool:
     """Some candidate before the one of ``kind`` at ``i``, in canonical
     order, is tight on every path of its face, read off the face's min and
-    max profiles ``low`` and ``high`` over all n steps.
+    max profiles ``low`` and ``high`` over all n steps, for a face of a
+    connected region that passed the touch test of ``_certified``: exactly
+    when the face forces an E, high[j] <= low[j-1], at an earlier x_lower,
+    before i for an x_lower and anywhere for the other kinds.
 
-    Exact for a pinched face, which holds every path between its bounds,
-    and for a deletion face, which holds every path between its bounds
-    taking the fixed letter.  Both bounds lie between the region's, so an
-    x_lower at j is tight on the face when every path takes E at j,
-    high[j] <= low[j-1]; an x_upper when every path takes N there, low[j] >
-    high[j-1]; a prefix_upper when ``low`` meets the upper path at its
-    corner j; a prefix_lower when ``high`` meets the lower path at its
-    corner j.  One scan per kind, over the positions of the candidates
-    before this one: those before i of its own kind, all of an earlier
-    kind.  The box scans run in C over the profiles, the prefix scans over
-    the corners only.
+    The face's bounds touch only at 0, n and i (or at i - 1 and i for a box
+    face at 1 or n).  A forced letter at j needs touches at j - 1 and j, a
+    corner prefix bound tight on the face a touch at its corner.  A
+    connected region has no corner at 1 or n - 1, where its paths would
+    touch, so only a box face at 1 or n has two adjacent touches, and a
+    second pair, forcing a letter other than its own, only on the 2-element
+    segment, whose x_upper faces each force an E at the other step.
     """
-    if kind == "x_lower":
-        return any(map(le, high[1:i], low[: i - 1]))  # a forced E before i
-    if any(map(le, high[1:], low[:-1])):  # a forced E
-        return True
-    if kind == "x_upper":
-        return any(map(gt, low[1:i], high[: i - 1]))  # a forced N before i
-    if any(map(gt, low[1:], high[:-1])):  # a forced N
-        return True
-    upper, lower = corners
-    q = region.upper.profile
-    if kind == "prefix_upper":
-        upper = upper[: bisect_left(upper, i)]
-    if any(low[j] == q[j] for j in upper):
-        return True
-    p = region.lower.profile  # a prefix_lower
-    return any(high[j] == p[j] for j in lower[: bisect_left(lower, i)])
+    stop = i if kind == "x_lower" else len(low)
+    return any(map(le, high[1:stop], low[: stop - 1]))
 
 
 def tight_sets(region: Region, constraints: Sequence[LinearConstraint]) -> list[tuple[int, ...]]:
@@ -398,26 +371,23 @@ def tight_sets(region: Region, constraints: Sequence[LinearConstraint]) -> list[
 def facets(region: Region) -> list[Facet]:
     """Minimal facet list of a connected region, in canonical candidate order:
     box bounds, x_lower then x_upper by position, then prefix bounds at the
-    corners of the upper path and of the lower path.
+    corners of the upper path and of the lower path, each kind by position.
 
-    A candidate is certified off the bounds of its tight paths, by their
-    touch count (see ``_certified``): O(n) per candidate, no face built.
-    Constraints are built and tight vertex sets listed, in one call of
-    :func:`tight_sets`, for the certified candidates only.
+    The candidates are those ``_rhs`` admits, each certified off the bounds
+    of its tight paths by their touch count (see ``_certified``): O(n) per
+    candidate, no face built.  Constraints are built and tight vertex sets
+    listed, in one call of :func:`tight_sets`, for the certified candidates
+    only.
     """
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
     n = region.size
-    corners = upper, lower = _corners(region)
-    p = region.lower.profile
-    q = region.upper.profile
-    candidates = [
-        *(("x_lower", j, 0) for j in range(1, n + 1)),
-        *(("x_upper", j, 1) for j in range(1, n + 1)),
-        *(("prefix_upper", i, q[i]) for i in upper),
-        *(("prefix_lower", i, p[i]) for i in lower),
+    listed = [
+        (kind, i, rhs)
+        for kind in _RELS  # the kinds in canonical order
+        for i in range(1, n + 1)
+        if (rhs := _rhs(region, kind, i)) is not None and _certified(region, kind, i, rhs) is not None
     ]
-    listed = [c for c in candidates if _certified(region, corners, *c) is not None]
     constraints = [_constraint(n, *c) for c in listed]
     tight = tight_sets(region, constraints)
     return [Facet(cons, t, kind, i) for (kind, i, _), cons, t in zip(listed, constraints, tight)]
@@ -458,11 +428,10 @@ def face_region(region: Region, facet: Facet) -> Region:
     if not is_connected(region):
         raise DisconnectedRegion("facets are computed per connected block")
     kind, i = facet.kind, facet.position
-    corners = _corners(region)
-    rhs = _rhs(region, corners, kind, i)
+    rhs = _rhs(region, kind, i)
     certified = None
     if rhs is not None and facet.constraint == _constraint(region.size, kind, i, rhs):
-        certified = _certified(region, corners, kind, i, rhs)
+        certified = _certified(region, kind, i, rhs)
     if certified is None or facet.tight != tight_sets(region, [facet.constraint])[0]:
         raise NotAFacet(f"{kind} at {i} is not a facet here")
     if kind in _BOX_KINDS:

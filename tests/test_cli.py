@@ -701,6 +701,10 @@ BAD_INPUTS = [
     (["verify", "bases", "--t-max", "5"], 2),
     (["triangulate", "--k", "1", "--n", "11"], 4),
     (["triangulate", "--k", "2", "--n", "5", "--max-size", "4"], 4),
+    (["triangulate", "--k", "1", "--n", "99999999999999999999", "--max-size", "99999999999999999999"], 4),
+    (["catalan", "--n", "99999999999999999999"], 4),
+    (["catalan", "--n", "99999999999999999999", "--r", "2"], 4),
+    (["verify", "ehrhart-formula", "--max-size", "1", "--t-max", "99999999999999999999"], 4),
     # argparse's own usage errors
     (["frobnicate"], 2),
     (["catalan", "--n", "3", "--upper", "NENE"], 2),
